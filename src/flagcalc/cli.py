@@ -69,9 +69,17 @@ def _cmd_gp_dim(args, out) -> int:
     return 0
 
 
+def _int_list(text: str, option: str) -> tuple[int, ...]:
+    """The comma-separated integers given to ``option``; a malformed list is a usage error."""
+    try:
+        return tuple(int(p) for p in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{option} expects comma-separated integers, got {text!r}") from None
+
+
 def _cmd_gp_fiber(args, out) -> int:
     m = homogeneous.parse_marked(args.marked)
-    base = tuple(int(p) for p in args.base.split(","))
+    base = _int_list(args.base, "--base")
     fiber = homogeneous.contraction_fiber(m.diagram, m.marks, base)
     if args.format == "json":
         _emit_json(
@@ -150,7 +158,7 @@ def _cmd_tag_reduce(args, out) -> int:
 
 def _cmd_tag_restrict(args, out) -> int:
     t = tags_mod.parse_tag(args.tag)
-    marks = tuple(int(p) for p in args.marks.split(","))
+    marks = _int_list(args.marks, "--marks")
     restricted = tags_mod.restrict_tag(t, marks)
     if args.format == "json":
         _emit_json(
@@ -192,14 +200,9 @@ def _cmd_tag_shape(args, out) -> int:
     return 0
 
 
-def _parse_values(text: str) -> tuple[int, ...]:
-    return tuple(int(p) for p in text.split(","))
-
-
 def _cmd_classify(args, out) -> int:
-    data = classifier.TwoBundleData.from_values(
-        args.r_minus, args.r_plus, _parse_values(args.tag_minus), _parse_values(args.tag_plus)
-    )
+    tags = _int_list(args.tag_minus, "--tag-minus"), _int_list(args.tag_plus, "--tag-plus")
+    data = classifier.TwoBundleData.from_values(args.r_minus, args.r_plus, *tags)
     verdict = classifier.check_shape_constraint(data) if data.r_minus == 1 else None
     matches = classifier.match_model(data, args.max_rank)
     if args.format == "json":
@@ -385,6 +388,9 @@ def main(argv: list[str] | None = None, out=None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except argparse.ArgumentTypeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 def main_entry() -> None:

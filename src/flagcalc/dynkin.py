@@ -10,20 +10,24 @@ convention used throughout is
 so the pairing of a root ``beta`` (an integer coefficient vector over the
 simple roots) with a simple coroot is ``<beta, alpha_i^v> = (C^T beta)_i``.
 Every value is immutable and every function is pure.
+
+Subdiagram types and diagram automorphisms are closed forms read off the
+diagram's shape.  A subdiagram is renumbered by the lexicographically
+smallest isomorphism onto the standard numbering, and a rank-2 double bond
+is always named ``B2`` (a ``C2`` piece of ``C_n`` has its nodes swapped).
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import permutations
 from math import factorial
 
 from .errors import DomainError, ParseError
 
 Matrix = tuple[tuple[int, ...], ...]
 Root = tuple[int, ...]
-
-FAMILIES = "ABCDEFG"
 
 _EXCEPTIONAL_WEYL = {
     ("G", 2): 12,
@@ -143,16 +147,15 @@ def _normalize_components(
     return tuple(comps), node_map
 
 
-def parse_diagram(text: str) -> DynkinDiagram:
-    """Parse a diagram string such as ``A5``, ``B3`` or ``A2+A1`` and normalize it."""
-    comps, _ = _normalize_components(_raw_components(text))
-    return DynkinDiagram(comps)
-
-
 def parse_with_node_map(text: str) -> tuple[DynkinDiagram, dict[int, int]]:
-    """Like :func:`parse_diagram` but also return the raw-to-normalized node map."""
+    """Parse a diagram string, normalize it, and map raw node indices to normalized ones."""
     comps, node_map = _normalize_components(_raw_components(text))
     return DynkinDiagram(comps), node_map
+
+
+def parse_diagram(text: str) -> DynkinDiagram:
+    """Parse a diagram string such as ``A5``, ``B3`` or ``A2+A1`` and normalize it."""
+    return parse_with_node_map(text)[0]
 
 
 @lru_cache(maxsize=None)
@@ -276,53 +279,20 @@ def weyl_order(d: DynkinDiagram) -> int:
     return total
 
 
-def _signature(m: Matrix, a: int) -> tuple:
-    off = sorted((m[a][b], m[b][a]) for b in range(len(m)) if b != a and m[a][b] != 0)
-    return (m[a][a], tuple(off))
+def _component_automorphisms(family: str, rank: int) -> tuple[tuple[int, ...], ...]:
+    """Sorted automorphisms: the identity, the A_n flip, the D_n end swap, S3 on D4, the E6 flip."""
+    identity = tuple(range(1, rank + 1))
+    if family == "A" and rank > 1:
+        return identity, identity[::-1]
+    if (family, rank) == ("D", 4):
+        return tuple((a, 2, b, c) for a, b, c in permutations((1, 3, 4)))
+    if family == "D":
+        return identity, identity[:-2] + (rank, rank - 1)
+    if (family, rank) == ("E", 6):
+        return identity, (6, 2, 5, 4, 3, 1)
+    return (identity,)
 
 
-def _isomorphisms(sub: Matrix, target: Matrix, find_all: bool) -> list[tuple[int, ...]]:
-    """Permutations sigma with sub[a][b] == target[sigma(a)][sigma(b)] for all a, b."""
-    k = len(sub)
-    if len(target) != k:
-        return []
-    sub_sig = [_signature(sub, a) for a in range(k)]
-    tgt_sig = [_signature(target, a) for a in range(k)]
-    if sorted(sub_sig) != sorted(tgt_sig):
-        return []
-    results: list[tuple[int, ...]] = []
-    assign = [-1] * k
-    used = [False] * k
-
-    def extend(a: int) -> bool:
-        if a == k:
-            results.append(tuple(assign))
-            return not find_all
-        for cand in range(k):
-            if used[cand] or tgt_sig[cand] != sub_sig[a]:
-                continue
-            ok = True
-            for b in range(a):
-                if (
-                    sub[a][b] != target[cand][assign[b]]
-                    or sub[b][a] != target[assign[b]][cand]
-                ):
-                    ok = False
-                    break
-            if ok:
-                assign[a] = cand
-                used[cand] = True
-                if extend(a + 1):
-                    return True
-                used[cand] = False
-                assign[a] = -1
-        return False
-
-    extend(0)
-    return results
-
-
-@lru_cache(maxsize=None)
 def automorphisms(d: DynkinDiagram) -> tuple[tuple[int, ...], ...]:
     """Diagram automorphisms of a connected diagram, as node permutations.
 
@@ -331,9 +301,7 @@ def automorphisms(d: DynkinDiagram) -> tuple[tuple[int, ...], ...]:
     """
     if not d.is_connected():
         raise DomainError("automorphisms are only computed for connected diagrams")
-    c = cartan_matrix(d)
-    perms = _isomorphisms(c, c, find_all=True)
-    return tuple(sorted(tuple(p + 1 for p in perm) for perm in perms))
+    return _component_automorphisms(*d.components[0])
 
 
 def _graph_components(nodes: list[int], c: Matrix) -> list[list[int]]:
@@ -354,30 +322,47 @@ def _graph_components(nodes: list[int], c: Matrix) -> list[list[int]]:
     return sorted(comps, key=min)
 
 
-def _candidate_types(k: int) -> list[tuple[str, int]]:
-    cands = [("A", k)]
-    if k >= 2:
-        cands += [("B", k), ("C", k)]
-    if k >= 4:
-        cands.append(("D", k))
-    if k in (6, 7, 8):
-        cands.append(("E", k))
-    if k == 4:
-        cands.append(("F", 4))
-    if k == 2:
-        cands.append(("G", 2))
-    return cands
+def _walk(neighbours: dict[int, list[int]], start: int, prev: int | None) -> list[int]:
+    """Nodes met going from ``start`` away from ``prev`` until the path ends or branches."""
+    path = [start]
+    while len(ahead := [b for b in neighbours[path[-1]] if b != prev]) == 1:
+        prev = path[-1]
+        path.append(ahead[0])
+    return path
 
 
-def _classify_component(c: Matrix, comp: list[int]) -> tuple[str, int, dict[int, int]]:
-    k = len(comp)
-    sub = tuple(tuple(c[a - 1][b - 1] for b in comp) for a in comp)
-    for fam, rank in _candidate_types(k):
-        isos = _isomorphisms(sub, _component_cartan(fam, rank), find_all=False)
-        if isos:
-            sigma = isos[0]
-            return fam, rank, {comp[a]: sigma[a] + 1 for a in range(k)}
-    raise DomainError(f"nodes {comp} do not span a diagram of finite type")
+def _read_shape(c: Matrix, comp: list[int]) -> tuple[str, list[int]]:
+    """Family of a connected node set and its nodes in standard order, read off its shape.
+
+    A connected diagram of finite type is a path with at most one multiple
+    bond, or a tree with one branch node whose arms have lengths (1, 1, k)
+    (type D) or (1, 2, 2|3|4) (type E); see Humphreys §11.4.
+    """
+    neighbours = {a: [b for b in comp if b != a and c[a - 1][b - 1]] for a in comp}
+    hubs = [a for a in comp if len(neighbours[a]) > 2]
+    if hubs:
+        hub = hubs[0]
+        short, mid, long = sorted((_walk(neighbours, b, hub) for b in neighbours[hub]), key=len)
+        if len(mid) == 1:
+            return "D", long[::-1] + [hub] + short + mid
+        return "E", [mid[-1], short[0], mid[0], hub] + long
+    path = _walk(neighbours, min(a for a in comp if len(neighbours[a]) < 2), None)
+    bonds = [c[a - 1][b - 1] * c[b - 1][a - 1] for a, b in zip(path, path[1:])]
+    heavy = max(bonds, default=1)
+    if heavy == 1:
+        return "A", path
+    k, t = len(path), bonds.index(heavy)
+    # Put the multiple bond past the middle of the path.  On the middle (G2,
+    # B2, F4) it must read -1 for G2 and -2 otherwise, so that a rank-2
+    # double bond is named B2: B is the first family that fits it.
+    middle_reads = -1 if heavy == 3 else -2
+    if 2 * t < k - 2 or 2 * t == k - 2 and c[path[t] - 1][path[t + 1] - 1] != middle_reads:
+        path, t = path[::-1], k - 2 - t
+    if heavy == 3:
+        return "G", path
+    if (k, t) == (4, 1):
+        return "F", path
+    return "B" if c[path[t] - 1][path[t + 1] - 1] == -2 else "C", path
 
 
 def subdiagram(
@@ -387,7 +372,9 @@ def subdiagram(
 
     Returns the new diagram together with the map from original node indices
     to the new global indices.  Components are ordered by their smallest
-    original node.
+    original node.  Each component's standard order, read off its shape, is
+    checked entry by entry against the standard Cartan matrix; of the
+    isomorphisms onto it, the lexicographically smallest is used.
     """
     node_list = sorted(set(nodes))
     if not node_list:
@@ -395,14 +382,21 @@ def subdiagram(
     if any(a not in d.nodes for a in node_list):
         raise DomainError(f"nodes {node_list} not all in diagram {d}")
     c = cartan_matrix(d)
-    comps = _graph_components(node_list, c)
     parts: list[tuple[str, int]] = []
     mapping: dict[int, int] = {}
-    offset = 0
-    for comp in comps:
-        fam, rank, local = _classify_component(c, comp)
-        parts.append((fam, rank))
-        for orig, pos in local.items():
-            mapping[orig] = offset + pos
-        offset += rank
+    for comp in _graph_components(node_list, c):
+        family, order = _read_shape(c, comp)
+        k = len(comp)
+        target = _component_cartan(family, k)
+        if (family == "E" and k > 8) or sorted(order) != comp or any(
+            c[a - 1][b - 1] != target[s][t] for s, a in enumerate(order) for t, b in enumerate(order)
+        ):
+            raise DomainError(f"nodes {comp} do not span a diagram of finite type")
+        position = {a: s + 1 for s, a in enumerate(order)}
+        sigma = min(
+            tuple(tau[position[a] - 1] for a in comp) for tau in _component_automorphisms(family, k)
+        )
+        offset = len(mapping)
+        mapping.update((a, offset + s) for a, s in zip(comp, sigma))
+        parts.append((family, k))
     return DynkinDiagram(tuple(parts)), mapping

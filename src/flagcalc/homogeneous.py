@@ -15,10 +15,9 @@ from functools import lru_cache
 from .dynkin import (
     DynkinDiagram,
     _graph_components,
-    _normalize_components,
-    _raw_components,
     automorphisms,
     cartan_matrix,
+    parse_with_node_map,
     positive_roots,
     subdiagram,
 )
@@ -31,6 +30,8 @@ class MarkedDiagram:
     marks: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if not all(type(i) is int for i in self.marks):
+            raise DomainError(f"marks must be integers, got {self.marks}")
         marks = tuple(sorted(set(self.marks)))
         if not marks:
             raise DomainError("mark set must be nonempty")
@@ -70,12 +71,11 @@ def parse_marked(text: str) -> MarkedDiagram:
     m = _MARKED_RE.match(text.strip())
     if m is None:
         raise ParseError(f"cannot parse marked diagram {text!r}")
-    comps, node_map = _normalize_components(_raw_components(m.group(1)))
+    diagram, node_map = parse_with_node_map(m.group(1))
     try:
         raw_marks = [int(p) for p in m.group(2).split(",") if p.strip()]
     except ValueError as exc:
         raise ParseError(f"bad mark list in {text!r}") from exc
-    diagram = DynkinDiagram(comps)
     if any(k not in node_map for k in raw_marks):
         raise DomainError(f"marks {raw_marks} not all in diagram {m.group(1)!r}")
     return MarkedDiagram(diagram, tuple(node_map[k] for k in raw_marks))
@@ -225,30 +225,23 @@ def enumerate_two_bundles(max_rank: int) -> tuple[TwoBundleEntry, ...]:
     """
     if max_rank < 2:
         raise DomainError("max_rank must be at least 2")
-    seen: dict[tuple[DynkinDiagram, int, int], TwoBundleEntry] = {}
+    seen: dict[tuple[DynkinDiagram, int, int], TwoBundleEntry | None] = {}
     for family in "ABCDEFG":
         for rank in _scan_ranks(family, max_rank):
             d = DynkinDiagram(((family, rank),))
             for i in d.nodes:
                 for j in range(i + 1, rank + 1):
-                    if is_two_bundle_pair(d, i, j) is None:
-                        continue
-                    cd, ci, cj = _canonical_pair(d, i, j)
-                    key = (cd, ci, cj)
+                    key = _canonical_pair(d, i, j)
                     if key in seen:
                         continue
-                    r_minus, r_plus = is_two_bundle_pair(cd, ci, cj)
-                    seen[key] = TwoBundleEntry(
-                        diagram=cd,
-                        i=ci,
-                        j=cj,
-                        r_minus=r_minus,
-                        r_plus=r_plus,
-                        dim=dimension(MarkedDiagram(cd, (ci, cj))),
+                    ranks = is_two_bundle_pair(*key)
+                    cd, ci, cj = key
+                    seen[key] = None if ranks is None else TwoBundleEntry(
+                        cd, ci, cj, *ranks, dim=dimension(MarkedDiagram(cd, (ci, cj)))
                     )
     return tuple(
         sorted(
-            seen.values(),
+            (e for e in seen.values() if e is not None),
             key=lambda e: (e.diagram.components[0][0], e.diagram.rank, e.i, e.j),
         )
     )

@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass
 from typing import Sequence
 
-from .dynkin import DynkinDiagram, _normalize_components, _raw_components, subdiagram
+from .dynkin import DynkinDiagram, parse_diagram, parse_with_node_map, subdiagram
 from .errors import DomainError, ParseError
 
 FIRST_NODE_ONLY = "first_node_only"
@@ -26,7 +26,9 @@ class Tag:
     values: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        values = tuple(int(v) for v in self.values)
+        values = tuple(self.values)
+        if not all(type(v) is int for v in values):
+            raise DomainError(f"tag values must be integers, got {values}")
         if len(values) != self.diagram.rank:
             raise DomainError(
                 f"tag has {len(values)} values but diagram {self.diagram} has rank {self.diagram.rank}"
@@ -71,8 +73,7 @@ def parse_tag(text: str) -> Tag:
     m = _TAG_RE.match(text.strip())
     if m is None:
         raise ParseError(f"cannot parse tag {text!r}")
-    comps, node_map = _normalize_components(_raw_components(m.group(1)))
-    diagram = DynkinDiagram(comps)
+    diagram, node_map = parse_with_node_map(m.group(1))
     try:
         raw_values = [int(p) for p in m.group(2).split(",")]
     except ValueError as exc:
@@ -151,8 +152,7 @@ def symplectic_reduce(t: Tag) -> Tag | None:
     if r % 2 == 0 or not _is_palindrome(t.values):
         return None
     half = (r + 1) // 2
-    comps, _ = _normalize_components([("C", half)])
-    return Tag(DynkinDiagram(comps), t.values[:half])
+    return Tag(parse_diagram(f"C{half}"), t.values[:half])
 
 
 def nesting_admissible(t: Tag, marks_i, marks_j) -> bool:

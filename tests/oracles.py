@@ -4,7 +4,11 @@ Everything here recomputes expected values by routes deliberately different
 from the library implementation: naive reflection closure instead of
 string-based generation, breadth-first group enumeration instead of closed
 forms, orthogonal-basis arithmetic instead of simple-root bookkeeping, and
-tautological short exact sequences instead of Cartan pairings.
+tautological short exact sequences instead of Cartan pairings, and a
+backtracking isomorphism search over every candidate Cartan matrix instead
+of reading a subdiagram's type off its shape.
+
+Module-level code is stdlib-only: the benchmark loads this file by path.
 """
 from __future__ import annotations
 
@@ -149,6 +153,114 @@ def point_hyperplane_degrees(n: int) -> tuple[list[int], list[int]]:
     """
     deg = sorted([0] * (n - 1) + [1])
     return deg, list(deg)
+
+
+def signature(m: Matrix, a: int) -> tuple:
+    off = sorted((m[a][b], m[b][a]) for b in range(len(m)) if b != a and m[a][b] != 0)
+    return (m[a][a], tuple(off))
+
+
+def isomorphisms(sub: Matrix, target: Matrix, find_all: bool) -> list[tuple[int, ...]]:
+    """Permutations sigma with sub[a][b] == target[sigma(a)][sigma(b)] for all a, b.
+
+    Candidates are tried in increasing order, so with ``find_all`` false the
+    one permutation returned is the lexicographically smallest.
+    """
+    k = len(sub)
+    if len(target) != k:
+        return []
+    sub_sig = [signature(sub, a) for a in range(k)]
+    tgt_sig = [signature(target, a) for a in range(k)]
+    if sorted(sub_sig) != sorted(tgt_sig):
+        return []
+    results: list[tuple[int, ...]] = []
+    assign = [-1] * k
+    used = [False] * k
+
+    def extend(a: int) -> bool:
+        if a == k:
+            results.append(tuple(assign))
+            return not find_all
+        for cand in range(k):
+            if used[cand] or tgt_sig[cand] != sub_sig[a]:
+                continue
+            ok = True
+            for b in range(a):
+                if (
+                    sub[a][b] != target[cand][assign[b]]
+                    or sub[b][a] != target[assign[b]][cand]
+                ):
+                    ok = False
+                    break
+            if ok:
+                assign[a] = cand
+                used[cand] = True
+                if extend(a + 1):
+                    return True
+                used[cand] = False
+                assign[a] = -1
+        return False
+
+    extend(0)
+    return results
+
+
+def candidate_types(k: int) -> list[tuple[str, int]]:
+    cands = [("A", k)]
+    if k >= 2:
+        cands += [("B", k), ("C", k)]
+    if k >= 4:
+        cands.append(("D", k))
+    if k in (6, 7, 8):
+        cands.append(("E", k))
+    if k == 4:
+        cands.append(("F", 4))
+    if k == 2:
+        cands.append(("G", 2))
+    return cands
+
+
+def classify_component(c: Matrix, comp: list[int]) -> tuple[str, int, dict[int, int]]:
+    """First candidate type with an isomorphism from the induced matrix on ``comp``."""
+    from flagcalc.dynkin import _component_cartan
+    from flagcalc.errors import DomainError
+
+    k = len(comp)
+    sub = tuple(tuple(c[a - 1][b - 1] for b in comp) for a in comp)
+    for fam, rank in candidate_types(k):
+        isos = isomorphisms(sub, _component_cartan(fam, rank), find_all=False)
+        if isos:
+            sigma = isos[0]
+            return fam, rank, {comp[a]: sigma[a] + 1 for a in range(k)}
+    raise DomainError(f"nodes {comp} do not span a diagram of finite type")
+
+
+def connected_components(c: Matrix, nodes) -> list[list[int]]:
+    """Connected components of the induced graph on ``nodes``, ordered by smallest node."""
+    remaining = sorted(set(nodes))
+    comps = []
+    while remaining:
+        comp = [remaining.pop(0)]
+        for a in comp:
+            for b in [b for b in remaining if c[a - 1][b - 1] != 0]:
+                remaining.remove(b)
+                comp.append(b)
+        comps.append(sorted(comp))
+    return comps
+
+
+def subdiagram_by_search(c: Matrix, nodes) -> tuple[tuple[tuple[str, int], ...], dict[int, int]]:
+    """Components and node map of the induced subdiagram, each component named by search."""
+    parts = []
+    mapping: dict[int, int] = {}
+    offset = 0
+    for comp in connected_components(c, nodes):
+        fam, rank, local = classify_component(c, comp)
+        parts.append((fam, rank))
+        for orig, pos in local.items():
+            mapping[orig] = offset + pos
+        offset += rank
+    return tuple(parts), mapping
 
 
 def canonical_tag_form(tag):

@@ -88,6 +88,9 @@ def test_tag_reduce():
 def test_tag_restrict():
     code, text = run_cli("tag", "restrict", "A3:1,0,2", "--marks", "2")
     assert code == 0 and text == "A1+A1:1,2 (node map: 1->1, 3->2)\n"
+    # a C2 piece is named B2 with its nodes swapped
+    code, text = run_cli("tag", "restrict", "C3:1,2,3", "--marks", "1")
+    assert code == 0 and text == "B2:3,2 (node map: 2->2, 3->1)\n"
     payload = run_json("tag", "restrict", "A5:1,2,3,4,5", "--marks", "1")
     assert payload["restricted"] == "A4:2,3,4,5"
 
@@ -133,7 +136,7 @@ def test_drum_ledger():
     assert payload["m_plus_nef"] is True
 
 
-def test_exit_codes():
+def test_exit_codes(capsys):
     code, _ = run_cli("roots", "Z9")
     assert code == 1
     code, _ = run_cli("roots", "E5")
@@ -144,6 +147,16 @@ def test_exit_codes():
     assert code == 2
     code, _ = run_cli()
     assert code == 2
+    # a malformed integer list is a usage error with a one-line message
+    capsys.readouterr()
+    for argv in (
+        ("gp", "fiber", "B3{1,3}", "--base", "x"),
+        ("tag", "restrict", "A3:1,0,2", "--marks", "1,,2"),
+        ("classify", "--r-minus", "1", "--r-plus", "1", "--tag-minus", "a", "--tag-plus", "3"),
+    ):
+        assert run_cli(*argv) == (2, "")
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), argv
 
 
 def test_output_is_deterministic():

@@ -17,7 +17,9 @@ from flagcalc.errors import DomainError, ParseError
 from oracles import (
     bfs_group_order,
     closed_form_root_count,
+    isomorphisms,
     reflection_closure,
+    subdiagram_by_search,
 )
 
 ALL_CONNECTED = (
@@ -191,6 +193,32 @@ def test_automorphisms():
     assert automorphisms(parse_diagram("G2")) == ((1, 2),)
     with pytest.raises(DomainError):
         automorphisms(parse_diagram("A1+A1"))
+
+
+def test_automorphisms_match_search_oracle():
+    for text in ALL_CONNECTED:
+        d = parse_diagram(text)
+        c = cartan_matrix(d)
+        found = sorted(tuple(p + 1 for p in perm) for perm in isomorphisms(c, c, find_all=True))
+        assert automorphisms(d) == tuple(found), text
+
+
+def test_subdiagram_matches_search_oracle_on_every_node_subset():
+    # The generic search reports the lexicographically smallest isomorphism
+    # onto the first candidate family, which names a rank-2 double bond B2.
+    for text in [t for t in ALL_CONNECTED if parse_diagram(t).rank <= 8]:
+        d = parse_diagram(text)
+        c = cartan_matrix(d)
+        for mask in range(1, 2**d.rank):
+            nodes = [a for a in d.nodes if mask >> (a - 1) & 1]
+            sub, node_map = subdiagram(d, nodes)
+            assert (sub.components, node_map) == subdiagram_by_search(c, nodes), (text, nodes)
+
+
+def test_subdiagram_e7_tail_is_d6():
+    sub, node_map = subdiagram(parse_diagram("E7"), range(2, 8))
+    assert sub.render() == "D6"
+    assert node_map == {2: 5, 3: 6, 4: 4, 5: 3, 6: 2, 7: 1}
 
 
 def test_automorphisms_preserve_cartan():

@@ -45,6 +45,11 @@ def test_parse_marked_errors():
         MarkedDiagram(parse_diagram("A2"), ())
 
 
+def test_marked_diagram_rejects_non_integer_marks():
+    with pytest.raises(DomainError):
+        MarkedDiagram(parse_diagram("A3"), (1.0,))
+
+
 @pytest.mark.parametrize("n", range(1, 9))
 def test_dimension_projective_space(n):
     assert dimension(parse_marked(f"A{n}{{1}}")) == n

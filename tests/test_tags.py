@@ -55,6 +55,11 @@ def test_tag_rank_checked():
         Tag(parse_diagram("A3"), (1, 2))
 
 
+def test_tag_rejects_non_integer_values():
+    with pytest.raises(DomainError):
+        Tag(parse_diagram("A1"), (1.5,))
+
+
 def test_tag_from_splitting_example():
     assert tag_from_splitting([0, 1, 3]).values == (1, 2)
     assert tag_from_splitting([0, 1, 3]).diagram.render() == "A2"
