@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .dynkin import DynkinDiagram, cartan_matrix, positive_roots
 from .errors import DomainError
@@ -22,8 +23,12 @@ CURVE_CLASSES = ("ell-", "ell+")
 
 
 @lru_cache(maxsize=None)
-def _symmetrizer(d: DynkinDiagram) -> tuple[Fraction, ...]:
-    """Positive rationals d_i with d_i * C[i][j] == d_j * C[j][i]."""
+def _symmetrizer(d: DynkinDiagram) -> tuple[int, ...]:
+    """Positive integers d_i with d_i * C[i][j] == d_j * C[j][i].
+
+    The rational solution with d = 1 at the first node of each component,
+    scaled by the lcm of its denominators.
+    """
     c = cartan_matrix(d)
     n = d.rank
     vals: list[Fraction | None] = [None] * n
@@ -36,28 +41,44 @@ def _symmetrizer(d: DynkinDiagram) -> tuple[Fraction, ...]:
                 if vals[b - 1] is None and c[a - 1][b - 1] != 0:
                     vals[b - 1] = vals[a - 1] * c[b - 1][a - 1] / c[a - 1][b - 1]
                     frontier.append(b)
-    return tuple(vals)  # type: ignore[arg-type]
+    scale = lcm(*(v.denominator for v in vals))  # type: ignore[union-attr]
+    return tuple(int(v * scale) for v in vals)  # type: ignore[operator]
 
 
 def weyl_dim(d: DynkinDiagram, node: int) -> int:
     """Dimension of the irreducible representation of the fundamental weight at ``node``.
 
     Evaluates the product over positive roots beta of
-    (rho + omega, beta) / (rho, beta) in exact rational arithmetic; the
-    result is asserted to be an integer.
+    (rho + omega, beta) / (rho, beta) in integer arithmetic: with the
+    symmetrizer scaled to integers, the numerators and the denominators are
+    multiplied separately and divided once, exactly; a nonzero remainder
+    raises ``ArithmeticError``.  Roots with no ``node`` coefficient
+    contribute a factor 1 and are skipped.  Results are cached per
+    (diagram, node).
     """
+    if type(node) is not int:
+        raise DomainError(f"node must be an integer, got {node!r}")
     if not d.is_connected():
         raise DomainError("fundamental representation dimensions require a connected diagram")
     if node not in d.nodes:
         raise DomainError(f"node {node} not in diagram {d}")
+    return _weyl_dim(d, node)
+
+
+@lru_cache(maxsize=None)
+def _weyl_dim(d: DynkinDiagram, node: int) -> int:
     sym = _symmetrizer(d)
-    result = Fraction(1)
+    k = node - 1
+    num = den = 1
     for beta in positive_roots(d).roots:
-        rho_beta = sum(beta[k] * sym[k] for k in range(d.rank))
-        result *= (rho_beta + beta[node - 1] * sym[node - 1]) / rho_beta
-    if result.denominator != 1:
+        if beta[k]:
+            rho_beta = sum(b * s for b, s in zip(beta, sym))
+            num *= rho_beta + beta[k] * sym[k]
+            den *= rho_beta
+    dim, rest = divmod(num, den)
+    if rest:
         raise ArithmeticError(f"non-integral representation dimension for {d} node {node}")
-    return int(result)
+    return dim
 
 
 @dataclass(frozen=True)

@@ -160,6 +160,9 @@ def parse_diagram(text: str) -> DynkinDiagram:
 
 @lru_cache(maxsize=None)
 def _component_cartan(family: str, rank: int) -> Matrix:
+    lowest = {"A": 1, "B": 2, "C": 2, "D": 4, "E": 6, "F": 4, "G": 2}.get(family)
+    if lowest is None or not lowest <= rank <= {"E": 8, "F": 4, "G": 2}.get(family, rank):
+        raise DomainError(f"component {family}{rank} is not in the normalized table")
     c = [[2 * (i == j) for j in range(rank)] for i in range(rank)]
 
     def edge(a: int, b: int, ab: int = -1, ba: int = -1) -> None:
@@ -387,8 +390,8 @@ def subdiagram(
     for comp in _graph_components(node_list, c):
         family, order = _read_shape(c, comp)
         k = len(comp)
-        target = _component_cartan(family, k)
-        if (family == "E" and k > 8) or sorted(order) != comp or any(
+        target = None if family == "E" and k > 8 else _component_cartan(family, k)
+        if target is None or sorted(order) != comp or any(
             c[a - 1][b - 1] != target[s][t] for s, a in enumerate(order) for t, b in enumerate(order)
         ):
             raise DomainError(f"nodes {comp} do not span a diagram of finite type")

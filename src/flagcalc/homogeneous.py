@@ -73,7 +73,7 @@ def parse_marked(text: str) -> MarkedDiagram:
         raise ParseError(f"cannot parse marked diagram {text!r}")
     diagram, node_map = parse_with_node_map(m.group(1))
     try:
-        raw_marks = [int(p) for p in m.group(2).split(",") if p.strip()]
+        raw_marks = [int(p) for p in m.group(2).split(",")]
     except ValueError as exc:
         raise ParseError(f"bad mark list in {text!r}") from exc
     if any(k not in node_map for k in raw_marks):

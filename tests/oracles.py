@@ -4,9 +4,10 @@ Everything here recomputes expected values by routes deliberately different
 from the library implementation: naive reflection closure instead of
 string-based generation, breadth-first group enumeration instead of closed
 forms, orthogonal-basis arithmetic instead of simple-root bookkeeping, and
-tautological short exact sequences instead of Cartan pairings, and a
+tautological short exact sequences instead of Cartan pairings, a
 backtracking isomorphism search over every candidate Cartan matrix instead
-of reading a subdiagram's type off its shape.
+of reading a subdiagram's type off its shape, and a running product of
+rationals instead of one exact integer division for the Weyl dimension.
 
 Module-level code is stdlib-only: the benchmark loads this file by path.
 """
@@ -311,3 +312,45 @@ def b3_spin_dimension() -> Fraction:
             r * b for r, b in zip(rho, beta)
         )
     return result
+
+
+def symmetrizer_fraction(d) -> tuple[Fraction, ...]:
+    """Positive rationals d_i with d_i * C[i][j] == d_j * C[j][i], 1 on each component's first node."""
+    from flagcalc.dynkin import cartan_matrix
+
+    c = cartan_matrix(d)
+    n = d.rank
+    vals: list[Fraction | None] = [None] * n
+    for _, first, last in d.component_spans():
+        vals[first - 1] = Fraction(1)
+        frontier = [first]
+        while frontier:
+            a = frontier.pop()
+            for b in range(first, last + 1):
+                if vals[b - 1] is None and c[a - 1][b - 1] != 0:
+                    vals[b - 1] = vals[a - 1] * c[b - 1][a - 1] / c[a - 1][b - 1]
+                    frontier.append(b)
+    return tuple(vals)  # type: ignore[arg-type]
+
+
+def weyl_dim_fraction(d, node: int) -> int:
+    """Weyl dimension of the fundamental weight at ``node``, as a running product of Fractions.
+
+    Multiplies (rho + omega, beta) / (rho, beta) over every positive root
+    beta, one Fraction per root; the result is asserted to be an integer.
+    """
+    from flagcalc.dynkin import positive_roots
+    from flagcalc.errors import DomainError
+
+    if not d.is_connected():
+        raise DomainError("fundamental representation dimensions require a connected diagram")
+    if node not in d.nodes:
+        raise DomainError(f"node {node} not in diagram {d}")
+    sym = symmetrizer_fraction(d)
+    result = Fraction(1)
+    for beta in positive_roots(d).roots:
+        rho_beta = sum(beta[k] * sym[k] for k in range(d.rank))
+        result *= (rho_beta + beta[node - 1] * sym[node - 1]) / rho_beta
+    if result.denominator != 1:
+        raise ArithmeticError(f"non-integral representation dimension for {d} node {node}")
+    return int(result)

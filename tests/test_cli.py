@@ -147,8 +147,13 @@ def test_exit_codes(capsys):
     assert code == 2
     code, _ = run_cli()
     assert code == 2
-    # a malformed integer list is a usage error with a one-line message
+    # an empty mark entry is a parse error with a one-line message
     capsys.readouterr()
+    for text in ("B3{1,,3}", "B3{,1}"):
+        assert run_cli("gp", "dim", text) == (1, "")
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), text
+    # a malformed integer list is a usage error with a one-line message
     for argv in (
         ("gp", "fiber", "B3{1,3}", "--base", "x"),
         ("tag", "restrict", "A3:1,0,2", "--marks", "1,,2"),

@@ -14,7 +14,7 @@ from flagcalc.dynkin import automorphisms, parse_diagram, positive_roots, pairin
 from flagcalc.errors import DomainError
 from flagcalc.homogeneous import enumerate_two_bundles, is_two_bundle_pair, parse_marked
 
-from oracles import b3_spin_dimension
+from oracles import b3_spin_dimension, weyl_dim_fraction
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -68,6 +68,25 @@ def test_weyl_dim_sanity_floor():
         d = parse_diagram(text)
         for k in d.nodes:
             assert weyl_dim(d, k) >= d.rank + 1
+
+
+def test_weyl_dim_matches_fraction_oracle():
+    texts = [
+        f"{fam}{n}" for fam, lowest in (("A", 1), ("B", 2), ("C", 2), ("D", 4)) for n in range(lowest, 13)
+    ] + ["E6", "E7", "E8", "F4", "G2"]
+    for text in texts:
+        d = parse_diagram(text)
+        for k in d.nodes:
+            assert weyl_dim(d, k) == weyl_dim_fraction(d, k), (text, k)
+
+
+def test_weyl_dim_rejects_non_integer_node():
+    d = parse_diagram("A3")
+    assert weyl_dim(d, 1) == 4
+    # 1.0 and True hash like the cached node 1; they must not reach the cache
+    for node in (True, 1.0, 2.5):
+        with pytest.raises(DomainError):
+            weyl_dim(d, node)
 
 
 def test_weyl_dim_requires_connected():

@@ -107,6 +107,12 @@ def test_cartan_invariants():
                     assert (c[i][j] == 0) == (c[j][i] == 0)
 
 
+@pytest.mark.parametrize("component", [("D", 2), ("B", 1), ("E", 9), ("F", 5)])
+def test_cartan_matrix_rejects_components_outside_normalized_table(component):
+    with pytest.raises(DomainError):
+        cartan_matrix(DynkinDiagram((component,)))
+
+
 def test_positive_roots_a2():
     assert positive_roots(parse_diagram("A2")).roots == ((0, 1), (1, 0), (1, 1))
 

@@ -37,8 +37,9 @@ def test_parse_marked_normalizes_coincidences():
 
 
 def test_parse_marked_errors():
-    with pytest.raises(ParseError):
-        parse_marked("B3")
+    for bad in ("B3", "B3{1,,3}", "B3{,1}"):
+        with pytest.raises(ParseError):
+            parse_marked(bad)
     with pytest.raises(DomainError):
         parse_marked("B3{4}")
     with pytest.raises(DomainError):
