@@ -83,6 +83,8 @@ class TwoBundleData:
 
     @classmethod
     def from_values(cls, r_minus, r_plus, minus_values, plus_values) -> "TwoBundleData":
+        if min(r_minus, r_plus) < 1:
+            raise DomainError("relative dimensions must be positive")
         return cls(
             r_minus=r_minus,
             r_plus=r_plus,

@@ -13,7 +13,7 @@ import json
 import sys
 
 from . import classifier, drum as drum_mod, homogeneous, tags as tags_mod
-from .dynkin import parse_diagram, positive_roots, weyl_order
+from .dynkin import parse_diagram, parse_with_node_map, positive_roots, weyl_order
 from .errors import DomainError
 
 SCHEMA = 1
@@ -77,9 +77,16 @@ def _int_list(text: str, option: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"{option} expects comma-separated integers, got {text!r}") from None
 
 
+def _typed_nodes(nodes, node_map: dict[int, int], text: str) -> tuple[int, ...]:
+    """Node arguments numbered as in the diagram typed in ``text``, in its normalized numbering."""
+    if any(k not in node_map for k in nodes):
+        raise DomainError(f"nodes {list(nodes)} not all in {text!r}")
+    return tuple(node_map[k] for k in nodes)
+
+
 def _cmd_gp_fiber(args, out) -> int:
-    m = homogeneous.parse_marked(args.marked)
-    base = _int_list(args.base, "--base")
+    m, node_map = homogeneous.parse_marked_with_node_map(args.marked)
+    base = _typed_nodes(_int_list(args.base, "--base"), node_map, args.marked)
     fiber = homogeneous.contraction_fiber(m.diagram, m.marks, base)
     if args.format == "json":
         _emit_json(
@@ -157,8 +164,8 @@ def _cmd_tag_reduce(args, out) -> int:
 
 
 def _cmd_tag_restrict(args, out) -> int:
-    t = tags_mod.parse_tag(args.tag)
-    marks = _int_list(args.marks, "--marks")
+    t, node_map = tags_mod.parse_tag_with_node_map(args.tag)
+    marks = _typed_nodes(_int_list(args.marks, "--marks"), node_map, args.tag)
     restricted = tags_mod.restrict_tag(t, marks)
     if args.format == "json":
         _emit_json(
@@ -264,9 +271,13 @@ def _drum_payload(d: drum_mod.HorosphericalDrum) -> dict:
     }
 
 
+def _build_drum(args) -> drum_mod.HorosphericalDrum:
+    d, node_map = parse_with_node_map(args.diagram)
+    return drum_mod.build_drum(d, *_typed_nodes((args.i, args.j), node_map, args.diagram))
+
+
 def _cmd_drum_build(args, out) -> int:
-    d = parse_diagram(args.diagram)
-    built = drum_mod.build_drum(d, args.i, args.j)
+    built = _build_drum(args)
     if args.format == "json":
         _emit_json(_drum_payload(built), out)
         return 0
@@ -279,8 +290,7 @@ def _cmd_drum_build(args, out) -> int:
 
 
 def _cmd_drum_ledger(args, out) -> int:
-    d = parse_diagram(args.diagram)
-    built = drum_mod.build_drum(d, args.i, args.j)
+    built = _build_drum(args)
     led = drum_mod.ledger(built)
     if args.format == "json":
         table: dict[str, dict[str, int]] = {}

@@ -36,6 +36,7 @@ _EXCEPTIONAL_WEYL = {
     ("E", 7): 2903040,
     ("E", 8): 696729600,
 }
+_EXCEPTIONAL_ROOTS = {("G", 2): 6, ("F", 4): 24, ("E", 6): 36, ("E", 7): 63, ("E", 8): 120}
 
 
 @dataclass(frozen=True)
@@ -280,6 +281,17 @@ def weyl_order(d: DynkinDiagram) -> int:
         else:
             total *= _EXCEPTIONAL_WEYL[(fam, rank)]
     return total
+
+
+def _component_root_count(family: str, rank: int) -> int:
+    """Number of positive roots of a connected diagram (Humphreys §12.2, Bourbaki plates)."""
+    if family == "A":
+        return rank * (rank + 1) // 2
+    if family in ("B", "C"):
+        return rank * rank
+    if family == "D":
+        return rank * (rank - 1)
+    return _EXCEPTIONAL_ROOTS[(family, rank)]
 
 
 def _component_automorphisms(family: str, rank: int) -> tuple[tuple[int, ...], ...]:

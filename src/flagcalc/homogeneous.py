@@ -14,11 +14,12 @@ from functools import lru_cache
 
 from .dynkin import (
     DynkinDiagram,
+    _component_root_count,
     _graph_components,
+    _read_shape,
     automorphisms,
     cartan_matrix,
     parse_with_node_map,
-    positive_roots,
     subdiagram,
 )
 from .errors import DomainError, ParseError
@@ -66,8 +67,8 @@ class ContractionFiber:
 _MARKED_RE = re.compile(r"^(.*?)\{([0-9,\s]+)\}$")
 
 
-def parse_marked(text: str) -> MarkedDiagram:
-    """Parse a marked diagram such as ``B3{1,3}``."""
+def parse_marked_with_node_map(text: str) -> tuple[MarkedDiagram, dict[int, int]]:
+    """Parse a marked diagram; also map the typed diagram's node indices to normalized ones."""
     m = _MARKED_RE.match(text.strip())
     if m is None:
         raise ParseError(f"cannot parse marked diagram {text!r}")
@@ -78,17 +79,32 @@ def parse_marked(text: str) -> MarkedDiagram:
         raise ParseError(f"bad mark list in {text!r}") from exc
     if any(k not in node_map for k in raw_marks):
         raise DomainError(f"marks {raw_marks} not all in diagram {m.group(1)!r}")
-    return MarkedDiagram(diagram, tuple(node_map[k] for k in raw_marks))
+    return MarkedDiagram(diagram, tuple(node_map[k] for k in raw_marks)), node_map
+
+
+def parse_marked(text: str) -> MarkedDiagram:
+    """Parse a marked diagram such as ``B3{1,3}``."""
+    return parse_marked_with_node_map(text)[0]
 
 
 def dimension(m: MarkedDiagram) -> int:
-    """Number of positive roots whose support meets the mark set."""
-    marks = set(m.marks)
-    return sum(
-        1
-        for beta in positive_roots(m.diagram).roots
-        if any(beta[i - 1] > 0 for i in marks)
+    """Dimension of D{I}: the number of positive roots whose support meets I.
+
+    Computed as dim D{I} = |Φ⁺(D)| - |Φ⁺(L)|, where the Levi diagram L is the
+    subdiagram on the unmarked nodes, from the closed-form counts per
+    component: n(n+1)/2 for A_n, n² for B_n and C_n, n(n-1) for D_n, 36, 63,
+    120 for E6, E7, E8, 24 for F4 and 6 for G2.  Each component of L is named
+    by its shape alone; every node subset of a diagram of finite type is of
+    finite type, and B and C have the same count.
+    """
+    d = m.diagram
+    c = cartan_matrix(d)
+    unmarked = [a for a in d.nodes if a not in m.marks]
+    levi = sum(
+        _component_root_count(_read_shape(c, comp)[0], len(comp))
+        for comp in _graph_components(unmarked, c)
     )
+    return sum(_component_root_count(*comp) for comp in d.components) - levi
 
 
 def picard_number(m: MarkedDiagram) -> int:
@@ -109,21 +125,28 @@ def contraction_fiber(
         raise DomainError(f"base marks {sorted(base)} not contained in {sorted(total)}")
     if any(i not in d.nodes for i in total):
         raise DomainError(f"marks {sorted(total)} not all in diagram {d}")
-    residual = [i for i in d.nodes if i not in base]
-    comps = _graph_components(residual, cartan_matrix(d))
-    extra = total - base
-    kept = sorted(n for comp in comps if extra & set(comp) for n in comp)
-    dropped_nodes = sorted(set(residual) - set(kept))
-    fiber_diag, node_map = subdiagram(d, kept)
-    fiber_marks = tuple(node_map[i] for i in sorted(extra))
-    dropped = subdiagram(d, dropped_nodes)[0] if dropped_nodes else None
+    fiber, node_map = _fiber(d, total, base)
+    dropped_nodes = [i for i in d.nodes if i not in base and i not in node_map]
     return ContractionFiber(
         base_marks=tuple(sorted(base)),
         total_marks=tuple(sorted(total)),
-        fiber=MarkedDiagram(fiber_diag, fiber_marks),
+        fiber=fiber,
         node_map=tuple(sorted(node_map.items())),
-        dropped=dropped,
+        dropped=subdiagram(d, dropped_nodes)[0] if dropped_nodes else None,
     )
+
+
+def _fiber(d: DynkinDiagram, total: set[int], base: set[int]) -> tuple[MarkedDiagram, dict[int, int]]:
+    """The marked fiber of ``D{total} -> D{base}`` and the map from original to fiber nodes.
+
+    The fiber lives on the components of the complement of ``base`` that meet
+    the remaining marks; the unmarked components are not named.
+    """
+    extra = total - base
+    residual = [i for i in d.nodes if i not in base]
+    kept = [a for comp in _graph_components(residual, cartan_matrix(d)) if extra & set(comp) for a in comp]
+    fiber_diag, node_map = subdiagram(d, kept)
+    return MarkedDiagram(fiber_diag, tuple(node_map[i] for i in sorted(extra))), node_map
 
 
 def is_projective_space(m: MarkedDiagram) -> int | None:
@@ -159,10 +182,10 @@ def is_two_bundle_pair(d: DynkinDiagram, i: int, j: int) -> tuple[int, int] | No
     """
     if i == j or i not in d.nodes or j not in d.nodes:
         raise DomainError(f"{(i, j)} is not a pair of distinct nodes of {d}")
-    r_plus = is_projective_space(contraction_fiber(d, {i, j}, {i}).fiber)
+    r_plus = is_projective_space(_fiber(d, {i, j}, {i})[0])
     if r_plus is None:
         return None
-    r_minus = is_projective_space(contraction_fiber(d, {i, j}, {j}).fiber)
+    r_minus = is_projective_space(_fiber(d, {i, j}, {j})[0])
     if r_minus is None:
         return None
     return (r_minus, r_plus)

@@ -68,8 +68,8 @@ class TagShape:
 _TAG_RE = re.compile(r"^(.*?):([0-9,\s]+)$")
 
 
-def parse_tag(text: str) -> Tag:
-    """Parse a tag string such as ``A5:1,0,0,0,1``."""
+def parse_tag_with_node_map(text: str) -> tuple[Tag, dict[int, int]]:
+    """Parse a tag string; also map the typed diagram's node indices to normalized ones."""
     m = _TAG_RE.match(text.strip())
     if m is None:
         raise ParseError(f"cannot parse tag {text!r}")
@@ -85,7 +85,12 @@ def parse_tag(text: str) -> Tag:
     values = [0] * diagram.rank
     for old, new in node_map.items():
         values[new - 1] = raw_values[old - 1]
-    return Tag(diagram, tuple(values))
+    return Tag(diagram, tuple(values)), node_map
+
+
+def parse_tag(text: str) -> Tag:
+    """Parse a tag string such as ``A5:1,0,0,0,1``."""
+    return parse_tag_with_node_map(text)[0]
 
 
 def tag_from_splitting(degrees: Sequence[int]) -> Tag:

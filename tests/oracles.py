@@ -6,8 +6,10 @@ string-based generation, breadth-first group enumeration instead of closed
 forms, orthogonal-basis arithmetic instead of simple-root bookkeeping, and
 tautological short exact sequences instead of Cartan pairings, a
 backtracking isomorphism search over every candidate Cartan matrix instead
-of reading a subdiagram's type off its shape, and a running product of
-rationals instead of one exact integer division for the Weyl dimension.
+of reading a subdiagram's type off its shape, a running product of
+rationals instead of one exact integer division for the Weyl dimension, and
+a scan of the root list instead of closed-form root counts for the
+dimension of a marked diagram.
 
 Module-level code is stdlib-only: the benchmark loads this file by path.
 """
@@ -354,3 +356,15 @@ def weyl_dim_fraction(d, node: int) -> int:
     if result.denominator != 1:
         raise ArithmeticError(f"non-integral representation dimension for {d} node {node}")
     return int(result)
+
+
+def dimension_by_roots(m) -> int:
+    """Number of positive roots whose support meets the mark set, counted on the root list."""
+    from flagcalc.dynkin import positive_roots
+
+    marks = set(m.marks)
+    return sum(
+        1
+        for beta in positive_roots(m.diagram).roots
+        if any(beta[i - 1] > 0 for i in marks)
+    )

@@ -143,6 +143,13 @@ def test_exit_codes(capsys):
     assert code == 1
     code, _ = run_cli("drum", "build", "A4", "1", "3")
     assert code == 1
+    # a node argument outside the typed diagram is a domain error
+    for argv in (
+        ("drum", "build", "D3", "2", "4"),
+        ("gp", "fiber", "D3{2,3}", "--base", "0"),
+        ("tag", "restrict", "D3:1,2,3", "--marks", "4"),
+    ):
+        assert run_cli(*argv) == (1, ""), argv
     code, _ = run_cli("nonsense")
     assert code == 2
     code, _ = run_cli()
@@ -153,6 +160,12 @@ def test_exit_codes(capsys):
         assert run_cli("gp", "dim", text) == (1, "")
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: "), text
+    # a relative dimension <= 0 is named as such, not as a tag on A0 or A-1
+    for r in ("0", "-1"):
+        argv = ("classify", "--r-minus", r, "--r-plus", "1", "--tag-minus", "1", "--tag-plus", "3")
+        assert run_cli(*argv) == (1, "")
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: relative dimensions must be positive"], r
     # a malformed integer list is a usage error with a one-line message
     for argv in (
         ("gp", "fiber", "B3{1,3}", "--base", "x"),
@@ -162,6 +175,20 @@ def test_exit_codes(capsys):
         assert run_cli(*argv) == (2, "")
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: "), argv
+
+
+def test_node_arguments_follow_the_typed_numbering():
+    # D3 is read as A3 with its nodes 1 and 2 swapped
+    for typed, normalized in (
+        (("drum", "build", "D3", "2", "3"), ("drum", "build", "A3", "1", "3")),
+        (("drum", "ledger", "D3", "2", "3"), ("drum", "ledger", "A3", "1", "3")),
+        (("gp", "fiber", "D3{2,3}", "--base", "2"), ("gp", "fiber", "A3{1,3}", "--base", "1")),
+        (("tag", "restrict", "D3:1,2,3", "--marks", "1"), ("tag", "restrict", "A3:2,1,3", "--marks", "2")),
+    ):
+        for fmt in ("text", "json"):
+            expected = run_cli(*normalized, "--format", fmt)
+            assert expected[0] == 0
+            assert run_cli(*typed, "--format", fmt) == expected, typed
 
 
 def test_output_is_deterministic():

@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+from flagcalc import dynkin, homogeneous
+from flagcalc.classifier import _product_entry
 from flagcalc.dynkin import parse_diagram, positive_roots
 from flagcalc.errors import DomainError, ParseError
 from flagcalc.homogeneous import (
@@ -17,7 +19,11 @@ from flagcalc.homogeneous import (
     picard_number,
 )
 
-from oracles import expected_two_bundle_keys
+from oracles import dimension_by_roots, expected_two_bundle_keys
+
+CONNECTED_UP_TO_RANK_8 = [
+    f"{fam}{n}" for fam, lowest in (("A", 1), ("B", 2), ("C", 2), ("D", 4)) for n in range(lowest, 9)
+] + ["E6", "E7", "E8", "F4", "G2"]
 
 
 def entry_key(e):
@@ -67,6 +73,17 @@ def test_dimension_complete_flag_is_root_count():
         d = parse_diagram(text)
         all_marks = tuple(d.nodes)
         assert dimension(MarkedDiagram(d, all_marks)) == len(positive_roots(d).roots)
+
+
+def test_dimension_matches_root_scan_oracle():
+    # every nonempty mark subset; the disconnected diagrams include the
+    # products A_r+A_s that the classifier builds for a pair of zero tags
+    products = [_product_entry(r, s).diagram.render() for r, s in ((1, 1), (2, 3), (4, 1))]
+    for text in CONNECTED_UP_TO_RANK_8 + ["A2+B3", "G2+A1+D4"] + products:
+        d = parse_diagram(text)
+        for mask in range(1, 2**d.rank):
+            m = MarkedDiagram(d, tuple(a for a in d.nodes if mask >> (a - 1) & 1))
+            assert dimension(m) == dimension_by_roots(m), m.render()
 
 
 def test_dimension_strictly_monotone():
@@ -124,6 +141,19 @@ def test_fiber_dimension_additivity():
         total = dimension(MarkedDiagram(d, tuple(j)))
         base = dimension(MarkedDiagram(d, tuple(i)))
         assert total == base + dimension(fiber.fiber)
+
+
+def test_is_two_bundle_pair_names_only_the_fibers(monkeypatch):
+    # F4{2,3} over {3} leaves an unmarked A1 that no fiber test reads
+    calls = []
+
+    def counting_subdiagram(d, nodes):
+        calls.append(sorted(nodes))
+        return dynkin.subdiagram(d, nodes)
+
+    monkeypatch.setattr(homogeneous, "subdiagram", counting_subdiagram)
+    assert is_two_bundle_pair(parse_diagram("F4"), 2, 3) == (2, 2)
+    assert calls == [[3, 4], [1, 2]]
 
 
 def test_is_projective_space():
@@ -227,6 +257,15 @@ def test_enumerate_swapping_marks_is_harmless():
     # the unordered pair is what the enumeration stores
     entries = [e for e in enumerate_two_bundles(3) if e.diagram.render() == "B3"]
     assert all(e.i < e.j for e in entries)
+
+
+def test_enumerate_builds_no_root_lists():
+    enumerate_two_bundles.cache_clear()
+    dynkin.positive_roots.cache_clear()
+    dynkin._component_positive_roots.cache_clear()
+    assert len(enumerate_two_bundles(12)) == 164
+    assert dynkin.positive_roots.cache_info().currsize == 0
+    assert dynkin._component_positive_roots.cache_info().currsize == 0
 
 
 def test_enumerate_rejects_small_rank():
