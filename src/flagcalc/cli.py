@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from . import classifier, drum as drum_mod, homogeneous, tags as tags_mod
@@ -69,12 +70,20 @@ def _cmd_gp_dim(args, out) -> int:
     return 0
 
 
+_INT_RE = re.compile(r"\s*[+-]?[0-9]+\s*")
+
+
 def _int_list(text: str, option: str) -> tuple[int, ...]:
-    """The comma-separated integers given to ``option``; a malformed list is a usage error."""
-    try:
-        return tuple(int(p) for p in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{option} expects comma-separated integers, got {text!r}") from None
+    """The comma-separated integers given to ``option``; a malformed list is a usage error.
+
+    Each entry is ASCII digits, as in the mark and tag grammars, with an
+    optional sign and surrounding spaces: ``int``'s digit separators
+    (``1_0``) and non-ASCII digits are rejected.
+    """
+    parts = text.split(",")
+    if not all(_INT_RE.fullmatch(p) for p in parts):
+        raise argparse.ArgumentTypeError(f"{option} expects comma-separated integers, got {text!r}")
+    return tuple(int(p) for p in parts)
 
 
 def _typed_nodes(nodes, node_map: dict[int, int], text: str) -> tuple[int, ...]:
@@ -386,11 +395,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main's parser: built on the first call, not at import, and reused.  Two
+# threads racing on the first call may each build one; either parser serves.
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv: list[str] | None = None, out=None) -> int:
+    """Run one request; return its exit code.
+
+    The parser is built once per process, on the first call, and reused:
+    ``parse_args`` does not change it, so every request is independent of
+    the ones before it.  ``build_parser()`` still returns a fresh parser.
+    """
+    global _parser
     out = sys.stdout if out is None else out
-    parser = build_parser()
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -2,11 +2,29 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import random
+import re
+import subprocess
+import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+from flagcalc import cli
 from flagcalc.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
+SRC = Path(__file__).parent.parent / "src"
+# The last stderr line of a failed request: main's own or argparse's (prefixed by the prog).
+ERROR_LINE = re.compile(r"(flagcalc[\w ]*: )?error: ")
+
+
+def _python(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter with ``src`` first on its path."""
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, env={**os.environ, "PYTHONPATH": path}, timeout=60
+    )
 
 
 def run_cli(*argv: str) -> tuple[int, str]:
@@ -171,6 +189,9 @@ def test_exit_codes(capsys):
         ("gp", "fiber", "B3{1,3}", "--base", "x"),
         ("tag", "restrict", "A3:1,0,2", "--marks", "1,,2"),
         ("classify", "--r-minus", "1", "--r-plus", "1", "--tag-minus", "a", "--tag-plus", "3"),
+        # int() would read these as 10 and 3: only ASCII digits are integers
+        ("gp", "fiber", "A3{1,2}", "--base", "1_0"),
+        ("gp", "fiber", "A3{1,2}", "--base", "\u0663"),
     ):
         assert run_cli(*argv) == (2, "")
         err = capsys.readouterr().err.splitlines()
@@ -191,7 +212,7 @@ def test_node_arguments_follow_the_typed_numbering():
             assert run_cli(*typed, "--format", fmt) == expected, typed
 
 
-def test_output_is_deterministic():
+def test_output_is_deterministic(capsys):
     for argv in (
         ("enumerate", "--max-rank", "6", "--format", "json"),
         ("roots", "F4", "--format", "json"),
@@ -199,8 +220,120 @@ def test_output_is_deterministic():
         ("classify", "--r-minus", "1", "--r-plus", "2", "--tag-minus", "1", "--tag-plus", "1,0"),
     ):
         first = run_cli(*argv)
+        # a usage error and a domain error in between leave no trace on the next request
+        assert run_cli(*argv, "--format", "xml") == (2, "")
+        assert run_cli("roots", "Z9") == (1, "")
         second = run_cli(*argv)
         assert first == second
+        capsys.readouterr()
+
+
+def test_main_builds_the_parser_once(monkeypatch):
+    probe = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting(self, *a, **k):\n"
+        "    built.append(1)\n"
+        "    init(self, *a, **k)\n"
+        "argparse.ArgumentParser.__init__ = counting\n"
+        "import flagcalc.cli\n"
+        "print(len(built))\n"
+    )
+    done = _python("-c", probe)
+    assert done.returncode == 0 and done.stdout == b"0\n", "importing flagcalc.cli built a parser"
+
+    calls = []
+    build = cli.build_parser
+
+    def counting_build():
+        calls.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", counting_build)
+    with redirect_stderr(io.StringIO()):
+        for argv in (("roots", "G2"), ("nonsense",), ("roots", "Z9"), ("tag", "shape", "A3:0,1,0")) * 5:
+            run_cli(*argv)
+    assert len(calls) == 1
+    assert build() is not build()
+
+
+def _fuzz_argvs(seed: int, count: int) -> list[list[str]]:
+    """Seeded argvs: valid pieces of every subcommand mixed with malformed ones.
+
+    Ranks stay small so that the test is fast; a ceiling on input size is a
+    separate question from exit codes.
+    """
+    rng = random.Random(seed)
+
+    def pick(valid, malformed):
+        return rng.choice(malformed if rng.random() < 0.15 else valid)
+
+    diagrams = (["A1", "A3", "B3", "C3", "D3", "D4", "E6", "F4", "G2", "A2+B2"],
+                ["Z9", "E5", "A0", "a3", "", "A 2", "B3{1}"])
+    marked = (["B3{1,3}", "A3{1,2}", "F4{2,3}", "G2{1,2}", "D4{3,4}", "D3{2,3}", "E6{1,6}"],
+              ["B3{1,,3}", "A3{}", "A3{4}", "A3{1,1}", "B3{x}", "A3{1", "B3{1_0}", "{1}", "A3{-1}"])
+    tags = (["A3:2,0,2", "A3:1,0,2", "A2:1,1", "A4:3,0,0,0", "C3:1,2,3", "D3:1,2,3", "A1:5", "A5:2,0,0,0,2"],
+            ["A3:1,2", "A3:", "A3:-1,0,0", "Z2:1,1", "A3:1_0,0,0", "A3:1.5,0,0", "A3"])
+    ints = (["1", "2", "3", "0", "1,2", "2,1,0", "+2", " 3 "],
+            ["-1", "1_0", "\u0663", "x", "", "1,,2", "99", "1.0"])
+    ranks = (["2", "3", "4"], ["0", "-1", "x", "1_0", "\u0663"])
+    drums = (["B3 1 3", "A2 1 2", "G2 1 2", "D3 2 3", "F4 2 3", "C3 1 2"],
+             ["A4 1 3", "B3 1 4", "A3 x 1", "A3 1_0 3", "Z9 1 2"])
+    commands = [
+        lambda: ["roots", pick(*diagrams)],
+        lambda: ["gp", "dim", pick(*marked)],
+        lambda: ["gp", "fiber", pick(*marked), "--base", pick(*ints)],
+        lambda: [*rng.choice([["enumerate"], ["gp", "enumerate"]]), "--max-rank", pick(*ranks)],
+        lambda: ["tag", rng.choice(["reduce", "shape"]), pick(*tags)],
+        lambda: ["tag", "restrict", pick(*tags), "--marks", pick(*ints)],
+        lambda: ["classify", "--r-minus", pick(["1", "2"], ints[1]), "--r-plus", pick(["1", "2"], ints[1]),
+                 "--tag-minus", pick(*ints), "--tag-plus", pick(*ints)]
+        + rng.choice([[], ["--max-rank", pick(*ranks)]]),
+        lambda: ["drum", rng.choice(["build", "ledger"]), *pick(*drums).split(" ")],
+    ]
+    junk = ["--nope", "-h", "--format", "xml", "gp", "1", "--base", "--"]
+    argvs = []
+    for _ in range(count):
+        argv = rng.choice(commands)()
+        argv += pick([[], ["--format", "text"], ["--format", "json"]], [["--format", "xml"], ["--format"]])
+        if rng.random() < 0.1:
+            del argv[rng.randrange(len(argv))]
+        if rng.random() < 0.1:
+            argv.insert(rng.randrange(len(argv) + 1), rng.choice(junk))
+        argvs.append(argv)
+    return argvs
+
+
+def _run_captured(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_cli_fuzz_exit_codes_and_replay():
+    argvs = _fuzz_argvs(seed=4, count=300)
+    results = [_run_captured(argv) for argv in argvs]
+    for argv, (code, _, err) in zip(argvs, results):
+        assert code in (0, 1, 2), argv
+        if code:
+            assert err and ERROR_LINE.match(err.splitlines()[-1]), (argv, err)
+    assert {code for code, _, _ in results} == {0, 1, 2}
+    # the same requests in reverse order through the same parser give the same answers
+    for argv, expected in zip(reversed(argvs), reversed(results)):
+        assert _run_captured(argv) == expected, argv
+
+
+def test_module_entry_point():
+    done = _python("-m", "flagcalc.cli", "roots", "G2", "--format", "json")
+    assert done.returncode == 0 and done.stderr == b""
+    assert done.stdout == (FIXTURES / "roots_g2.json").read_bytes()
+    done = _python("-m", "flagcalc.cli", "gp", "fiber", "B3{1,3}", "--base", "x")
+    assert done.returncode == 2 and done.stdout == b""
+    err = done.stderr.decode().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
 
 
 def test_enumerate_rank12_matches_golden_fixture():
