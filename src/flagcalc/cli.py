@@ -2,9 +2,10 @@
 
 Subcommands: roots, gp (dim | fiber | enumerate), tag (reduce | restrict |
 shape), classify, drum (build | ledger), and enumerate as an alias for
-gp enumerate.  Output is plain text or JSON (schema 1); identical inputs
-produce byte-identical output.  Exit codes: 0 success, 1 domain error,
-2 usage error.
+gp enumerate.  Each ``_cmd_*`` handler returns its JSON payload and its
+text lines, both built from the same computed values, and ``main`` renders
+one of them: plain text or JSON (schema 1).  Identical inputs produce
+byte-identical output.  Exit codes: 0 success, 1 domain error, 2 usage error.
 """
 from __future__ import annotations
 
@@ -19,67 +20,22 @@ from .errors import DomainError
 
 SCHEMA = 1
 
-
-def _emit_json(payload: dict, out) -> None:
-    payload = {"schema": SCHEMA, **payload}
-    print(json.dumps(payload, sort_keys=True), file=out)
-
-
-def _cmd_roots(args, out) -> int:
-    d = parse_diagram(args.diagram)
-    system = positive_roots(d)
-    if args.format == "json":
-        _emit_json(
-            {
-                "diagram": d.render(),
-                "cartan": [list(row) for row in system.cartan],
-                "positive_roots": [list(r) for r in system.roots],
-                "count": len(system.roots),
-                "weyl_order": weyl_order(d),
-            },
-            out,
-        )
-        return 0
-    print(f"{d.render()}: {len(system.roots)} positive roots, Weyl order {weyl_order(d)}", file=out)
-    print("cartan:", file=out)
-    for row in system.cartan:
-        print(f"  {list(row)}", file=out)
-    print("roots (height, coefficients):", file=out)
-    for r in system.roots:
-        print(f"  {sum(r)} {tuple(r)}", file=out)
-    return 0
-
-
-def _marked_payload(m: homogeneous.MarkedDiagram) -> dict:
-    return {
-        "diagram": m.diagram.render(),
-        "family": "+".join(fam for fam, _ in m.diagram.components),
-        "rank": m.diagram.rank,
-        "marks": list(m.marks),
-        "dim": homogeneous.dimension(m),
-        "picard": homogeneous.picard_number(m),
-    }
-
-
-def _cmd_gp_dim(args, out) -> int:
-    m = homogeneous.parse_marked(args.marked)
-    if args.format == "json":
-        _emit_json(_marked_payload(m), out)
-        return 0
-    print(f"{m.render()}: dim {homogeneous.dimension(m)}, picard {homogeneous.picard_number(m)}", file=out)
-    return 0
-
-
 _INT_RE = re.compile(r"\s*[+-]?[0-9]+\s*")
 
 
-def _int_list(text: str, option: str) -> tuple[int, ...]:
-    """The comma-separated integers given to ``option``; a malformed list is a usage error.
+def _int(text: str) -> int:
+    """An integer argument: ASCII digits with an optional sign and surrounding spaces.
 
-    Each entry is ASCII digits, as in the mark and tag grammars, with an
-    optional sign and surrounding spaces: ``int``'s digit separators
-    (``1_0``) and non-ASCII digits are rejected.
+    As in the mark and tag grammars, ``int``'s digit separators (``1_0``)
+    and non-ASCII digits are rejected.
     """
+    if not _INT_RE.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
+def _int_list(text: str, option: str) -> tuple[int, ...]:
+    """The comma-separated ``_int`` entries given to ``option``; a malformed list is a usage error."""
     parts = text.split(",")
     if not all(_INT_RE.fullmatch(p) for p in parts):
         raise argparse.ArgumentTypeError(f"{option} expects comma-separated integers, got {text!r}")
@@ -93,31 +49,65 @@ def _typed_nodes(nodes, node_map: dict[int, int], text: str) -> tuple[int, ...]:
     return tuple(node_map[k] for k in nodes)
 
 
-def _cmd_gp_fiber(args, out) -> int:
+def _marked_name(diagram: str, marks) -> str:
+    """``B3{1,3}``: a rendered diagram and its marks, spelled as ``MarkedDiagram.render`` does."""
+    return f"{diagram}{{{','.join(str(i) for i in marks)}}}"
+
+
+def _cmd_roots(args) -> tuple[dict, list[str]]:
+    d = parse_diagram(args.diagram)
+    system = positive_roots(d)
+    payload = {
+        "diagram": d.render(),
+        "cartan": [list(row) for row in system.cartan],
+        "positive_roots": [list(r) for r in system.roots],
+        "count": len(system.roots),
+        "weyl_order": weyl_order(d),
+    }
+    return payload, [
+        f"{payload['diagram']}: {payload['count']} positive roots, Weyl order {payload['weyl_order']}",
+        "cartan:",
+        *(f"  {row}" for row in payload["cartan"]),
+        "roots (height, coefficients):",
+        *(f"  {sum(r)} {r}" for r in system.roots),
+    ]
+
+
+def _marked_payload(m: homogeneous.MarkedDiagram) -> dict:
+    return {
+        "diagram": m.diagram.render(),
+        "family": "+".join(fam for fam, _ in m.diagram.components),
+        "rank": m.diagram.rank,
+        "marks": list(m.marks),
+        "dim": homogeneous.dimension(m),
+        "picard": homogeneous.picard_number(m),
+    }
+
+
+def _cmd_gp_dim(args) -> tuple[dict, list[str]]:
+    p = _marked_payload(homogeneous.parse_marked(args.marked))
+    return p, [f"{_marked_name(p['diagram'], p['marks'])}: dim {p['dim']}, picard {p['picard']}"]
+
+
+def _cmd_gp_fiber(args) -> tuple[dict, list[str]]:
     m, node_map = homogeneous.parse_marked_with_node_map(args.marked)
     base = _typed_nodes(_int_list(args.base, "--base"), node_map, args.marked)
     fiber = homogeneous.contraction_fiber(m.diagram, m.marks, base)
-    if args.format == "json":
-        _emit_json(
-            {
-                "base_marks": list(fiber.base_marks),
-                "total_marks": list(fiber.total_marks),
-                "fiber": _marked_payload(fiber.fiber),
-                "dropped": fiber.dropped.render() if fiber.dropped else None,
-                "node_map": {str(a): b for a, b in fiber.node_map},
-            },
-            out,
-        )
-        return 0
-    base_str = ",".join(str(b) for b in fiber.base_marks)
-    print(
-        f"fiber of {m.render()} -> {m.diagram.render()}{{{base_str}}}: "
-        f"{fiber.fiber.render()} (dim {homogeneous.dimension(fiber.fiber)})",
-        file=out,
-    )
-    if fiber.dropped:
-        print(f"dropped unmarked components: {fiber.dropped.render()}", file=out)
-    return 0
+    payload = {
+        "base_marks": list(fiber.base_marks),
+        "total_marks": list(fiber.total_marks),
+        "fiber": _marked_payload(fiber.fiber),
+        "dropped": fiber.dropped.render() if fiber.dropped else None,
+        "node_map": {str(a): b for a, b in fiber.node_map},
+    }
+    fib = payload["fiber"]
+    lines = [
+        f"fiber of {m.render()} -> {_marked_name(m.diagram.render(), payload['base_marks'])}: "
+        f"{_marked_name(fib['diagram'], fib['marks'])} (dim {fib['dim']})"
+    ]
+    if payload["dropped"]:
+        lines.append(f"dropped unmarked components: {payload['dropped']}")
+    return payload, lines
 
 
 def _entry_payload(e: homogeneous.TwoBundleEntry) -> dict:
@@ -132,137 +122,95 @@ def _entry_payload(e: homogeneous.TwoBundleEntry) -> dict:
     }
 
 
-def _cmd_enumerate(args, out) -> int:
-    entries = homogeneous.enumerate_two_bundles(args.max_rank)
-    if args.format == "json":
-        _emit_json(
-            {
-                "max_rank": args.max_rank,
-                "count": len(entries),
-                "entries": [_entry_payload(e) for e in entries],
-            },
-            out,
-        )
-        return 0
-    for e in entries:
-        print(f"{e.render()}  r-={e.r_minus} r+={e.r_plus} dim={e.dim}", file=out)
-    print(f"total: {len(entries)}", file=out)
-    return 0
+def _cmd_enumerate(args) -> tuple[dict, list[str]]:
+    entries = [_entry_payload(e) for e in homogeneous.enumerate_two_bundles(args.max_rank)]
+    lines = [
+        f"{_marked_name(e['diagram'], e['marks'])}  r-={e['r_minus']} r+={e['r_plus']} dim={e['dim']}"
+        for e in entries
+    ]
+    lines.append(f"total: {len(entries)}")
+    return {"max_rank": args.max_rank, "count": len(entries), "entries": entries}, lines
 
 
-def _cmd_tag_reduce(args, out) -> int:
+def _zero_payload(t: tags_mod.Tag) -> dict:
+    zero = tags_mod.zero_data(t)
+    return {"zeros": list(zero.zeros), "support": list(zero.support)}
+
+
+def _cmd_tag_reduce(args) -> tuple[dict, list[str]]:
     t = tags_mod.parse_tag(args.tag)
     reduced = tags_mod.symplectic_reduce(t)
-    if args.format == "json":
-        _emit_json(
-            {
-                "input": t.render(),
-                "reduction": reduced.render() if reduced else None,
-                "zeros": list(tags_mod.zero_data(t).zeros),
-                "support": list(tags_mod.zero_data(t).support),
-            },
-            out,
-        )
-        return 0
-    if reduced is None:
-        reason = "rank even" if t.diagram.rank % 2 == 0 else "tag is not palindromic"
-        print(f"no reduction: {reason}", file=out)
-    else:
-        print(reduced.render(), file=out)
-    return 0
+    payload = {"input": t.render(), "reduction": reduced.render() if reduced else None, **_zero_payload(t)}
+    reason = "rank even" if t.diagram.rank % 2 == 0 else "tag is not palindromic"
+    return payload, [payload["reduction"] or f"no reduction: {reason}"]
 
 
-def _cmd_tag_restrict(args, out) -> int:
+def _cmd_tag_restrict(args) -> tuple[dict, list[str]]:
     t, node_map = tags_mod.parse_tag_with_node_map(args.tag)
     marks = _typed_nodes(_int_list(args.marks, "--marks"), node_map, args.tag)
     restricted = tags_mod.restrict_tag(t, marks)
-    if args.format == "json":
-        _emit_json(
-            {
-                "input": t.render(),
-                "restricted": restricted.tag.render(),
-                "node_map": {str(a): b for a, b in restricted.node_map},
-                "zeros": list(tags_mod.zero_data(restricted.tag).zeros),
-                "support": list(tags_mod.zero_data(restricted.tag).support),
-            },
-            out,
-        )
-        return 0
-    node_map = ", ".join(f"{a}->{b}" for a, b in restricted.node_map)
-    print(f"{restricted.tag.render()} (node map: {node_map})", file=out)
-    return 0
+    payload = {
+        "input": t.render(),
+        "restricted": restricted.tag.render(),
+        "node_map": {str(a): b for a, b in restricted.node_map},
+        **_zero_payload(restricted.tag),
+    }
+    node_map = ", ".join(f"{a}->{b}" for a, b in payload["node_map"].items())
+    return payload, [f"{payload['restricted']} (node map: {node_map})"]
 
 
-def _cmd_tag_shape(args, out) -> int:
+def _cmd_tag_shape(args) -> tuple[dict, list[str]]:
     t = tags_mod.parse_tag(args.tag)
     shape = tags_mod.classify_tag_shape(t)
-    if args.format == "json":
-        _emit_json(
-            {
-                "input": t.render(),
-                "kind": shape.kind,
-                "d": shape.d,
-                "reduction": shape.reduction.render() if shape.reduction else None,
-            },
-            out,
-        )
-        return 0
-    if shape.kind == tags_mod.FIRST_NODE_ONLY:
-        print(f"FirstNodeOnly(d={shape.d})", file=out)
-    elif shape.kind == tags_mod.SYMMETRIC_ENDS:
-        print(f"SymmetricEnds(d={shape.d}), reduction {shape.reduction.render()}", file=out)
-    else:
-        print("Other", file=out)
-    return 0
+    payload = {
+        "input": t.render(),
+        "kind": shape.kind,
+        "d": shape.d,
+        "reduction": shape.reduction.render() if shape.reduction else None,
+    }
+    line = {
+        tags_mod.FIRST_NODE_ONLY: f"FirstNodeOnly(d={payload['d']})",
+        tags_mod.SYMMETRIC_ENDS: f"SymmetricEnds(d={payload['d']}), reduction {payload['reduction']}",
+    }.get(shape.kind, "Other")
+    return payload, [line]
 
 
-def _cmd_classify(args, out) -> int:
+def _cmd_classify(args) -> tuple[dict, list[str]]:
     tags = _int_list(args.tag_minus, "--tag-minus"), _int_list(args.tag_plus, "--tag-plus")
     data = classifier.TwoBundleData.from_values(args.r_minus, args.r_plus, *tags)
-    verdict = classifier.check_shape_constraint(data) if data.r_minus == 1 else None
-    matches = classifier.match_model(data, args.max_rank)
-    if args.format == "json":
-        _emit_json(
+    check = classifier.check_shape_constraint(data) if data.r_minus == 1 else None
+    payload = {
+        "r_minus": data.r_minus,
+        "r_plus": data.r_plus,
+        "delta_minus": list(data.delta_minus.values),
+        "delta_plus": list(data.delta_plus.values),
+        "verdict": None if check is None else {
+            "passed": check.passed, "kind": check.shape.kind, "d": check.shape.d, "reason": check.reason
+        },
+        "matches": [
             {
-                "r_minus": data.r_minus,
-                "r_plus": data.r_plus,
-                "delta_minus": list(data.delta_minus.values),
-                "delta_plus": list(data.delta_plus.values),
-                "verdict": None
-                if verdict is None
-                else {
-                    "passed": verdict.passed,
-                    "kind": verdict.shape.kind,
-                    "d": verdict.shape.d,
-                    "reason": verdict.reason,
-                },
-                "matches": [
-                    {
-                        **_entry_payload(m.entry),
-                        "orientation": m.orientation,
-                        "product": m.product,
-                        "tag_plus": list(m.tag_plus.values),
-                        "tag_minus": list(m.tag_minus.values),
-                    }
-                    for m in matches
-                ],
-            },
-            out,
-        )
-        return 0
-    if verdict is None:
-        print("shape check: skipped (requires r_minus = 1)", file=out)
-    elif verdict.passed:
-        print(f"shape check: pass ({verdict.shape.kind}, d={verdict.shape.d})", file=out)
+                **_entry_payload(m.entry),
+                "orientation": m.orientation,
+                "product": m.product,
+                "tag_plus": list(m.tag_plus.values),
+                "tag_minus": list(m.tag_minus.values),
+            }
+            for m in classifier.match_model(data, args.max_rank)
+        ],
+    }
+    v = payload["verdict"]
+    if v is None:
+        lines = ["shape check: skipped (requires r_minus = 1)"]
+    elif v["passed"]:
+        lines = [f"shape check: pass ({v['kind']}, d={v['d']})"]
     else:
-        print(f"shape check: fail ({verdict.reason})", file=out)
-    if matches:
-        for m in matches:
-            extra = " [product]" if m.product else ""
-            print(f"match: {m.entry.render()} ({m.orientation}){extra}", file=out)
-    else:
-        print("match: none within rank bound", file=out)
-    return 0
+        lines = [f"shape check: fail ({v['reason']})"]
+    for m in payload["matches"]:
+        product = " [product]" if m["product"] else ""
+        lines.append(f"match: {_marked_name(m['diagram'], m['marks'])} ({m['orientation']}){product}")
+    if not payload["matches"]:
+        lines.append("match: none within rank bound")
+    return payload, lines
 
 
 def _drum_payload(d: drum_mod.HorosphericalDrum) -> dict:
@@ -285,40 +233,27 @@ def _build_drum(args) -> drum_mod.HorosphericalDrum:
     return drum_mod.build_drum(d, *_typed_nodes((args.i, args.j), node_map, args.diagram))
 
 
-def _cmd_drum_build(args, out) -> int:
-    built = _build_drum(args)
-    if args.format == "json":
-        _emit_json(_drum_payload(built), out)
-        return 0
-    payload = _drum_payload(built)
-    for key in ("diagram", "marks", "dim_y", "dim_z", "dim_v_i", "dim_v_j", "ambient_dim", "bandwidth"):
-        print(f"{key}: {payload[key]}", file=out)
-    print(f"sink: {built.sink.variety.render()} (mu={built.sink.mu}, dim={built.sink.dim})", file=out)
-    print(f"source: {built.source.variety.render()} (mu={built.source.mu}, dim={built.source.dim})", file=out)
-    return 0
+def _cmd_drum_build(args) -> tuple[dict, list[str]]:
+    p = _drum_payload(_build_drum(args))
+    keys = ("diagram", "marks", "dim_y", "dim_z", "dim_v_i", "dim_v_j", "ambient_dim", "bandwidth")
+    sides = [f"{s}: {p[s]['variety']} (mu={p[s]['mu']}, dim={p[s]['dim']})" for s in ("sink", "source")]
+    return p, [f"{key}: {p[key]}" for key in keys] + sides
 
 
-def _cmd_drum_ledger(args, out) -> int:
+def _cmd_drum_ledger(args) -> tuple[dict, list[str]]:
     built = _build_drum(args)
     led = drum_mod.ledger(built)
-    if args.format == "json":
-        table: dict[str, dict[str, int]] = {}
-        for (divisor, curve), value in led.table:
-            table.setdefault(divisor, {})[curve] = value
-        _emit_json(
-            {
-                **_drum_payload(built),
-                "classes": {name: list(vec) for name, vec in led.class_vectors},
-                "table": table,
-                "m_plus_nef": led.m_plus_nef,
-                "m_minus_nef": led.m_minus_nef,
-            },
-            out,
-        )
-        return 0
+    table: dict[str, dict[str, int]] = {}
     for (divisor, curve), value in led.table:
-        print(f"{divisor} . {curve} = {value}", file=out)
-    return 0
+        table.setdefault(divisor, {})[curve] = value
+    payload = {
+        **_drum_payload(built),
+        "classes": {name: list(vec) for name, vec in led.class_vectors},
+        "table": table,
+        "m_plus_nef": led.m_plus_nef,
+        "m_minus_nef": led.m_minus_nef,
+    }
+    return payload, [f"{div} . {curve} = {n}" for div, row in table.items() for curve, n in row.items()]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -348,12 +283,12 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(p_fiber)
     p_fiber.set_defaults(func=_cmd_gp_fiber)
     p_enum = gp_sub.add_parser("enumerate", help="diagrams with two projective bundle structures")
-    p_enum.add_argument("--max-rank", type=int, required=True)
+    p_enum.add_argument("--max-rank", type=_int, required=True)
     add_format(p_enum)
     p_enum.set_defaults(func=_cmd_enumerate)
 
     p_enum_top = sub.add_parser("enumerate", help="alias for gp enumerate")
-    p_enum_top.add_argument("--max-rank", type=int, required=True)
+    p_enum_top.add_argument("--max-rank", type=_int, required=True)
     add_format(p_enum_top)
     p_enum_top.set_defaults(func=_cmd_enumerate)
 
@@ -374,11 +309,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_shape.set_defaults(func=_cmd_tag_shape)
 
     p_classify = sub.add_parser("classify", help="match two-bundle data against the homogeneous models")
-    p_classify.add_argument("--r-minus", type=int, required=True)
-    p_classify.add_argument("--r-plus", type=int, required=True)
+    p_classify.add_argument("--r-minus", type=_int, required=True)
+    p_classify.add_argument("--r-plus", type=_int, required=True)
     p_classify.add_argument("--tag-minus", required=True)
     p_classify.add_argument("--tag-plus", required=True)
-    p_classify.add_argument("--max-rank", type=int, default=8)
+    p_classify.add_argument("--max-rank", type=_int, default=8)
     add_format(p_classify)
     p_classify.set_defaults(func=_cmd_classify)
 
@@ -387,8 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name, func in (("build", _cmd_drum_build), ("ledger", _cmd_drum_ledger)):
         p = drum_sub.add_parser(name)
         p.add_argument("diagram")
-        p.add_argument("i", type=int)
-        p.add_argument("j", type=int)
+        p.add_argument("i", type=_int)
+        p.add_argument("j", type=_int)
         add_format(p)
         p.set_defaults(func=func)
 
@@ -401,14 +336,13 @@ _parser: argparse.ArgumentParser | None = None
 
 
 def main(argv: list[str] | None = None, out=None) -> int:
-    """Run one request; return its exit code.
+    """Run one request, printing its output to ``out`` (stdout by default); return its exit code.
 
     The parser is built once per process, on the first call, and reused:
     ``parse_args`` does not change it, so every request is independent of
     the ones before it.  ``build_parser()`` still returns a fresh parser.
     """
     global _parser
-    out = sys.stdout if out is None else out
     if _parser is None:
         _parser = build_parser()
     try:
@@ -416,13 +350,18 @@ def main(argv: list[str] | None = None, out=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args, out)
+        payload, lines = args.func(args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except argparse.ArgumentTypeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if args.format == "json":
+        print(json.dumps({"schema": SCHEMA, **payload}, sort_keys=True), file=out)
+    else:
+        print("\n".join(lines), file=out)
+    return 0
 
 
 def main_entry() -> None:

@@ -196,6 +196,19 @@ def test_exit_codes(capsys):
         assert run_cli(*argv) == (2, "")
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: "), argv
+    # every integer argument takes the same ASCII grammar; argparse reports the usage error
+    for argv in (
+        ("enumerate", "--max-rank", "٣"),
+        ("gp", "enumerate", "--max-rank", "1_0"),
+        ("classify", "--r-minus", "١", "--r-plus", "1", "--tag-minus", "1", "--tag-plus", "3"),
+        ("classify", "--r-minus", "1", "--r-plus", "1_0", "--tag-minus", "1", "--tag-plus", "3"),
+        ("classify", "--r-minus", "1", "--r-plus", "1", "--tag-minus", "1", "--tag-plus", "3", "--max-rank", "٨"),
+        ("drum", "build", "B3", "1_0", "3"),
+        ("drum", "ledger", "B3", "1", "٣"),
+    ):
+        assert run_cli(*argv) == (2, ""), argv
+        err = capsys.readouterr().err.splitlines()
+        assert ERROR_LINE.match(err[-1]) and "invalid int value" in err[-1], argv
 
 
 def test_node_arguments_follow_the_typed_numbering():
@@ -340,6 +353,15 @@ def test_enumerate_rank12_matches_golden_fixture():
     _, text = run_cli("enumerate", "--max-rank", "12", "--format", "json")
     golden = (FIXTURES / "enumerate_rank12.json").read_text(encoding="utf-8")
     assert text == golden
+
+
+def test_cli_transcript_matches_golden_fixture():
+    # [argv, exit code, stdout] of valid requests in both formats, covering every
+    # subcommand and the text branches that no other fixture pins down
+    transcript = json.loads((FIXTURES / "cli_transcript.json").read_text(encoding="utf-8"))
+    assert len(transcript) >= 40
+    for argv, code, stdout in transcript:
+        assert run_cli(*argv) == (code, stdout), argv
 
 
 def test_json_outputs_match_golden_fixtures():
