@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .dynkin import DynkinDiagram, cartan_matrix, positive_roots
+from .dynkin import DynkinDiagram, _neighbour_table, cartan_matrix, positive_roots
 from .errors import DomainError
 from .homogeneous import MarkedDiagram, dimension, is_two_bundle_pair
 
@@ -29,16 +29,15 @@ def _symmetrizer(d: DynkinDiagram) -> tuple[int, ...]:
     The rational solution with d = 1 at the first node of each component,
     scaled by the lcm of its denominators.
     """
-    c = cartan_matrix(d)
-    n = d.rank
-    vals: list[Fraction | None] = [None] * n
-    for _, first, last in d.component_spans():
+    c, table = cartan_matrix(d), _neighbour_table(d)
+    vals: list[Fraction | None] = [None] * d.rank
+    for _, first, _ in d.component_spans():
         vals[first - 1] = Fraction(1)
         frontier = [first]
         while frontier:
             a = frontier.pop()
-            for b in range(first, last + 1):
-                if vals[b - 1] is None and c[a - 1][b - 1] != 0:
+            for b in table[a - 1]:
+                if vals[b - 1] is None:
                     vals[b - 1] = vals[a - 1] * c[b - 1][a - 1] / c[a - 1][b - 1]
                     frontier.append(b)
     scale = lcm(*(v.denominator for v in vals))  # type: ignore[union-attr]

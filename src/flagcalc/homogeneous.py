@@ -16,6 +16,7 @@ from .dynkin import (
     DynkinDiagram,
     _component_root_count,
     _graph_components,
+    _neighbour_table,
     _read_shape,
     automorphisms,
     cartan_matrix,
@@ -98,11 +99,11 @@ def dimension(m: MarkedDiagram) -> int:
     finite type, and B and C have the same count.
     """
     d = m.diagram
-    c = cartan_matrix(d)
+    c, table = cartan_matrix(d), _neighbour_table(d)
     unmarked = [a for a in d.nodes if a not in m.marks]
     levi = sum(
-        _component_root_count(_read_shape(c, comp)[0], len(comp))
-        for comp in _graph_components(unmarked, c)
+        _component_root_count(_read_shape(c, table, comp)[0], len(comp))
+        for comp in _graph_components(unmarked, table)
     )
     return sum(_component_root_count(*comp) for comp in d.components) - levi
 
@@ -125,28 +126,29 @@ def contraction_fiber(
         raise DomainError(f"base marks {sorted(base)} not contained in {sorted(total)}")
     if any(i not in d.nodes for i in total):
         raise DomainError(f"marks {sorted(total)} not all in diagram {d}")
-    fiber, node_map = _fiber(d, total, base)
-    dropped_nodes = [i for i in d.nodes if i not in base and i not in node_map]
+    extra = total - base
+    residual = [i for i in d.nodes if i not in base]
+    kept = [a for comp in _graph_components(residual, _neighbour_table(d)) if extra & set(comp) for a in comp]
+    fiber_diag, node_map = subdiagram(d, kept)
+    dropped_nodes = [i for i in residual if i not in node_map]
     return ContractionFiber(
         base_marks=tuple(sorted(base)),
         total_marks=tuple(sorted(total)),
-        fiber=fiber,
+        fiber=MarkedDiagram(fiber_diag, tuple(node_map[i] for i in sorted(extra))),
         node_map=tuple(sorted(node_map.items())),
         dropped=subdiagram(d, dropped_nodes)[0] if dropped_nodes else None,
     )
 
 
-def _fiber(d: DynkinDiagram, total: set[int], base: set[int]) -> tuple[MarkedDiagram, dict[int, int]]:
-    """The marked fiber of ``D{total} -> D{base}`` and the map from original to fiber nodes.
-
-    The fiber lives on the components of the complement of ``base`` that meet
-    the remaining marks; the unmarked components are not named.
-    """
-    extra = total - base
-    residual = [i for i in d.nodes if i not in base]
-    kept = [a for comp in _graph_components(residual, cartan_matrix(d)) if extra & set(comp) for a in comp]
-    fiber_diag, node_map = subdiagram(d, kept)
-    return MarkedDiagram(fiber_diag, tuple(node_map[i] for i in sorted(extra))), node_map
+def _projective_rank(family: str, rank: int, position: int) -> int | None:
+    """r when the connected diagram ``family``/``rank`` marked at ``position`` is projective r-space."""
+    if family == "A" and position in (1, rank):
+        return rank
+    if family == "C" and position == 1:
+        return 2 * rank - 1
+    if (family, rank, position) == ("B", 2, 2):
+        return 3
+    return None
 
 
 def is_projective_space(m: MarkedDiagram) -> int | None:
@@ -160,19 +162,9 @@ def is_projective_space(m: MarkedDiagram) -> int | None:
     spaces: fibers of contractions discard unmarked components before this
     test is applied.
     """
-    if len(m.marks) != 1:
+    if len(m.marks) != 1 or len(m.diagram.components) != 1:
         return None
-    if len(m.diagram.components) != 1:
-        return None
-    (fam, rank) = m.diagram.components[0]
-    (k,) = m.marks
-    if fam == "A" and k in (1, rank):
-        return rank
-    if fam == "C" and k == 1:
-        return 2 * rank - 1
-    if (fam, rank, k) == ("B", 2, 2):
-        return 3
-    return None
+    return _projective_rank(*m.diagram.components[0], m.marks[0])
 
 
 def is_two_bundle_pair(d: DynkinDiagram, i: int, j: int) -> tuple[int, int] | None:
@@ -182,13 +174,25 @@ def is_two_bundle_pair(d: DynkinDiagram, i: int, j: int) -> tuple[int, int] | No
     """
     if i == j or i not in d.nodes or j not in d.nodes:
         raise DomainError(f"{(i, j)} is not a pair of distinct nodes of {d}")
-    r_plus = is_projective_space(_fiber(d, {i, j}, {i})[0])
+    r_plus = _fiber_projective_rank(d, i, j)
     if r_plus is None:
         return None
-    r_minus = is_projective_space(_fiber(d, {i, j}, {j})[0])
+    r_minus = _fiber_projective_rank(d, j, i)
     if r_minus is None:
         return None
     return (r_minus, r_plus)
+
+
+def _fiber_projective_rank(d: DynkinDiagram, base: int, mark: int) -> int | None:
+    """``_projective_rank`` of the fiber of D{base,mark} -> D{base}, read off its shape.
+
+    The fiber is the component of the other nodes that holds ``mark``.
+    """
+    c, table = cartan_matrix(d), _neighbour_table(d)
+    residual = [a for a in d.nodes if a != base]
+    comp = next(comp for comp in _graph_components(residual, table) if mark in comp)
+    family, order = _read_shape(c, table, comp)
+    return _projective_rank(family, len(order), order.index(mark) + 1)
 
 
 @dataclass(frozen=True)
@@ -239,15 +243,22 @@ def _scan_ranks(family: str, max_rank: int) -> range:
     return range(lo, min(hi, max_rank) + 1)
 
 
+# A cold enumeration costs about n^3.5: about 8 s at rank 50 on a 2-vCPU VM.
+ENUMERATE_MAX_RANK = 50
+
+
 @lru_cache(maxsize=None)
 def enumerate_two_bundles(max_rank: int) -> tuple[TwoBundleEntry, ...]:
     """All connected diagrams of rank <= max_rank carrying two bundle structures.
 
     Output is deduplicated under the rank-2 B/C coincidence and under diagram
     automorphisms of the D family, and sorted by (family, rank, marks).
+    ``max_rank`` runs from 2 to ``ENUMERATE_MAX_RANK``.
     """
     if max_rank < 2:
         raise DomainError("max_rank must be at least 2")
+    if max_rank > ENUMERATE_MAX_RANK:
+        raise DomainError(f"max_rank must be at most {ENUMERATE_MAX_RANK}")
     seen: dict[tuple[DynkinDiagram, int, int], TwoBundleEntry | None] = {}
     for family in "ABCDEFG":
         for rank in _scan_ranks(family, max_rank):

@@ -7,9 +7,10 @@ forms, orthogonal-basis arithmetic instead of simple-root bookkeeping, and
 tautological short exact sequences instead of Cartan pairings, a
 backtracking isomorphism search over every candidate Cartan matrix instead
 of reading a subdiagram's type off its shape, a running product of
-rationals instead of one exact integer division for the Weyl dimension, and
-a scan of the root list instead of closed-form root counts for the
-dimension of a marked diagram.
+rationals instead of one exact integer division for the Weyl dimension, a
+scan of the root list instead of closed-form root counts for the
+dimension of a marked diagram, and fibers built as renumbered subdiagrams
+instead of read off their shape for the two-bundle test.
 
 Module-level code is stdlib-only: the benchmark loads this file by path.
 """
@@ -368,3 +369,21 @@ def dimension_by_roots(m) -> int:
         for beta in positive_roots(m.diagram).roots
         if any(beta[i - 1] > 0 for i in marks)
     )
+
+
+def is_two_bundle_pair_by_fibers(d, i: int, j: int) -> tuple[int, int] | None:
+    """(r_minus, r_plus) for D{i,j}, testing each fiber as a renumbered marked subdiagram.
+
+    The fiber of D{i,j} -> D{i} is the component of the other nodes holding
+    j; it is built with ``subdiagram`` and handed to ``is_projective_space``.
+    """
+    from flagcalc.dynkin import cartan_matrix, subdiagram
+    from flagcalc.homogeneous import MarkedDiagram, is_projective_space
+
+    c = cartan_matrix(d)
+    ranks = []
+    for base, mark in ((j, i), (i, j)):
+        comp = next(comp for comp in connected_components(c, [a for a in d.nodes if a != base]) if mark in comp)
+        fiber, node_map = subdiagram(d, comp)
+        ranks.append(is_projective_space(MarkedDiagram(fiber, (node_map[mark],))))
+    return None if None in ranks else (ranks[0], ranks[1])

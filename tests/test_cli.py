@@ -184,6 +184,13 @@ def test_exit_codes(capsys):
         assert run_cli(*argv) == (1, "")
         err = capsys.readouterr().err.splitlines()
         assert err == ["error: relative dimensions must be positive"], r
+    # enumeration stops at its documented rank ceiling
+    for argv in (
+        ("enumerate", "--max-rank", "51"),
+        ("classify", "--r-minus", "1", "--r-plus", "1", "--tag-minus", "1", "--tag-plus", "3", "--max-rank", "51"),
+    ):
+        assert run_cli(*argv) == (1, ""), argv
+        assert capsys.readouterr().err.splitlines() == ["error: max_rank must be at most 50"], argv
     # a malformed integer list is a usage error with a one-line message
     for argv in (
         ("gp", "fiber", "B3{1,3}", "--base", "x"),

@@ -19,7 +19,7 @@ from flagcalc.homogeneous import (
     picard_number,
 )
 
-from oracles import dimension_by_roots, expected_two_bundle_keys
+from oracles import dimension_by_roots, expected_two_bundle_keys, is_two_bundle_pair_by_fibers
 
 CONNECTED_UP_TO_RANK_8 = [
     f"{fam}{n}" for fam, lowest in (("A", 1), ("B", 2), ("C", 2), ("D", 4)) for n in range(lowest, 9)
@@ -143,17 +143,19 @@ def test_fiber_dimension_additivity():
         assert total == base + dimension(fiber.fiber)
 
 
-def test_is_two_bundle_pair_names_only_the_fibers(monkeypatch):
-    # F4{2,3} over {3} leaves an unmarked A1 that no fiber test reads
-    calls = []
-
-    def counting_subdiagram(d, nodes):
-        calls.append(sorted(nodes))
-        return dynkin.subdiagram(d, nodes)
-
-    monkeypatch.setattr(homogeneous, "subdiagram", counting_subdiagram)
-    assert is_two_bundle_pair(parse_diagram("F4"), 2, 3) == (2, 2)
-    assert calls == [[3, 4], [1, 2]]
+def test_is_two_bundle_pair_matches_fiber_oracle():
+    # every ordered pair of every connected diagram of rank <= 20
+    pairs = 0
+    families = (("A", 1, 20), ("B", 2, 20), ("C", 2, 20), ("D", 4, 20), ("E", 6, 8), ("F", 4, 4), ("G", 2, 2))
+    for fam, lowest, highest in families:
+        for n in range(lowest, highest + 1):
+            d = dynkin.DynkinDiagram(((fam, n),))
+            for i in d.nodes:
+                for j in d.nodes:
+                    if i != j:
+                        assert is_two_bundle_pair(d, i, j) == is_two_bundle_pair_by_fibers(d, i, j), (d, i, j)
+                        pairs += 1
+    assert pairs == 10774
 
 
 def test_is_projective_space():
@@ -266,6 +268,24 @@ def test_enumerate_builds_no_root_lists():
     assert len(enumerate_two_bundles(12)) == 164
     assert dynkin.positive_roots.cache_info().currsize == 0
     assert dynkin._component_positive_roots.cache_info().currsize == 0
+
+
+def test_enumerate_builds_no_subdiagrams(monkeypatch):
+    # the two-bundle test reads each fiber's shape instead of building it
+    calls = []
+    subdiagram = dynkin.subdiagram
+
+    def counting_subdiagram(d, nodes):
+        calls.append(sorted(nodes))
+        return subdiagram(d, nodes)
+
+    for module in (dynkin, homogeneous):
+        monkeypatch.setattr(module, "subdiagram", counting_subdiagram)
+    enumerate_two_bundles.cache_clear()
+    dynkin.cartan_matrix.cache_clear()
+    dynkin._neighbour_table.cache_clear()
+    assert len(enumerate_two_bundles(12)) == 164
+    assert calls == []
 
 
 def test_enumerate_rejects_small_rank():
