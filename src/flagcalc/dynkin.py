@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import permutations
 from math import factorial
 
@@ -48,11 +48,11 @@ class DynkinDiagram:
 
     components: tuple[tuple[str, int], ...]
 
-    @property
+    @cached_property
     def rank(self) -> int:
         return sum(r for _, r in self.components)
 
-    @property
+    @cached_property
     def nodes(self) -> range:
         return range(1, self.rank + 1)
 

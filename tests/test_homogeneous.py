@@ -5,10 +5,12 @@ import random
 import pytest
 
 from flagcalc import dynkin, homogeneous
-from flagcalc.classifier import _product_entry
+from flagcalc.classifier import _product_entry, homogeneous_tags
+from flagcalc.drum import build_drum
 from flagcalc.dynkin import parse_diagram, positive_roots
 from flagcalc.errors import DomainError, ParseError
 from flagcalc.homogeneous import (
+    ENUMERATE_MAX_RANK,
     MarkedDiagram,
     contraction_fiber,
     dimension,
@@ -158,6 +160,13 @@ def test_is_two_bundle_pair_matches_fiber_oracle():
     assert pairs == 10774
 
 
+@pytest.mark.parametrize("check", [is_two_bundle_pair, homogeneous_tags, build_drum])
+@pytest.mark.parametrize("nodes", [(1.0, 3.0), (1, 3.0), (True, 3), (1, True)])
+def test_two_bundle_checks_reject_non_integer_nodes(check, nodes):
+    with pytest.raises(DomainError, match="nodes must be integers"):
+        check(parse_diagram("B3"), *nodes)
+
+
 def test_is_projective_space():
     assert is_projective_space(parse_marked("A4{4}")) == 4
     assert is_projective_space(parse_marked("A4{1}")) == 4
@@ -203,7 +212,7 @@ def test_enumerate_rank_three():
 
 
 def test_enumerate_matches_classification_list():
-    for max_rank in (2, 3, 4, 6, 8):
+    for max_rank in (2, 3, 4, 6, 8, 12, 20, 30, ENUMERATE_MAX_RANK):
         got = {entry_key(e) for e in enumerate_two_bundles(max_rank)}
         assert got == expected_two_bundle_keys(max_rank), max_rank
 
@@ -286,6 +295,22 @@ def test_enumerate_builds_no_subdiagrams(monkeypatch):
     dynkin._neighbour_table.cache_clear()
     assert len(enumerate_two_bundles(12)) == 164
     assert calls == []
+
+
+def test_enumerate_reads_each_fiber_table_once():
+    # one shape read of D - {base} serves every second mark over that base
+    enumerate_two_bundles.cache_clear()
+    homogeneous._fiber_ranks.cache_clear()
+    assert len(enumerate_two_bundles(12)) == 164
+    scanned = sum(rank for family in "ABCDEFG" for rank in homogeneous._scan_ranks(family, 12))
+    assert 0 < homogeneous._fiber_ranks.cache_info().misses <= scanned
+
+
+def test_memoized_diagram_properties_keep_equality_and_hash():
+    touched, fresh = parse_diagram("B3"), parse_diagram("B3")
+    assert touched.nodes == range(1, 4) and touched.rank == 3
+    assert touched == fresh and hash(touched) == hash(fresh)
+    assert repr(touched) == repr(fresh)
 
 
 def test_enumerate_rejects_small_rank():
