@@ -155,39 +155,17 @@ def match_model(data: TwoBundleData, max_rank: int) -> tuple[HomogeneousModel, .
     """
     if max_rank < max(data.r_minus, data.r_plus) + 1:
         raise DomainError("max_rank must be at least max(r_minus, r_plus) + 1")
-    if is_trivial(data.delta_minus) and is_trivial(data.delta_plus):
-        entry = _product_entry(data.r_minus, data.r_plus)
-        tags = homogeneous_tags(entry.diagram, entry.i, entry.j)
-        return (
-            HomogeneousModel(
-                entry=entry,
-                tag_plus=tags.plus,
-                tag_minus=tags.minus,
-                orientation="direct",
-                product=True,
-            ),
-        )
+    product = is_trivial(data.delta_minus) and is_trivial(data.delta_plus)
+    entries = (_product_entry(data.r_minus, data.r_plus),) if product else enumerate_two_bundles(max_rank)
+    request = (data.r_minus, data.r_plus, data.delta_minus.values, data.delta_plus.values)
     matches: list[HomogeneousModel] = []
-    for entry in enumerate_two_bundles(max_rank):
+    for entry in entries:
         tags = homogeneous_tags(entry.diagram, entry.i, entry.j)
-        direct = (
-            entry.r_minus == data.r_minus
-            and entry.r_plus == data.r_plus
-            and tags.minus.values == data.delta_minus.values
-            and tags.plus.values == data.delta_plus.values
-        )
-        swapped = (
-            entry.r_plus == data.r_minus
-            and entry.r_minus == data.r_plus
-            and tags.plus.values == data.delta_minus.values
-            and tags.minus.values == data.delta_plus.values
-        )
-        if direct:
-            matches.append(
-                HomogeneousModel(entry=entry, tag_plus=tags.plus, tag_minus=tags.minus, orientation="direct")
-            )
-        elif swapped:
-            matches.append(
-                HomogeneousModel(entry=entry, tag_plus=tags.plus, tag_minus=tags.minus, orientation="swapped")
-            )
+        for orientation, model in (
+            ("direct", (entry.r_minus, entry.r_plus, tags.minus.values, tags.plus.values)),
+            ("swapped", (entry.r_plus, entry.r_minus, tags.plus.values, tags.minus.values)),
+        ):
+            if model == request:
+                matches.append(HomogeneousModel(entry, tags.plus, tags.minus, orientation, product))
+                break
     return tuple(matches)

@@ -2,9 +2,9 @@
 
 Subcommands: roots, gp (dim | fiber | enumerate), tag (reduce | restrict |
 shape), classify, drum (build | ledger), and enumerate as an alias for
-gp enumerate.  Each ``_cmd_*`` handler returns its JSON payload and its
-text lines, both built from the same computed values, and ``main`` renders
-one of them: plain text or JSON (schema 1).  Identical inputs produce
+gp enumerate.  Each ``_cmd_*`` handler returns its JSON payload and a
+callable making its text lines from the same values; ``main`` prints the
+JSON (schema 1) or, for text, calls the callable.  Identical inputs produce
 byte-identical output.  Exit codes: 0 success, 1 domain error, 2 usage error.
 """
 from __future__ import annotations
@@ -13,6 +13,7 @@ import argparse
 import json
 import re
 import sys
+from typing import Callable
 
 from . import classifier, drum as drum_mod, homogeneous, tags as tags_mod
 from .dynkin import parse_diagram, parse_with_node_map, positive_roots, weyl_order
@@ -54,7 +55,7 @@ def _marked_name(diagram: str, marks) -> str:
     return f"{diagram}{{{','.join(str(i) for i in marks)}}}"
 
 
-def _cmd_roots(args) -> tuple[dict, list[str]]:
+def _cmd_roots(args) -> tuple[dict, Callable[[], list[str]]]:
     d = parse_diagram(args.diagram)
     system = positive_roots(d)
     payload = {
@@ -64,7 +65,7 @@ def _cmd_roots(args) -> tuple[dict, list[str]]:
         "count": len(system.roots),
         "weyl_order": weyl_order(d),
     }
-    return payload, [
+    return payload, lambda: [
         f"{payload['diagram']}: {payload['count']} positive roots, Weyl order {payload['weyl_order']}",
         "cartan:",
         *(f"  {row}" for row in payload["cartan"]),
@@ -84,12 +85,12 @@ def _marked_payload(m: homogeneous.MarkedDiagram) -> dict:
     }
 
 
-def _cmd_gp_dim(args) -> tuple[dict, list[str]]:
+def _cmd_gp_dim(args) -> tuple[dict, Callable[[], list[str]]]:
     p = _marked_payload(homogeneous.parse_marked(args.marked))
-    return p, [f"{_marked_name(p['diagram'], p['marks'])}: dim {p['dim']}, picard {p['picard']}"]
+    return p, lambda: [f"{_marked_name(p['diagram'], p['marks'])}: dim {p['dim']}, picard {p['picard']}"]
 
 
-def _cmd_gp_fiber(args) -> tuple[dict, list[str]]:
+def _cmd_gp_fiber(args) -> tuple[dict, Callable[[], list[str]]]:
     m, node_map = homogeneous.parse_marked_with_node_map(args.marked)
     base = _typed_nodes(_int_list(args.base, "--base"), node_map, args.marked)
     fiber = homogeneous.contraction_fiber(m.diagram, m.marks, base)
@@ -101,13 +102,11 @@ def _cmd_gp_fiber(args) -> tuple[dict, list[str]]:
         "node_map": {str(a): b for a, b in fiber.node_map},
     }
     fib = payload["fiber"]
-    lines = [
+    return payload, lambda: [
         f"fiber of {m.render()} -> {_marked_name(m.diagram.render(), payload['base_marks'])}: "
-        f"{_marked_name(fib['diagram'], fib['marks'])} (dim {fib['dim']})"
+        f"{_marked_name(fib['diagram'], fib['marks'])} (dim {fib['dim']})",
+        *([f"dropped unmarked components: {payload['dropped']}"] if payload["dropped"] else []),
     ]
-    if payload["dropped"]:
-        lines.append(f"dropped unmarked components: {payload['dropped']}")
-    return payload, lines
 
 
 def _entry_payload(e: homogeneous.TwoBundleEntry) -> dict:
@@ -122,14 +121,12 @@ def _entry_payload(e: homogeneous.TwoBundleEntry) -> dict:
     }
 
 
-def _cmd_enumerate(args) -> tuple[dict, list[str]]:
+def _cmd_enumerate(args) -> tuple[dict, Callable[[], list[str]]]:
     entries = [_entry_payload(e) for e in homogeneous.enumerate_two_bundles(args.max_rank)]
-    lines = [
+    return {"max_rank": args.max_rank, "count": len(entries), "entries": entries}, lambda: [
         f"{_marked_name(e['diagram'], e['marks'])}  r-={e['r_minus']} r+={e['r_plus']} dim={e['dim']}"
         for e in entries
-    ]
-    lines.append(f"total: {len(entries)}")
-    return {"max_rank": args.max_rank, "count": len(entries), "entries": entries}, lines
+    ] + [f"total: {len(entries)}"]
 
 
 def _zero_payload(t: tags_mod.Tag) -> dict:
@@ -137,15 +134,15 @@ def _zero_payload(t: tags_mod.Tag) -> dict:
     return {"zeros": list(zero.zeros), "support": list(zero.support)}
 
 
-def _cmd_tag_reduce(args) -> tuple[dict, list[str]]:
+def _cmd_tag_reduce(args) -> tuple[dict, Callable[[], list[str]]]:
     t = tags_mod.parse_tag(args.tag)
     reduced = tags_mod.symplectic_reduce(t)
     payload = {"input": t.render(), "reduction": reduced.render() if reduced else None, **_zero_payload(t)}
     reason = "rank even" if t.diagram.rank % 2 == 0 else "tag is not palindromic"
-    return payload, [payload["reduction"] or f"no reduction: {reason}"]
+    return payload, lambda: [payload["reduction"] or f"no reduction: {reason}"]
 
 
-def _cmd_tag_restrict(args) -> tuple[dict, list[str]]:
+def _cmd_tag_restrict(args) -> tuple[dict, Callable[[], list[str]]]:
     t, node_map = tags_mod.parse_tag_with_node_map(args.tag)
     marks = _typed_nodes(_int_list(args.marks, "--marks"), node_map, args.tag)
     restricted = tags_mod.restrict_tag(t, marks)
@@ -155,11 +152,12 @@ def _cmd_tag_restrict(args) -> tuple[dict, list[str]]:
         "node_map": {str(a): b for a, b in restricted.node_map},
         **_zero_payload(restricted.tag),
     }
-    node_map = ", ".join(f"{a}->{b}" for a, b in payload["node_map"].items())
-    return payload, [f"{payload['restricted']} (node map: {node_map})"]
+    return payload, lambda: [
+        f"{payload['restricted']} (node map: {', '.join(f'{a}->{b}' for a, b in restricted.node_map)})"
+    ]
 
 
-def _cmd_tag_shape(args) -> tuple[dict, list[str]]:
+def _cmd_tag_shape(args) -> tuple[dict, Callable[[], list[str]]]:
     t = tags_mod.parse_tag(args.tag)
     shape = tags_mod.classify_tag_shape(t)
     payload = {
@@ -168,14 +166,13 @@ def _cmd_tag_shape(args) -> tuple[dict, list[str]]:
         "d": shape.d,
         "reduction": shape.reduction.render() if shape.reduction else None,
     }
-    line = {
+    return payload, lambda: [{
         tags_mod.FIRST_NODE_ONLY: f"FirstNodeOnly(d={payload['d']})",
         tags_mod.SYMMETRIC_ENDS: f"SymmetricEnds(d={payload['d']}), reduction {payload['reduction']}",
-    }.get(shape.kind, "Other")
-    return payload, [line]
+    }.get(shape.kind, "Other")]
 
 
-def _cmd_classify(args) -> tuple[dict, list[str]]:
+def _cmd_classify(args) -> tuple[dict, Callable[[], list[str]]]:
     tags = _int_list(args.tag_minus, "--tag-minus"), _int_list(args.tag_plus, "--tag-plus")
     data = classifier.TwoBundleData.from_values(args.r_minus, args.r_plus, *tags)
     check = classifier.check_shape_constraint(data) if data.r_minus == 1 else None
@@ -198,18 +195,20 @@ def _cmd_classify(args) -> tuple[dict, list[str]]:
             for m in classifier.match_model(data, args.max_rank)
         ],
     }
-    v = payload["verdict"]
-    if v is None:
-        lines = ["shape check: skipped (requires r_minus = 1)"]
-    elif v["passed"]:
-        lines = [f"shape check: pass ({v['kind']}, d={v['d']})"]
-    else:
-        lines = [f"shape check: fail ({v['reason']})"]
-    for m in payload["matches"]:
-        product = " [product]" if m["product"] else ""
-        lines.append(f"match: {_marked_name(m['diagram'], m['marks'])} ({m['orientation']}){product}")
-    if not payload["matches"]:
-        lines.append("match: none within rank bound")
+
+    def lines() -> list[str]:
+        v = payload["verdict"]
+        if v is None:
+            out = ["shape check: skipped (requires r_minus = 1)"]
+        elif v["passed"]:
+            out = [f"shape check: pass ({v['kind']}, d={v['d']})"]
+        else:
+            out = [f"shape check: fail ({v['reason']})"]
+        for m in payload["matches"]:
+            product = " [product]" if m["product"] else ""
+            out.append(f"match: {_marked_name(m['diagram'], m['marks'])} ({m['orientation']}){product}")
+        return out if payload["matches"] else out + ["match: none within rank bound"]
+
     return payload, lines
 
 
@@ -233,14 +232,15 @@ def _build_drum(args) -> drum_mod.HorosphericalDrum:
     return drum_mod.build_drum(d, *_typed_nodes((args.i, args.j), node_map, args.diagram))
 
 
-def _cmd_drum_build(args) -> tuple[dict, list[str]]:
+def _cmd_drum_build(args) -> tuple[dict, Callable[[], list[str]]]:
     p = _drum_payload(_build_drum(args))
     keys = ("diagram", "marks", "dim_y", "dim_z", "dim_v_i", "dim_v_j", "ambient_dim", "bandwidth")
-    sides = [f"{s}: {p[s]['variety']} (mu={p[s]['mu']}, dim={p[s]['dim']})" for s in ("sink", "source")]
-    return p, [f"{key}: {p[key]}" for key in keys] + sides
+    return p, lambda: [f"{key}: {p[key]}" for key in keys] + [
+        f"{s}: {p[s]['variety']} (mu={p[s]['mu']}, dim={p[s]['dim']})" for s in ("sink", "source")
+    ]
 
 
-def _cmd_drum_ledger(args) -> tuple[dict, list[str]]:
+def _cmd_drum_ledger(args) -> tuple[dict, Callable[[], list[str]]]:
     built = _build_drum(args)
     led = drum_mod.ledger(built)
     table: dict[str, dict[str, int]] = {}
@@ -253,7 +253,7 @@ def _cmd_drum_ledger(args) -> tuple[dict, list[str]]:
         "m_plus_nef": led.m_plus_nef,
         "m_minus_nef": led.m_minus_nef,
     }
-    return payload, [f"{div} . {curve} = {n}" for div, row in table.items() for curve, n in row.items()]
+    return payload, lambda: [f"{div} . {cur} = {n}" for div, row in table.items() for cur, n in row.items()]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -360,7 +360,7 @@ def main(argv: list[str] | None = None, out=None) -> int:
     if args.format == "json":
         print(json.dumps({"schema": SCHEMA, **payload}, sort_keys=True), file=out)
     else:
-        print("\n".join(lines), file=out)
+        print("\n".join(lines()), file=out)
     return 0
 
 

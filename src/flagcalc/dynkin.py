@@ -40,6 +40,10 @@ _EXCEPTIONAL_WEYL = {
     ("E", 8): 696729600,
 }
 _EXCEPTIONAL_ROOTS = {("G", 2): 6, ("F", 4): 24, ("E", 6): 36, ("E", 7): 63, ("E", 8): 120}
+# (lowest, highest) rank of each family in the normalized table; None: unbounded.
+_NORMALIZED_RANKS = {
+    "A": (1, None), "B": (2, None), "C": (2, None), "D": (4, None), "E": (6, 8), "F": (4, 4), "G": (2, 2)
+}
 
 
 @dataclass(frozen=True)
@@ -164,8 +168,8 @@ def parse_diagram(text: str) -> DynkinDiagram:
 
 @lru_cache(maxsize=None)
 def _component_cartan(family: str, rank: int) -> Matrix:
-    lowest = {"A": 1, "B": 2, "C": 2, "D": 4, "E": 6, "F": 4, "G": 2}.get(family)
-    if lowest is None or not lowest <= rank <= {"E": 8, "F": 4, "G": 2}.get(family, rank):
+    lowest, highest = _NORMALIZED_RANKS.get(family, (None, None))
+    if lowest is None or not lowest <= rank <= (highest or rank):
         raise DomainError(f"component {family}{rank} is not in the normalized table")
     c = [[2 * (i == j) for j in range(rank)] for i in range(rank)]
 

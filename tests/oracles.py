@@ -9,8 +9,10 @@ backtracking isomorphism search over every candidate Cartan matrix instead
 of reading a subdiagram's type off its shape, a running product of
 rationals instead of one exact integer division for the Weyl dimension, a
 scan of the root list instead of closed-form root counts for the
-dimension of a marked diagram, and fibers built as renumbered subdiagrams
-instead of read off their shape for the two-bundle test.
+dimension of a marked diagram, fibers built as renumbered subdiagrams
+instead of read off their shape for the two-bundle test, and a two-bundle
+catalogue built by canonicalizing every pair, deduplicating and sorting
+instead of in one ordered pass.
 
 Module-level code is stdlib-only: the benchmark loads this file by path.
 """
@@ -387,3 +389,60 @@ def is_two_bundle_pair_by_fibers(d, i: int, j: int) -> tuple[int, int] | None:
         fiber, node_map = subdiagram(d, comp)
         ranks.append(is_projective_space(MarkedDiagram(fiber, (node_map[mark],))))
     return None if None in ranks else (ranks[0], ranks[1])
+
+
+def _canonical_pair(d, i: int, j: int):
+    """Canonical representative of a two-bundle pair.
+
+    C2 pairs are rewritten on B2 through the node swap identifying the two
+    rank-2 varieties.  For non-A diagrams the mark set is canonicalized under
+    diagram automorphisms (this folds the three equivalent D4 pairs into
+    {3,4}).  Type A mark sets are kept as found.
+    """
+    from flagcalc.dynkin import DynkinDiagram, automorphisms
+
+    if d == DynkinDiagram((("C", 2),)):
+        swap = {1: 2, 2: 1}
+        a, b = sorted((swap[i], swap[j]))
+        return DynkinDiagram((("B", 2),)), a, b
+    fam = d.components[0][0]
+    if fam == "A":
+        a, b = sorted((i, j))
+        return d, a, b
+    best = max(tuple(sorted((s[i - 1], s[j - 1]))) for s in automorphisms(d))
+    return d, best[0], best[1]
+
+
+def enumerate_two_bundles_by_canonical_pairs(max_rank: int):
+    """The two-bundle catalogue by canonicalize, deduplicate, then sort.
+
+    Scans every pair i < j of every normalized connected diagram of rank 2
+    to ``max_rank``, C2 included, maps it to its ``_canonical_pair``, tests
+    each canonical pair once (rejected ones are remembered too), and sorts
+    the accepted entries by (family, rank, marks).
+    """
+    from flagcalc.dynkin import DynkinDiagram
+    from flagcalc.homogeneous import MarkedDiagram, TwoBundleEntry, dimension, is_two_bundle_pair
+
+    lo = {"A": 2, "B": 2, "C": 2, "D": 4, "E": 6, "F": 4, "G": 2}
+    hi = {"E": 8, "F": 4, "G": 2}
+    seen = {}
+    for family in "ABCDEFG":
+        for rank in range(lo[family], min(hi.get(family, max_rank), max_rank) + 1):
+            d = DynkinDiagram(((family, rank),))
+            for i in d.nodes:
+                for j in range(i + 1, rank + 1):
+                    key = _canonical_pair(d, i, j)
+                    if key in seen:
+                        continue
+                    ranks = is_two_bundle_pair(*key)
+                    cd, ci, cj = key
+                    seen[key] = None if ranks is None else TwoBundleEntry(
+                        cd, ci, cj, *ranks, dim=dimension(MarkedDiagram(cd, (ci, cj)))
+                    )
+    return tuple(
+        sorted(
+            (e for e in seen.values() if e is not None),
+            key=lambda e: (e.diagram.components[0][0], e.diagram.rank, e.i, e.j),
+        )
+    )

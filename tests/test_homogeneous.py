@@ -21,7 +21,12 @@ from flagcalc.homogeneous import (
     picard_number,
 )
 
-from oracles import dimension_by_roots, expected_two_bundle_keys, is_two_bundle_pair_by_fibers
+from oracles import (
+    dimension_by_roots,
+    enumerate_two_bundles_by_canonical_pairs,
+    expected_two_bundle_keys,
+    is_two_bundle_pair_by_fibers,
+)
 
 CONNECTED_UP_TO_RANK_8 = [
     f"{fam}{n}" for fam, lowest in (("A", 1), ("B", 2), ("C", 2), ("D", 4)) for n in range(lowest, 9)
@@ -249,17 +254,19 @@ def test_enumerate_entry_dimensions_consistent():
 
 
 def test_enumerate_stable_under_automorphisms():
-    from flagcalc.dynkin import automorphisms
-    from flagcalc.homogeneous import _canonical_pair
-
+    # type A lists every automorphism image of a pair, the other families exactly one
     entries = enumerate_two_bundles(8)
     keys = {(e.diagram, e.i, e.j) for e in entries}
     for e in entries:
-        if len(e.diagram.components) != 1:
-            continue
-        for sigma in automorphisms(e.diagram):
-            image = _canonical_pair(e.diagram, sigma[e.i - 1], sigma[e.j - 1])
-            assert image in keys
+        images = {(e.diagram, *sorted((s[e.i - 1], s[e.j - 1]))) for s in dynkin.automorphisms(e.diagram)}
+        listed = images & keys
+        assert listed == images if e.diagram.components[0][0] == "A" else len(listed) == 1, e.render()
+
+
+@pytest.mark.parametrize("max_rank", [2, 3, 4, 8, 12, 20, ENUMERATE_MAX_RANK])
+def test_enumerate_matches_canonical_pair_oracle(max_rank):
+    # whole tuples: order, diagrams, marks, r-, r+ and dim
+    assert enumerate_two_bundles(max_rank) == enumerate_two_bundles_by_canonical_pairs(max_rank)
 
 
 def test_enumerate_swapping_marks_is_harmless():
