@@ -10,11 +10,9 @@ blowup, holding everything in exact arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 
-from .dynkin import DynkinDiagram, _neighbour_table, cartan_matrix, positive_roots
+from .dynkin import DynkinDiagram, positive_roots
 from .errors import DomainError
 from .homogeneous import MarkedDiagram, dimension, is_two_bundle_pair
 
@@ -22,51 +20,44 @@ DIVISOR_CLASSES = ("alpha*L", "pi*L-", "pi*L+", "Y+", "Y-", "M+", "M-")
 CURVE_CLASSES = ("ell-", "ell+")
 
 
-@lru_cache(maxsize=None)
-def _symmetrizer(d: DynkinDiagram) -> tuple[int, ...]:
-    """Positive integers d_i with d_i * C[i][j] == d_j * C[j][i].
+def _symmetrizer(family: str, rank: int) -> tuple[int, ...]:
+    """d_i = (alpha_i, alpha_i) / 2, half the squared length of each simple root, short roots 1.
 
-    The rational solution with d = 1 at the first node of each component,
-    scaled by the lcm of its denominators.
+    Closed forms per family (Humphreys §12.1; Bourbaki, ch. VI, plates): the
+    short root of B_n is node n, the long root of C_n is node n, the long
+    roots of F4 are nodes 1 and 2, and the long root of G2 is node 2, three
+    times as long squared; A, D and E are simply laced.  With the Cartan
+    convention of ``dynkin``, (alpha_i, alpha_j) = C[i][j] * d_j.
     """
-    c, table = cartan_matrix(d), _neighbour_table(d)
-    vals: list[Fraction | None] = [None] * d.rank
-    for _, first, _ in d.component_spans():
-        vals[first - 1] = Fraction(1)
-        frontier = [first]
-        while frontier:
-            a = frontier.pop()
-            for b in table[a - 1]:
-                if vals[b - 1] is None:
-                    vals[b - 1] = vals[a - 1] * c[b - 1][a - 1] / c[a - 1][b - 1]
-                    frontier.append(b)
-    scale = lcm(*(v.denominator for v in vals))  # type: ignore[union-attr]
-    return tuple(int(v * scale) for v in vals)  # type: ignore[operator]
+    if family == "B":
+        return (2,) * (rank - 1) + (1,)
+    if family == "C":
+        return (1,) * (rank - 1) + (2,)
+    return {("F", 4): (2, 2, 1, 1), ("G", 2): (1, 3)}.get((family, rank), (1,) * rank)
 
 
 def weyl_dim(d: DynkinDiagram, node: int) -> int:
     """Dimension of the irreducible representation of the fundamental weight at ``node``.
 
     Evaluates the product over positive roots beta of
-    (rho + omega, beta) / (rho, beta) in integer arithmetic: with the
-    symmetrizer scaled to integers, the numerators and the denominators are
-    multiplied separately and divided once, exactly; a nonzero remainder
-    raises ``ArithmeticError``.  Roots with no ``node`` coefficient
-    contribute a factor 1 and are skipped.  Results are cached per
-    (diagram, node).
+    (rho + omega, beta) / (rho, beta) in integer arithmetic.  With the
+    closed-form root lengths d_i = (alpha_i, alpha_i) / 2 of
+    ``_symmetrizer``, (rho, beta) is the sum of beta_i * d_i and
+    (omega, beta) is beta_node * d_node, both integers; the numerators and
+    the denominators are multiplied separately and divided once, exactly; a
+    nonzero remainder raises ``ArithmeticError``.  Roots with no ``node``
+    coefficient contribute a factor 1 and are skipped.  Results are cached
+    per (diagram, node).
     """
-    if type(node) is not int:
-        raise DomainError(f"node must be an integer, got {node!r}")
+    d.check_nodes((node,))
     if not d.is_connected():
         raise DomainError("fundamental representation dimensions require a connected diagram")
-    if node not in d.nodes:
-        raise DomainError(f"node {node} not in diagram {d}")
     return _weyl_dim(d, node)
 
 
 @lru_cache(maxsize=None)
 def _weyl_dim(d: DynkinDiagram, node: int) -> int:
-    sym = _symmetrizer(d)
+    sym = _symmetrizer(*d.components[0])
     k = node - 1
     num = den = 1
     for beta in positive_roots(d).roots:

@@ -11,12 +11,16 @@ so the pairing of a root ``beta`` (an integer coefficient vector over the
 simple roots) with a simple coroot is ``<beta, alpha_i^v> = (C^T beta)_i``.
 Every value is immutable and every function is pure.
 
-Subdiagram types and diagram automorphisms are closed forms read off the
-diagram's shape, walked on a neighbour table cached per diagram.  Every node
-subset of a diagram of finite type is of finite type, so the shape read is
-the type.  A subdiagram is renumbered by the lexicographically smallest
-isomorphism onto the standard numbering, and a rank-2 double bond is always
-named ``B2`` (a ``C2`` piece of ``C_n`` has its nodes swapped).
+Parsing keeps the components of the normalized table ``_NORMALIZED_RANKS``
+and replaces the low-rank coincidences listed in ``_COINCIDENCES`` (B1, C1,
+D2, D3).  Subdiagram types and diagram automorphisms are closed forms read
+off the diagram's shape: ``_components`` is the one reader that splits a
+node subset into named components, walked on a neighbour table cached per
+diagram.  Every node subset of a diagram of finite type is of finite type, so
+the shape read is the type.  A subdiagram is renumbered by the
+lexicographically smallest isomorphism onto the standard numbering, and a
+rank-2 double bond is always named ``B2`` (a ``C2`` piece of ``C_n`` has its
+nodes swapped).
 """
 from __future__ import annotations
 
@@ -44,6 +48,22 @@ _EXCEPTIONAL_ROOTS = {("G", 2): 6, ("F", 4): 24, ("E", 6): 36, ("E", 7): 63, ("E
 _NORMALIZED_RANKS = {
     "A": (1, None), "B": (2, None), "C": (2, None), "D": (4, None), "E": (6, 8), "F": (4, 4), "G": (2, 2)
 }
+# The raw components below the table: their normalized components and the
+# images of their nodes.  The center of D3 becomes the middle node of A3.
+_COINCIDENCES = {
+    ("B", 1): ((("A", 1),), (1,)),
+    ("C", 1): ((("A", 1),), (1,)),
+    ("D", 2): ((("A", 1), ("A", 1)), (1, 2)),
+    ("D", 3): ((("A", 3),), (2, 1, 3)),
+}
+
+
+def _in_table(family: str, rank: int) -> bool:
+    """Whether ``family``/``rank`` is a component of the normalized table."""
+    if family not in _NORMALIZED_RANKS:
+        return False
+    lowest, highest = _NORMALIZED_RANKS[family]
+    return lowest <= rank <= (highest or rank)
 
 
 @dataclass(frozen=True)
@@ -59,6 +79,17 @@ class DynkinDiagram:
     @cached_property
     def nodes(self) -> range:
         return range(1, self.rank + 1)
+
+    def check_nodes(self, nodes) -> tuple[int, ...]:
+        """``nodes`` as a tuple; ``DomainError`` unless each is an ``int`` node of this diagram."""
+        nodes = tuple(nodes)
+        for a in nodes:
+            if type(a) is not int:
+                raise DomainError(f"nodes must be integers, got {nodes}")
+        for a in nodes:
+            if a not in self.nodes:
+                raise DomainError(f"nodes {sorted(set(nodes))} not all in diagram {self}")
+        return nodes
 
     def is_connected(self) -> bool:
         return len(self.components) == 1
@@ -93,72 +124,33 @@ class RootSystem:
 _COMPONENT_RE = re.compile(r"^([A-G])\s*([0-9]+)$")
 
 
-def _raw_components(text: str) -> list[tuple[str, int]]:
+def parse_with_node_map(text: str) -> tuple[DynkinDiagram, dict[int, int]]:
+    """Parse a diagram string, normalize it, and map raw node indices to normalized ones.
+
+    A raw component in ``_NORMALIZED_RANKS`` is kept as typed; one in
+    ``_COINCIDENCES`` is replaced by its normalized components; any other
+    rank is a ``ParseError``.
+    """
     parts = [p.strip() for p in text.replace("⊔", "+").split("+")]
     if not parts or any(not p for p in parts):
         raise ParseError(f"cannot parse diagram {text!r}")
-    comps = []
+    comps: list[tuple[str, int]] = []
+    node_map: dict[int, int] = {}
     for part in parts:
         m = _COMPONENT_RE.match(part.upper())
         if m is None:
             raise ParseError(f"cannot parse diagram component {part!r}")
         fam, rank = m.group(1), int(m.group(2))
-        _check_raw_rank(fam, rank)
-        comps.append((fam, rank))
-    return comps
-
-
-def _check_raw_rank(fam: str, rank: int) -> None:
-    ok = {
-        "A": rank >= 1,
-        "B": rank >= 1,
-        "C": rank >= 1,
-        "D": rank >= 2,
-        "E": rank in (6, 7, 8),
-        "F": rank == 4,
-        "G": rank == 2,
-    }[fam]
-    if not ok:
-        raise ParseError(f"rank {rank} out of range for family {fam}")
-
-
-def _normalize_components(
-    raw: list[tuple[str, int]],
-) -> tuple[tuple[tuple[str, int], ...], dict[int, int]]:
-    """Apply the low-rank coincidence table; map raw node indices to new ones.
-
-    B1, C1 -> A1; D2 -> A1+A1; D3 -> A3 (the center of D3 becomes the middle
-    node of A3).  B2 and C2 are kept distinct; their identification is handled
-    where varieties, not diagrams, are compared.
-    """
-    comps: list[tuple[str, int]] = []
-    node_map: dict[int, int] = {}
-    raw_off = 0
-    new_off = 0
-    for fam, rank in raw:
-        if (fam, rank) in (("B", 1), ("C", 1)):
-            comps.append(("A", 1))
-            local = {1: 1}
-        elif (fam, rank) == ("D", 2):
-            comps.extend([("A", 1), ("A", 1)])
-            local = {1: 1, 2: 2}
-        elif (fam, rank) == ("D", 3):
-            comps.append(("A", 3))
-            local = {1: 2, 2: 1, 3: 3}
+        if (fam, rank) in _COINCIDENCES:
+            normal, images = _COINCIDENCES[(fam, rank)]
+        elif _in_table(fam, rank):
+            normal, images = ((fam, rank),), range(1, rank + 1)
         else:
-            comps.append((fam, rank))
-            local = {k: k for k in range(1, rank + 1)}
-        for old, new in local.items():
-            node_map[raw_off + old] = new_off + new
-        raw_off += rank
-        new_off += rank
-    return tuple(comps), node_map
-
-
-def parse_with_node_map(text: str) -> tuple[DynkinDiagram, dict[int, int]]:
-    """Parse a diagram string, normalize it, and map raw node indices to normalized ones."""
-    comps, node_map = _normalize_components(_raw_components(text))
-    return DynkinDiagram(comps), node_map
+            raise ParseError(f"rank {rank} out of range for family {fam}")
+        offset = len(node_map)
+        node_map.update((offset + k, offset + image) for k, image in enumerate(images, 1))
+        comps.extend(normal)
+    return DynkinDiagram(tuple(comps)), node_map
 
 
 def parse_diagram(text: str) -> DynkinDiagram:
@@ -168,8 +160,7 @@ def parse_diagram(text: str) -> DynkinDiagram:
 
 @lru_cache(maxsize=None)
 def _component_cartan(family: str, rank: int) -> Matrix:
-    lowest, highest = _NORMALIZED_RANKS.get(family, (None, None))
-    if lowest is None or not lowest <= rank <= (highest or rank):
+    if not _in_table(family, rank):
         raise DomainError(f"component {family}{rank} is not in the normalized table")
     c = [[2 * (i == j) for j in range(rank)] for i in range(rank)]
 
@@ -333,22 +324,32 @@ def automorphisms(d: DynkinDiagram) -> tuple[tuple[int, ...], ...]:
     return _component_automorphisms(*d.components[0])
 
 
-def _graph_components(nodes, table: Neighbours) -> list[list[int]]:
-    """Connected components of the subgraph on ``nodes``, each sorted, ordered by smallest node."""
-    remaining = set(nodes)
+def _components(d: DynkinDiagram, nodes) -> list[tuple[str, list[int]]]:
+    """(family, nodes in standard order) for each component of the subdiagram on ``nodes``.
+
+    Components are ordered by their smallest node, and each is named by its
+    shape alone: every node subset of a diagram of finite type is of finite
+    type.  ``_read_shape`` must be given a whole component: every neighbour
+    in ``nodes`` of one of its nodes lies in it.  The components are walked
+    on one neighbour dict restricted to ``nodes`` and each shape is read on
+    that same dict, which keeps the rule here.
+    """
+    c, table = cartan_matrix(d), _neighbour_table(d)
+    members = set(nodes)
+    neighbours = {a: [b for b in table[a - 1] if b in members] for a in sorted(members)}
     comps = []
-    for start in sorted(remaining):
-        if start not in remaining:
+    for start in neighbours:
+        if start not in members:
             continue
-        remaining.remove(start)
+        members.remove(start)
         comp, frontier = [start], [start]
         while frontier:
-            for b in table[frontier.pop() - 1]:
-                if b in remaining:
-                    remaining.remove(b)
+            for b in neighbours[frontier.pop()]:
+                if b in members:
+                    members.remove(b)
                     comp.append(b)
                     frontier.append(b)
-        comps.append(sorted(comp))
+        comps.append(_read_shape(c, neighbours, comp))
     return comps
 
 
@@ -361,18 +362,15 @@ def _walk(neighbours: dict[int, list[int]], start: int, prev: int | None) -> lis
     return path
 
 
-def _read_shape(c: Matrix, table: Neighbours, comp: list[int]) -> tuple[str, list[int]]:
-    """Family of a connected node set and its nodes in standard order, read off its shape.
+def _read_shape(c: Matrix, neighbours: dict[int, list[int]], comp: list[int]) -> tuple[str, list[int]]:
+    """Family of the connected node set ``comp`` and its nodes in standard order, read off its shape.
 
-    ``c`` and ``table`` are the Cartan matrix and the ``_neighbour_table`` of
-    the diagram holding ``comp``, which must be a connected component of the
-    node set being named: every neighbour of a node of ``comp`` in that set
-    lies in ``comp``.  A connected diagram of finite type is a path with at
-    most one multiple bond, or a tree with one branch node whose arms have
-    lengths (1, 1, k) (type D) or (1, 2, 2|3|4) (type E); see Humphreys §11.4.
+    ``c`` is the Cartan matrix of the diagram; ``neighbours`` maps each node
+    of ``comp`` to its neighbours in ``comp``.  A connected diagram of finite
+    type is a path with at most one multiple bond, or a tree with one branch
+    node whose arms have lengths (1, 1, k) (type D) or (1, 2, 2|3|4) (type
+    E); see Humphreys §11.4.
     """
-    members = set(comp)
-    neighbours = {a: [b for b in table[a - 1] if b in members] for a in comp}
     hubs = [a for a in comp if len(neighbours[a]) > 2]
     if hubs:
         hub = hubs[0]
@@ -410,17 +408,13 @@ def subdiagram(
     isomorphisms onto its standard numbering, the lexicographically smallest
     is used.
     """
-    node_list = sorted(set(nodes))
-    if not node_list:
+    nodes = d.check_nodes(nodes)
+    if not nodes:
         raise DomainError("empty node set has no subdiagram")
-    if any(a not in d.nodes for a in node_list):
-        raise DomainError(f"nodes {node_list} not all in diagram {d}")
-    c, table = cartan_matrix(d), _neighbour_table(d)
     parts: list[tuple[str, int]] = []
     mapping: dict[int, int] = {}
-    for comp in _graph_components(node_list, table):
-        family, order = _read_shape(c, table, comp)
-        k = len(comp)
+    for family, order in _components(d, nodes):
+        k, comp = len(order), sorted(order)
         position = {a: s + 1 for s, a in enumerate(order)}
         sigma = min(
             tuple(tau[position[a] - 1] for a in comp) for tau in _component_automorphisms(family, k)

@@ -17,11 +17,8 @@ from .dynkin import (
     DynkinDiagram,
     _NORMALIZED_RANKS,
     _component_root_count,
-    _graph_components,
-    _neighbour_table,
-    _read_shape,
+    _components,
     automorphisms,
-    cartan_matrix,
     parse_with_node_map,
     subdiagram,
 )
@@ -34,13 +31,9 @@ class MarkedDiagram:
     marks: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not all(type(i) is int for i in self.marks):
-            raise DomainError(f"marks must be integers, got {self.marks}")
-        marks = tuple(sorted(set(self.marks)))
+        marks = tuple(sorted(set(self.diagram.check_nodes(self.marks))))
         if not marks:
             raise DomainError("mark set must be nonempty")
-        if any(i not in self.diagram.nodes for i in marks):
-            raise DomainError(f"marks {marks} not all in diagram {self.diagram}")
         object.__setattr__(self, "marks", marks)
 
     def render(self) -> str:
@@ -101,12 +94,8 @@ def dimension(m: MarkedDiagram) -> int:
     finite type, and B and C have the same count.
     """
     d = m.diagram
-    c, table = cartan_matrix(d), _neighbour_table(d)
     unmarked = [a for a in d.nodes if a not in m.marks]
-    levi = sum(
-        _component_root_count(_read_shape(c, table, comp)[0], len(comp))
-        for comp in _graph_components(unmarked, table)
-    )
+    levi = sum(_component_root_count(family, len(order)) for family, order in _components(d, unmarked))
     return sum(_component_root_count(*comp) for comp in d.components) - levi
 
 
@@ -118,19 +107,17 @@ def contraction_fiber(
     d: DynkinDiagram, total_marks, base_marks
 ) -> ContractionFiber:
     """Fiber of the contraction ``D{total_marks} -> D{base_marks}``."""
-    total = set(total_marks)
-    base = set(base_marks)
+    total = set(d.check_nodes(total_marks))
+    base = set(d.check_nodes(base_marks))
     if not base:
         raise DomainError("base mark set must be nonempty")
     if not base < total:
         if base == total:
             raise DomainError("contraction along equal mark sets is the identity")
         raise DomainError(f"base marks {sorted(base)} not contained in {sorted(total)}")
-    if any(i not in d.nodes for i in total):
-        raise DomainError(f"marks {sorted(total)} not all in diagram {d}")
     extra = total - base
     residual = [i for i in d.nodes if i not in base]
-    kept = [a for comp in _graph_components(residual, _neighbour_table(d)) if extra & set(comp) for a in comp]
+    kept = [a for _, order in _components(d, residual) if extra & set(order) for a in order]
     fiber_diag, node_map = subdiagram(d, kept)
     dropped_nodes = [i for i in residual if i not in node_map]
     return ContractionFiber(
@@ -176,9 +163,8 @@ def is_two_bundle_pair(d: DynkinDiagram, i: int, j: int) -> tuple[int, int] | No
     Each is one lookup in ``_fiber_ranks``, the table of fiber ranks that
     reads D - {base} once for every second mark over that base node.
     """
-    if type(i) is not int or type(j) is not int:
-        raise DomainError(f"nodes must be integers, got {(i, j)!r}")
-    if i == j or i not in d.nodes or j not in d.nodes:
+    d.check_nodes((i, j))
+    if i == j:
         raise DomainError(f"{(i, j)} is not a pair of distinct nodes of {d}")
     r_plus, r_minus = _fiber_ranks(d, i)[j - 1], _fiber_ranks(d, j)[i - 1]
     if r_plus is None or r_minus is None:
@@ -193,10 +179,8 @@ def _fiber_ranks(d: DynkinDiagram, base: int) -> tuple[int | None, ...]:
     That fiber is the component of the other nodes that holds ``mark``, so
     each component is read once, for all of its marks.  None at ``base``.
     """
-    c, table = cartan_matrix(d), _neighbour_table(d)
     ranks: list[int | None] = [None] * d.rank
-    for comp in _graph_components([a for a in d.nodes if a != base], table):
-        family, order = _read_shape(c, table, comp)
+    for family, order in _components(d, [a for a in d.nodes if a != base]):
         for position, mark in enumerate(order, 1):
             ranks[mark - 1] = _projective_rank(family, len(order), position)
     return tuple(ranks)

@@ -117,11 +117,9 @@ def zero_data(t: Tag) -> ZeroData:
 
 def restrict_tag(t: Tag, marks) -> RestrictedTag:
     """Restrict a tag to the subdiagram obtained by deleting ``marks``."""
-    removed = set(marks)
+    removed = set(t.diagram.check_nodes(marks))
     if not removed:
         raise DomainError("mark set must be nonempty")
-    if any(i not in t.diagram.nodes for i in removed):
-        raise DomainError(f"marks {sorted(removed)} not all in diagram {t.diagram}")
     kept = [i for i in t.diagram.nodes if i not in removed]
     if not kept:
         raise DomainError("restricting by every node leaves an empty diagram")
@@ -167,13 +165,11 @@ def nesting_admissible(t: Tag, marks_i, marks_j) -> bool:
     exactly the two end nodes, and a palindromic tag.
     """
     r = _require_connected_a(t)
-    set_i, set_j = set(marks_i), set(marks_j)
+    set_i, set_j = set(t.diagram.check_nodes(marks_i)), set(t.diagram.check_nodes(marks_j))
     if not set_i or not set_j:
         raise DomainError("mark sets must be nonempty")
     if set_i & set_j:
         raise DomainError(f"mark sets overlap: {sorted(set_i & set_j)}")
-    if any(k not in t.diagram.nodes for k in set_i | set_j):
-        raise DomainError("mark sets must consist of diagram nodes")
     return r % 2 == 1 and set_i | set_j == {1, r} and _is_palindrome(t.values)
 
 

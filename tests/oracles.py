@@ -320,7 +320,7 @@ def b3_spin_dimension() -> Fraction:
 
 
 def symmetrizer_fraction(d) -> tuple[Fraction, ...]:
-    """Positive rationals d_i with d_i * C[i][j] == d_j * C[j][i], 1 on each component's first node."""
+    """Positive rationals d_i with C[i][j] * d_j == C[j][i] * d_i, 1 on each component's first node."""
     from flagcalc.dynkin import cartan_matrix
 
     c = cartan_matrix(d)

@@ -69,7 +69,9 @@ def test_normalization_idempotent():
         assert parse_diagram(d.render()) == d
 
 
-@pytest.mark.parametrize("bad", ["A0", "E5", "E9", "F3", "G3", "H2", "", "A", "2A", "A2++A1"])
+@pytest.mark.parametrize(
+    "bad", ["A0", "B0", "C0", "D0", "D1", "E5", "E9", "E10", "F3", "G3", "H2", "", "A", "2A", "A2++A1"]
+)
 def test_parse_errors(bad):
     with pytest.raises(ParseError):
         parse_diagram(bad)

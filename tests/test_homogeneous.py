@@ -7,7 +7,8 @@ import pytest
 from flagcalc import dynkin, homogeneous
 from flagcalc.classifier import _product_entry, homogeneous_tags
 from flagcalc.drum import build_drum
-from flagcalc.dynkin import parse_diagram, positive_roots
+from flagcalc.drum import weyl_dim
+from flagcalc.dynkin import parse_diagram, positive_roots, subdiagram
 from flagcalc.errors import DomainError, ParseError
 from flagcalc.homogeneous import (
     ENUMERATE_MAX_RANK,
@@ -20,6 +21,7 @@ from flagcalc.homogeneous import (
     parse_marked,
     picard_number,
 )
+from flagcalc.tags import nesting_admissible, parse_tag, restrict_tag
 
 from oracles import (
     dimension_by_roots,
@@ -170,6 +172,47 @@ def test_is_two_bundle_pair_matches_fiber_oracle():
 def test_two_bundle_checks_reject_non_integer_nodes(check, nodes):
     with pytest.raises(DomainError, match="nodes must be integers"):
         check(parse_diagram("B3"), *nodes)
+
+
+# Every public entry point that takes nodes of a diagram shares one check,
+# ``DynkinDiagram.check_nodes``.
+B3, A3_TAG = parse_diagram("B3"), parse_tag("A3:1,0,2")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: subdiagram(B3, [1.0, 2.0]), id="subdiagram-float"),
+        pytest.param(lambda: subdiagram(B3, [True, 2]), id="subdiagram-bool"),
+        pytest.param(lambda: contraction_fiber(B3, [1.0, 3], [1.0]), id="contraction_fiber"),
+        pytest.param(lambda: contraction_fiber(B3, [1, 3], [1.0]), id="contraction_fiber-base"),
+        pytest.param(lambda: restrict_tag(A3_TAG, [1, 1.0]), id="restrict_tag-repeat"),
+        pytest.param(lambda: restrict_tag(A3_TAG, [2.0]), id="restrict_tag"),
+        pytest.param(lambda: nesting_admissible(A3_TAG, [1.0], [3]), id="nesting_admissible"),
+        pytest.param(lambda: MarkedDiagram(B3, (1, 2.0)), id="MarkedDiagram"),
+        pytest.param(lambda: weyl_dim(B3, True), id="weyl_dim"),
+    ],
+)
+def test_node_checks_reject_non_integer_nodes(call):
+    with pytest.raises(DomainError, match="nodes must be integers"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: MarkedDiagram(B3, (1, 4)), id="MarkedDiagram"),
+        pytest.param(lambda: is_two_bundle_pair(B3, 1, 4), id="is_two_bundle_pair"),
+        pytest.param(lambda: weyl_dim(B3, 4), id="weyl_dim"),
+        pytest.param(lambda: subdiagram(B3, [1, 4]), id="subdiagram"),
+        pytest.param(lambda: contraction_fiber(B3, [1, 4], [1]), id="contraction_fiber"),
+        pytest.param(lambda: restrict_tag(A3_TAG, [4, 1]), id="restrict_tag"),
+        pytest.param(lambda: nesting_admissible(A3_TAG, [1], [4]), id="nesting_admissible"),
+    ],
+)
+def test_node_checks_reject_nodes_outside_the_diagram(call):
+    with pytest.raises(DomainError, match=r"nodes \[(1, )?4\] not all in diagram [AB]3$"):
+        call()
 
 
 def test_is_projective_space():

@@ -1,4 +1,8 @@
-"""flagcalc is stdlib-only: every import in the package is relative or names a standard module."""
+"""flagcalc is stdlib-only: every import in the package is relative or names a standard module.
+
+Two layering rules are checked on the same syntax trees: only ``dynkin``
+names its shape-reading internals, and no module uses rational arithmetic.
+"""
 from __future__ import annotations
 
 import ast
@@ -6,6 +10,13 @@ import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "flagcalc"
+SHAPE_INTERNALS = {"_graph_components", "_read_shape", "_neighbour_table"}
+
+
+def _trees() -> list[tuple[str, ast.AST]]:
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert len(sources) >= 8
+    return [(path.name, ast.parse(path.read_text(encoding="utf-8"), str(path))) for path in sources]
 
 
 def _absolute_imports(tree: ast.AST):
@@ -16,13 +27,43 @@ def _absolute_imports(tree: ast.AST):
             yield node.module
 
 
+def _names(tree: ast.AST):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
 def test_package_imports_only_the_standard_library():
-    sources = sorted(PACKAGE.glob("*.py"))
-    assert len(sources) >= 8
     outside = [
-        (path.name, name)
-        for path in sources
-        for name in _absolute_imports(ast.parse(path.read_text(encoding="utf-8"), str(path)))
-        if name.partition(".")[0] not in sys.stdlib_module_names
+        (name, module)
+        for name, tree in _trees()
+        for module in _absolute_imports(tree)
+        if module.partition(".")[0] not in sys.stdlib_module_names
     ]
     assert not outside, outside
+
+
+def test_only_dynkin_names_its_shape_internals():
+    # Other modules split node sets through ``dynkin._components``.
+    named = [
+        (name, internal)
+        for name, tree in _trees()
+        if name != "dynkin.py"
+        for internal in _names(tree)
+        if internal in SHAPE_INTERNALS
+    ]
+    assert not named, named
+
+
+def test_no_module_imports_fractions():
+    rational = [
+        (name, module)
+        for name, tree in _trees()
+        for module in _absolute_imports(tree)
+        if module.partition(".")[0] == "fractions"
+    ]
+    assert not rational, rational
