@@ -15,7 +15,6 @@ from .dynkin import DynkinDiagram, pairing, positive_roots
 from .errors import DomainError
 from .homogeneous import (
     TwoBundleEntry,
-    dimension,
     MarkedDiagram,
     enumerate_two_bundles,
     is_two_bundle_pair,
@@ -134,14 +133,14 @@ class HomogeneousModel:
 
 
 def _product_entry(r_minus: int, r_plus: int) -> TwoBundleEntry:
-    diagram = DynkinDiagram((("A", r_minus), ("A", r_plus)))
+    """P^r_minus x P^r_plus, marked at each first node of A_r_minus + A_r_plus: dim r_minus + r_plus."""
     return TwoBundleEntry(
-        diagram=diagram,
+        diagram=DynkinDiagram((("A", r_minus), ("A", r_plus))),
         i=1,
         j=r_minus + 1,
         r_minus=r_minus,
         r_plus=r_plus,
-        dim=dimension(MarkedDiagram(diagram, (1, r_minus + 1))),
+        dim=r_minus + r_plus,
     )
 
 

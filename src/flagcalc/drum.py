@@ -14,7 +14,7 @@ from functools import lru_cache
 
 from .dynkin import DynkinDiagram, positive_roots
 from .errors import DomainError
-from .homogeneous import MarkedDiagram, dimension, is_two_bundle_pair
+from .homogeneous import MarkedDiagram, _fiber_table, is_two_bundle_pair
 
 DIVISOR_CLASSES = ("alpha*L", "pi*L-", "pi*L+", "Y+", "Y-", "M+", "M-")
 CURVE_CLASSES = ("ell-", "ell+")
@@ -102,15 +102,15 @@ def build_drum(d: DynkinDiagram, i: int, j: int) -> HorosphericalDrum:
     The ambient projective space of the orbit closure has dimension
     dim V_i + dim V_j - 1; the drum itself gains one dimension over the base
     variety.  The torus weight is normalized to 0 on the sink D{i} and 1 on
-    the source D{j}.
+    the source D{j}.  dim D{i,j} = dim D{i} + r_plus, from the fiber tables.
     """
-    if is_two_bundle_pair(d, i, j) is None:
+    ranks = is_two_bundle_pair(d, i, j)
+    if ranks is None:
         raise DomainError(f"{MarkedDiagram(d, (i, j))} is not a two-bundle model")
-    dim_y = dimension(MarkedDiagram(d, (i, j)))
+    dim_i, dim_j = _fiber_table(d, i)[0], _fiber_table(d, j)[0]
+    dim_y = dim_i + ranks[1]
     dim_v_i = weyl_dim(d, i)
     dim_v_j = weyl_dim(d, j)
-    sink_variety = MarkedDiagram(d, (i,))
-    source_variety = MarkedDiagram(d, (j,))
     return HorosphericalDrum(
         diagram=d,
         i=i,
@@ -120,8 +120,8 @@ def build_drum(d: DynkinDiagram, i: int, j: int) -> HorosphericalDrum:
         dim_v_i=dim_v_i,
         dim_v_j=dim_v_j,
         ambient_dim=dim_v_i + dim_v_j - 1,
-        sink=FixedComponent(variety=sink_variety, mu=0, dim=dimension(sink_variety)),
-        source=FixedComponent(variety=source_variety, mu=1, dim=dimension(source_variety)),
+        sink=FixedComponent(variety=MarkedDiagram(d, (i,)), mu=0, dim=dim_i),
+        source=FixedComponent(variety=MarkedDiagram(d, (j,)), mu=1, dim=dim_j),
     )
 
 

@@ -17,10 +17,10 @@ D2, D3).  Subdiagram types and diagram automorphisms are closed forms read
 off the diagram's shape: ``_components`` is the one reader that splits a
 node subset into named components, walked on a neighbour table cached per
 diagram.  Every node subset of a diagram of finite type is of finite type, so
-the shape read is the type.  A subdiagram is renumbered by the
-lexicographically smallest isomorphism onto the standard numbering, and a
-rank-2 double bond is always named ``B2`` (a ``C2`` piece of ``C_n`` has its
-nodes swapped).
+the shape read is the type.  ``_renumber``, the one renumbering path, gives
+each component its lexicographically smallest isomorphism onto the standard
+numbering, and a rank-2 double bond is always named ``B2`` (a ``C2`` piece of
+``C_n`` has its nodes swapped).
 """
 from __future__ import annotations
 
@@ -93,15 +93,6 @@ class DynkinDiagram:
 
     def is_connected(self) -> bool:
         return len(self.components) == 1
-
-    def component_spans(self) -> tuple[tuple[str, int, int], ...]:
-        """(family, first_node, last_node) for each component."""
-        spans = []
-        offset = 0
-        for fam, rank in self.components:
-            spans.append((fam, offset + 1, offset + rank))
-            offset += rank
-        return tuple(spans)
 
     def render(self) -> str:
         return "+".join(f"{fam}{rank}" for fam, rank in self.components)
@@ -397,23 +388,23 @@ def _read_shape(c: Matrix, neighbours: dict[int, list[int]], comp: list[int]) ->
     return "B" if c[path[t] - 1][path[t + 1] - 1] == -2 else "C", path
 
 
-def subdiagram(
-    d: DynkinDiagram, nodes: "set[int] | frozenset[int] | tuple[int, ...] | list[int]"
-) -> tuple[DynkinDiagram, dict[int, int]]:
-    """Induced subdiagram on a node subset, re-normalized.
-
-    Returns the new diagram together with the map from original node indices
-    to the new global indices.  Components are ordered by their smallest
-    original node.  Each component is named by its shape; of the
-    isomorphisms onto its standard numbering, the lexicographically smallest
-    is used.
-    """
+def subdiagram(d: DynkinDiagram, nodes) -> tuple[DynkinDiagram, dict[int, int]]:
+    """Induced subdiagram on a node subset, renumbered, and the map from old node indices to new ones."""
     nodes = d.check_nodes(nodes)
     if not nodes:
         raise DomainError("empty node set has no subdiagram")
+    return _renumber(_components(d, nodes))
+
+
+def _renumber(comps: list[tuple[str, list[int]]]) -> tuple[DynkinDiagram, dict[int, int]]:
+    """Diagram of the ``_components`` output ``comps``, in order, and the map from its nodes to new indices.
+
+    Each component takes its lexicographically smallest isomorphism onto its
+    standard numbering.
+    """
     parts: list[tuple[str, int]] = []
     mapping: dict[int, int] = {}
-    for family, order in _components(d, nodes):
+    for family, order in comps:
         k, comp = len(order), sorted(order)
         position = {a: s + 1 for s, a in enumerate(order)}
         sigma = min(

@@ -5,6 +5,10 @@ the parabolic subgroup determined by the unmarked nodes.  This module
 computes dimensions, Picard numbers, fibers of the forgetful contractions
 between marked diagrams, and the search for diagrams carrying two projective
 bundle structures.
+
+The fibers over a base node are read once, by ``_fiber_table``: the two-bundle
+test, catalogue entries and drums take their ranks and dimensions from it,
+with dim D{i,j} = dim D{i} + r_plus.
 """
 from __future__ import annotations
 
@@ -18,9 +22,9 @@ from .dynkin import (
     _NORMALIZED_RANKS,
     _component_root_count,
     _components,
+    _renumber,
     automorphisms,
     parse_with_node_map,
-    subdiagram,
 )
 from .errors import DomainError, ParseError
 
@@ -116,16 +120,16 @@ def contraction_fiber(
             raise DomainError("contraction along equal mark sets is the identity")
         raise DomainError(f"base marks {sorted(base)} not contained in {sorted(total)}")
     extra = total - base
-    residual = [i for i in d.nodes if i not in base]
-    kept = [a for _, order in _components(d, residual) if extra & set(order) for a in order]
-    fiber_diag, node_map = subdiagram(d, kept)
-    dropped_nodes = [i for i in residual if i not in node_map]
+    kept, dropped = [], []
+    for comp in _components(d, [i for i in d.nodes if i not in base]):
+        (kept if extra.intersection(comp[1]) else dropped).append(comp)
+    fiber_diag, node_map = _renumber(kept)
     return ContractionFiber(
         base_marks=tuple(sorted(base)),
         total_marks=tuple(sorted(total)),
         fiber=MarkedDiagram(fiber_diag, tuple(node_map[i] for i in sorted(extra))),
         node_map=tuple(sorted(node_map.items())),
-        dropped=subdiagram(d, dropped_nodes)[0] if dropped_nodes else None,
+        dropped=_renumber(dropped)[0] if dropped else None,
     )
 
 
@@ -160,30 +164,34 @@ def is_two_bundle_pair(d: DynkinDiagram, i: int, j: int) -> tuple[int, int] | No
     """(r_minus, r_plus) when both contractions of D{i,j} are projective bundles.
 
     r_plus is the fiber dimension over D{i} and r_minus the one over D{j}.
-    Each is one lookup in ``_fiber_ranks``, the table of fiber ranks that
-    reads D - {base} once for every second mark over that base node.
+    Each is one lookup in ``_fiber_table``, which reads D - {base} once for
+    every second mark over that base node.
     """
     d.check_nodes((i, j))
     if i == j:
         raise DomainError(f"{(i, j)} is not a pair of distinct nodes of {d}")
-    r_plus, r_minus = _fiber_ranks(d, i)[j - 1], _fiber_ranks(d, j)[i - 1]
+    r_plus, r_minus = _fiber_table(d, i)[1][j - 1], _fiber_table(d, j)[1][i - 1]
     if r_plus is None or r_minus is None:
         return None
     return (r_minus, r_plus)
 
 
 @lru_cache(maxsize=None)
-def _fiber_ranks(d: DynkinDiagram, base: int) -> tuple[int | None, ...]:
-    """Entry ``mark - 1``: ``_projective_rank`` of the fiber of D{base,mark} -> D{base}.
+def _fiber_table(d: DynkinDiagram, base: int) -> tuple[int, tuple[int | None, ...]]:
+    """(dim D{base}, ranks): entry ``mark - 1`` of ranks is ``_projective_rank`` of D{base,mark} -> D{base}.
 
     That fiber is the component of the other nodes that holds ``mark``, so
-    each component is read once, for all of its marks.  None at ``base``.
+    each component is read once, for all of its marks; the rank is None at
+    ``base``.  The same components make up the Levi diagram of D{base}, so
+    dim D{base} = |Φ⁺(D)| - Σ |Φ⁺(component)|, as in ``dimension``.
     """
     ranks: list[int | None] = [None] * d.rank
+    dim = sum(_component_root_count(*comp) for comp in d.components)
     for family, order in _components(d, [a for a in d.nodes if a != base]):
+        dim -= _component_root_count(family, len(order))
         for position, mark in enumerate(order, 1):
             ranks[mark - 1] = _projective_rank(family, len(order), position)
-    return tuple(ranks)
+    return dim, tuple(ranks)
 
 
 @dataclass(frozen=True)
@@ -217,7 +225,8 @@ ENUMERATE_MAX_RANK = 50
 def enumerate_two_bundles(max_rank: int) -> tuple[TwoBundleEntry, ...]:
     """All connected diagrams of rank <= max_rank carrying two bundle structures.
 
-    Built in (family, rank, marks) order, one pair i < j at a time.  C2 is not
+    Built in (family, rank, marks) order, one pair i < j at a time, with
+    dim D{i,j} = dim D{i} + r_plus read off ``_fiber_table``.  C2 is not
     scanned, as C2{1,2} is B2{1,2}.  Outside type A a pair is kept only when
     it is the largest sorted image of itself under the diagram automorphisms,
     so each automorphism orbit (such as the three D4 pairs, kept as {3,4})
@@ -238,5 +247,5 @@ def enumerate_two_bundles(max_rank: int) -> tuple[TwoBundleEntry, ...]:
             for i, j in combinations(d.nodes, 2):
                 ranks = is_two_bundle_pair(d, i, j)
                 if ranks is not None and all((i, j) >= tuple(sorted((s[i - 1], s[j - 1]))) for s in autos):
-                    entries.append(TwoBundleEntry(d, i, j, *ranks, dim=dimension(MarkedDiagram(d, (i, j)))))
+                    entries.append(TwoBundleEntry(d, i, j, *ranks, dim=_fiber_table(d, i)[0] + ranks[1]))
     return tuple(entries)

@@ -10,9 +10,10 @@ of reading a subdiagram's type off its shape, a running product of
 rationals instead of one exact integer division for the Weyl dimension, a
 scan of the root list instead of closed-form root counts for the
 dimension of a marked diagram, fibers built as renumbered subdiagrams
-instead of read off their shape for the two-bundle test, and a two-bundle
+instead of read off their shape for the two-bundle test, a two-bundle
 catalogue built by canonicalizing every pair, deduplicating and sorting
-instead of in one ordered pass.
+instead of in one ordered pass, and contraction fibers built by splitting
+the residual diagram three times instead of renumbering one split.
 
 Module-level code is stdlib-only: the benchmark loads this file by path.
 """
@@ -269,6 +270,16 @@ def subdiagram_by_search(c: Matrix, nodes) -> tuple[tuple[tuple[str, int], ...],
     return tuple(parts), mapping
 
 
+def component_spans(d) -> tuple[tuple[str, int, int], ...]:
+    """(family, first_node, last_node) for each component of the diagram ``d``."""
+    spans = []
+    offset = 0
+    for fam, rank in d.components:
+        spans.append((fam, offset + 1, offset + rank))
+        offset += rank
+    return tuple(spans)
+
+
 def canonical_tag_form(tag):
     """Components with values, up to diagram isomorphism.
 
@@ -279,7 +290,7 @@ def canonical_tag_form(tag):
     from flagcalc.dynkin import DynkinDiagram, automorphisms
 
     comps = []
-    for fam, first, last in tag.diagram.component_spans():
+    for fam, first, last in component_spans(tag.diagram):
         rank = last - first + 1
         vals = tag.values[first - 1 : last]
         single = DynkinDiagram(((fam, rank),))
@@ -326,7 +337,7 @@ def symmetrizer_fraction(d) -> tuple[Fraction, ...]:
     c = cartan_matrix(d)
     n = d.rank
     vals: list[Fraction | None] = [None] * n
-    for _, first, last in d.component_spans():
+    for _, first, last in component_spans(d):
         vals[first - 1] = Fraction(1)
         frontier = [first]
         while frontier:
@@ -389,6 +400,39 @@ def is_two_bundle_pair_by_fibers(d, i: int, j: int) -> tuple[int, int] | None:
         fiber, node_map = subdiagram(d, comp)
         ranks.append(is_projective_space(MarkedDiagram(fiber, (node_map[mark],))))
     return None if None in ranks else (ranks[0], ranks[1])
+
+
+def contraction_fiber_by_subdiagrams(d, total_marks, base_marks):
+    """Fiber of ``D{total_marks} -> D{base_marks}``, splitting the residual diagram three times.
+
+    The components of D - base that meet the extra marks are picked with
+    ``_components``, then the kept and the dropped nodes are each built
+    again with ``subdiagram``.
+    """
+    from flagcalc.dynkin import _components, subdiagram
+    from flagcalc.errors import DomainError
+    from flagcalc.homogeneous import ContractionFiber, MarkedDiagram
+
+    total = set(d.check_nodes(total_marks))
+    base = set(d.check_nodes(base_marks))
+    if not base:
+        raise DomainError("base mark set must be nonempty")
+    if not base < total:
+        if base == total:
+            raise DomainError("contraction along equal mark sets is the identity")
+        raise DomainError(f"base marks {sorted(base)} not contained in {sorted(total)}")
+    extra = total - base
+    residual = [i for i in d.nodes if i not in base]
+    kept = [a for _, order in _components(d, residual) if extra & set(order) for a in order]
+    fiber_diag, node_map = subdiagram(d, kept)
+    dropped_nodes = [i for i in residual if i not in node_map]
+    return ContractionFiber(
+        base_marks=tuple(sorted(base)),
+        total_marks=tuple(sorted(total)),
+        fiber=MarkedDiagram(fiber_diag, tuple(node_map[i] for i in sorted(extra))),
+        node_map=tuple(sorted(node_map.items())),
+        dropped=subdiagram(d, dropped_nodes)[0] if dropped_nodes else None,
+    )
 
 
 def _canonical_pair(d, i: int, j: int):

@@ -15,7 +15,7 @@ from flagcalc.drum import (
 )
 from flagcalc.dynkin import DynkinDiagram, automorphisms, cartan_matrix, parse_diagram, positive_roots, pairing
 from flagcalc.errors import DomainError
-from flagcalc.homogeneous import enumerate_two_bundles, is_two_bundle_pair, parse_marked
+from flagcalc.homogeneous import MarkedDiagram, dimension, enumerate_two_bundles, is_two_bundle_pair, parse_marked
 
 from oracles import b3_spin_dimension, symmetrizer_fraction, weyl_dim_fraction
 
@@ -157,10 +157,15 @@ def test_build_drum_domain_equals_two_bundle_pairs():
 
 
 def test_all_drums_have_bandwidth_one_and_one_extra_dimension():
-    for entry in enumerate_two_bundles(6):
-        drum = build_drum(entry.diagram, entry.i, entry.j)
+    for entry in enumerate_two_bundles(12):
+        d, i, j = entry.diagram, entry.i, entry.j
+        drum = build_drum(d, i, j)
         assert drum.dim_z == drum.dim_y + 1
         assert bandwidth(drum) == 1
+        # the dimensions come from the fiber tables; check them against ``dimension``
+        assert drum.dim_y == dimension(MarkedDiagram(d, (i, j)))
+        assert drum.sink.dim == dimension(MarkedDiagram(d, (i,)))
+        assert drum.source.dim == dimension(MarkedDiagram(d, (j,)))
 
 
 def test_bandwidth_degenerate():

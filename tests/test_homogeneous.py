@@ -1,10 +1,11 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 import pytest
 
-from flagcalc import dynkin, homogeneous
+from flagcalc import classifier, drum, dynkin, homogeneous
 from flagcalc.classifier import _product_entry, homogeneous_tags
 from flagcalc.drum import build_drum
 from flagcalc.drum import weyl_dim
@@ -24,6 +25,7 @@ from flagcalc.homogeneous import (
 from flagcalc.tags import nesting_admissible, parse_tag, restrict_tag
 
 from oracles import (
+    contraction_fiber_by_subdiagrams,
     dimension_by_roots,
     enumerate_two_bundles_by_canonical_pairs,
     expected_two_bundle_keys,
@@ -135,6 +137,41 @@ def test_contraction_fiber_errors():
         contraction_fiber(d, {1, 2}, {1, 2})
     with pytest.raises(DomainError):
         contraction_fiber(d, {1, 2}, set())
+
+
+def _nonempty_subsets(nodes):
+    return [set(s) for k in range(1, len(nodes) + 1) for s in combinations(nodes, k)]
+
+
+def test_contraction_fiber_matches_subdiagram_oracle_on_every_mark_pair():
+    # every (total, base) with {} != base < total, 6750 pairs
+    texts = [f"A{n}" for n in range(1, 8)] + [f"{fam}{n}" for fam in "BC" for n in range(2, 7)]
+    texts += ["D4", "D5", "D6", "E6", "F4", "G2", "A2+A1", "B3+A2", "D4+C2"]
+    pairs = 0
+    for text in texts:
+        d = parse_diagram(text)
+        for total in _nonempty_subsets(d.nodes):
+            for base in _nonempty_subsets(sorted(total)):
+                if base != total:
+                    pairs += 1
+                    expected = contraction_fiber_by_subdiagrams(d, total, base)
+                    assert contraction_fiber(d, total, base) == expected, (text, total, base)
+    assert pairs == 6750
+
+
+def test_contraction_fiber_splits_the_residual_once(monkeypatch):
+    calls = []
+    components = dynkin._components
+
+    def counting_components(d, nodes):
+        calls.append(sorted(nodes))
+        return components(d, nodes)
+
+    for module in (dynkin, homogeneous):
+        monkeypatch.setattr(module, "_components", counting_components)
+    f = contraction_fiber(parse_diagram("F4"), {2, 3}, {3})
+    assert (f.fiber.render(), f.dropped.render()) == ("A2{2}", "A1")
+    assert calls == [[1, 2, 4]]
 
 
 def test_fiber_dimension_additivity():
@@ -287,7 +324,8 @@ def test_enumerate_relative_dimensions():
 
 
 def test_enumerate_entry_dimensions_consistent():
-    for e in enumerate_two_bundles(6):
+    # entries take dim D{i,j} = dim D{i} + r_plus from the fiber tables
+    for e in enumerate_two_bundles(ENUMERATE_MAX_RANK):
         m = MarkedDiagram(e.diagram, (e.i, e.j))
         assert e.dim == dimension(m)
         base_plus = dimension(MarkedDiagram(e.diagram, (e.i,)))
@@ -330,16 +368,16 @@ def test_enumerate_builds_no_root_lists():
 
 
 def test_enumerate_builds_no_subdiagrams(monkeypatch):
-    # the two-bundle test reads each fiber's shape instead of building it
+    # the two-bundle test reads each fiber's shape instead of renumbering it
     calls = []
-    subdiagram = dynkin.subdiagram
+    renumber = dynkin._renumber
 
-    def counting_subdiagram(d, nodes):
-        calls.append(sorted(nodes))
-        return subdiagram(d, nodes)
+    def counting_renumber(comps):
+        calls.append(comps)
+        return renumber(comps)
 
     for module in (dynkin, homogeneous):
-        monkeypatch.setattr(module, "subdiagram", counting_subdiagram)
+        monkeypatch.setattr(module, "_renumber", counting_renumber)
     enumerate_two_bundles.cache_clear()
     dynkin.cartan_matrix.cache_clear()
     dynkin._neighbour_table.cache_clear()
@@ -350,10 +388,24 @@ def test_enumerate_builds_no_subdiagrams(monkeypatch):
 def test_enumerate_reads_each_fiber_table_once():
     # one shape read of D - {base} serves every second mark over that base
     enumerate_two_bundles.cache_clear()
-    homogeneous._fiber_ranks.cache_clear()
+    homogeneous._fiber_table.cache_clear()
     assert len(enumerate_two_bundles(12)) == 164
     scanned = sum(rank for family in "ABCDEFG" for rank in homogeneous._scan_ranks(family, 12))
-    assert 0 < homogeneous._fiber_ranks.cache_info().misses <= scanned
+    assert 0 < homogeneous._fiber_table.cache_info().misses <= scanned
+
+
+def test_entry_drum_and_product_dimensions_call_no_dimension(monkeypatch):
+    # dim D{i,j} = dim D{i} + r_plus comes from the fiber tables; P^a x P^b has dim a + b
+    calls = []
+    for module in (homogeneous, drum, classifier):
+        monkeypatch.setattr(module, "dimension", calls.append, raising=False)
+    enumerate_two_bundles.cache_clear()
+    homogeneous._fiber_table.cache_clear()
+    for e in enumerate_two_bundles(12):
+        build_drum(e.diagram, e.i, e.j)
+        build_drum(e.diagram, e.j, e.i)
+    assert _product_entry(2, 3).dim == 5
+    assert calls == []
 
 
 def test_memoized_diagram_properties_keep_equality_and_hash():
