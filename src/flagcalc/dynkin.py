@@ -11,7 +11,12 @@ so the pairing of a root ``beta`` (an integer coefficient vector over the
 simple roots) with a simple coroot is ``<beta, alpha_i^v> = (C^T beta)_i``.
 Every value is immutable and every function is pure.
 
-Parsing keeps the components of the normalized table ``_NORMALIZED_RANKS``
+``positive_roots`` is the one root generator: it grows the positive roots
+from the simple roots of the whole diagram by the simple reflections that
+raise height, pairing on the neighbour table, and sorts them once.
+
+Parsing rejects a total rank above ``MAX_RANK`` before mapping its nodes,
+keeps the components of the normalized table ``_NORMALIZED_RANKS``
 and replaces the low-rank coincidences listed in ``_COINCIDENCES`` (B1, C1,
 D2, D3).  Subdiagram types and diagram automorphisms are closed forms read
 off the diagram's shape: ``_components`` is the one reader that splits a
@@ -44,6 +49,8 @@ _EXCEPTIONAL_WEYL = {
     ("E", 8): 696729600,
 }
 _EXCEPTIONAL_ROOTS = {("G", 2): 6, ("F", 4): 24, ("E", 6): 36, ("E", 7): 63, ("E", 8): 120}
+# Largest total rank a diagram string may have; every command stays fast up to it.
+MAX_RANK = 100
 # (lowest, highest) rank of each family in the normalized table; None: unbounded.
 _NORMALIZED_RANKS = {
     "A": (1, None), "B": (2, None), "C": (2, None), "D": (4, None), "E": (6, 8), "F": (4, 4), "G": (2, 2)
@@ -108,9 +115,6 @@ class RootSystem:
     cartan: Matrix
     roots: tuple[Root, ...]
 
-    def __len__(self) -> int:
-        return len(self.roots)
-
 
 _COMPONENT_RE = re.compile(r"^([A-G])\s*([0-9]+)$")
 
@@ -120,7 +124,8 @@ def parse_with_node_map(text: str) -> tuple[DynkinDiagram, dict[int, int]]:
 
     A raw component in ``_NORMALIZED_RANKS`` is kept as typed; one in
     ``_COINCIDENCES`` is replaced by its normalized components; any other
-    rank is a ``ParseError``.
+    rank is a ``ParseError``, and a total rank above ``MAX_RANK`` is a
+    ``DomainError``, raised before any node of the offending component is mapped.
     """
     parts = [p.strip() for p in text.replace("⊔", "+").split("+")]
     if not parts or any(not p for p in parts):
@@ -139,6 +144,8 @@ def parse_with_node_map(text: str) -> tuple[DynkinDiagram, dict[int, int]]:
         else:
             raise ParseError(f"rank {rank} out of range for family {fam}")
         offset = len(node_map)
+        if offset + rank > MAX_RANK:
+            raise DomainError(f"diagram {text!r} has rank above the ceiling {MAX_RANK}")
         node_map.update((offset + k, offset + image) for k, image in enumerate(images, 1))
         comps.extend(normal)
     return DynkinDiagram(tuple(comps)), node_map
@@ -213,55 +220,38 @@ def pairing(d: DynkinDiagram, beta: Root, i: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _component_positive_roots(family: str, rank: int) -> tuple[Root, ...]:
-    """Generate the positive roots of a connected diagram by height.
-
-    A root of height h+1 is beta + alpha_i for some root beta of height h;
-    beta + alpha_i is a root iff the alpha_i-string through beta continues
-    upward, i.e. iff p - <beta, alpha_i^v> >= 1 where p counts how far the
-    string extends downward.
-    """
-    c = _component_cartan(family, rank)
-    simple = [tuple(int(k == i) for k in range(rank)) for i in range(rank)]
-    found: set[Root] = set(simple)
-    layer = list(simple)
-    while layer:
-        nxt: set[Root] = set()
-        for beta in layer:
-            for i in range(rank):
-                pair = sum(beta[j] * c[j][i] for j in range(rank))
-                p = 0
-                down = list(beta)
-                while True:
-                    down[i] -= 1
-                    if down[i] < 0 or tuple(down) not in found:
-                        break
-                    p += 1
-                if p - pair >= 1:
-                    up = list(beta)
-                    up[i] += 1
-                    new = tuple(up)
-                    if new not in found:
-                        nxt.add(new)
-        found.update(nxt)
-        layer = list(nxt)
-    return tuple(sorted(found, key=lambda r: (sum(r), r)))
-
-
-@lru_cache(maxsize=None)
 def positive_roots(d: DynkinDiagram) -> RootSystem:
-    """The positive roots of ``d`` as global coefficient vectors."""
-    n = d.rank
-    roots: list[Root] = []
-    offset = 0
-    for fam, rank in d.components:
-        for r in _component_positive_roots(fam, rank):
-            vec = [0] * n
-            vec[offset : offset + rank] = r
-            roots.append(tuple(vec))
-        offset += rank
-    roots.sort(key=lambda r: (sum(r), r))
-    return RootSystem(cartan=cartan_matrix(d), roots=tuple(roots))
+    """The positive roots of ``d`` as global coefficient vectors, grown from the simple roots.
+
+    A positive root beta that is not simple has a node i with
+    <beta, alpha_i^v> > 0, and s_i(beta) is a positive root of lower height
+    (Humphreys §10.2, Lemmas A and B).  Conversely s_i permutes the positive
+    roots other than alpha_i.  So the positive roots are exactly what the
+    simple roots reach by the reflections beta -> beta - <beta, alpha_i^v>
+    alpha_i with <beta, alpha_i^v> < 0, which raise the height.  The pairing
+    reads only node i and its neighbours, the nonzero entries of column i of
+    the Cartan matrix.  A reflection never leaves a component, so the
+    components need no separate handling.
+    """
+    n, c = d.rank, cartan_matrix(d)
+    # columns[i] lists (b, C[b][i]), 0-based, over the neighbours b of node i + 1
+    columns = [[(b - 1, c[b - 1][i]) for b in nbrs] for i, nbrs in enumerate(_neighbour_table(d))]
+    found: set[Root] = {tuple(int(k == i) for k in range(n)) for i in range(n)}
+    layer = list(found)
+    while layer:
+        grown: list[Root] = []
+        for beta in layer:
+            for i, column in enumerate(columns):
+                pair = 2 * beta[i]
+                for b, entry in column:
+                    pair += beta[b] * entry
+                if pair < 0:
+                    image = beta[:i] + (beta[i] - pair,) + beta[i + 1 :]
+                    if image not in found:
+                        found.add(image)
+                        grown.append(image)
+        layer = grown
+    return RootSystem(cartan=c, roots=tuple(sorted(found, key=lambda r: (sum(r), r))))
 
 
 def weyl_order(d: DynkinDiagram) -> int:

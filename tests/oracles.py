@@ -1,8 +1,9 @@
 """Independent oracles used across the test suite.
 
 Everything here recomputes expected values by routes deliberately different
-from the library implementation: naive reflection closure instead of
-string-based generation, breadth-first group enumeration instead of closed
+from the library implementation: an alpha_i-string walk per component and
+a naive reflection closure instead of height-raising reflections on the
+whole diagram, breadth-first group enumeration instead of closed
 forms, orthogonal-basis arithmetic instead of simple-root bookkeeping, and
 tautological short exact sequences instead of Cartan pairings, a
 backtracking isomorphism search over every candidate Cartan matrix instead
@@ -46,6 +47,58 @@ def reflection_closure(cartan: Matrix) -> set[tuple[int, ...]]:
                     roots.add(vec)
                     changed = True
     return roots
+
+
+def component_roots_by_strings(c: Matrix) -> tuple[tuple[int, ...], ...]:
+    """Generate the positive roots of a connected diagram with Cartan matrix ``c`` by height.
+
+    A root of height h+1 is beta + alpha_i for some root beta of height h;
+    beta + alpha_i is a root iff the alpha_i-string through beta continues
+    upward, i.e. iff p - <beta, alpha_i^v> >= 1 where p counts how far the
+    string extends downward.
+    """
+    rank = len(c)
+    simple = [tuple(int(k == i) for k in range(rank)) for i in range(rank)]
+    found: set[tuple[int, ...]] = set(simple)
+    layer = list(simple)
+    while layer:
+        nxt: set[tuple[int, ...]] = set()
+        for beta in layer:
+            for i in range(rank):
+                pair = sum(beta[j] * c[j][i] for j in range(rank))
+                p = 0
+                down = list(beta)
+                while True:
+                    down[i] -= 1
+                    if down[i] < 0 or tuple(down) not in found:
+                        break
+                    p += 1
+                if p - pair >= 1:
+                    up = list(beta)
+                    up[i] += 1
+                    new = tuple(up)
+                    if new not in found:
+                        nxt.add(new)
+        found.update(nxt)
+        layer = list(nxt)
+    return tuple(sorted(found, key=lambda r: (sum(r), r)))
+
+
+def positive_roots_by_strings(d):
+    """``positive_roots(d)`` from the string walk on each component, embedded and sorted by (height, lex)."""
+    from flagcalc.dynkin import RootSystem, _component_cartan, cartan_matrix
+
+    n = d.rank
+    roots = []
+    offset = 0
+    for fam, rank in d.components:
+        for r in component_roots_by_strings(_component_cartan(fam, rank)):
+            vec = [0] * n
+            vec[offset : offset + rank] = r
+            roots.append(tuple(vec))
+        offset += rank
+    roots.sort(key=lambda r: (sum(r), r))
+    return RootSystem(cartan=cartan_matrix(d), roots=tuple(roots))
 
 
 def reflection_matrices(cartan: Matrix) -> list[Matrix]:

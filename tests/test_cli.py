@@ -218,6 +218,19 @@ def test_exit_codes(capsys):
         assert ERROR_LINE.match(err[-1]) and "invalid int value" in err[-1], argv
 
 
+def test_diagram_rank_ceiling_is_a_domain_error(capsys):
+    assert run_cli("gp", "dim", "A100{1}") == (0, "A100{1}: dim 100, picard 1\n")
+    for argv in (
+        ("roots", "A101"),
+        ("gp", "dim", "A1000000{1}"),
+        ("tag", "shape", "A50+A51:1"),
+        ("drum", "build", "A99999999999", "1", "2"),
+    ):
+        assert run_cli(*argv) == (1, ""), argv
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "above the ceiling 100" in err[0], argv
+
+
 def test_node_arguments_follow_the_typed_numbering():
     # D3 is read as A3 with its nodes 1 and 2 swapped
     for typed, normalized in (

@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 from flagcalc.dynkin import (
+    MAX_RANK,
     DynkinDiagram,
     automorphisms,
     cartan_matrix,
@@ -18,6 +19,7 @@ from oracles import (
     bfs_group_order,
     closed_form_root_count,
     isomorphisms,
+    positive_roots_by_strings,
     reflection_closure,
     subdiagram_by_search,
 )
@@ -75,6 +77,15 @@ def test_normalization_idempotent():
 def test_parse_errors(bad):
     with pytest.raises(ParseError):
         parse_diagram(bad)
+
+
+def test_parse_rejects_rank_above_ceiling():
+    assert parse_diagram(f"A{MAX_RANK}").rank == MAX_RANK == 100
+    assert parse_diagram("D3+A97").rank == MAX_RANK
+    for text in [f"A{MAX_RANK + 1}", "A50+A51", "D3+A98", "A1000000", "B3+A99999999999"]:
+        with pytest.raises(DomainError, match="above the ceiling 100") as info:
+            parse_diagram(text)
+        assert type(info.value) is DomainError, text
 
 
 def test_cartan_anchors():
@@ -137,6 +148,18 @@ def test_positive_roots_match_reflection_closure_oracle():
     for text in ["A1", "A4", "B2", "B4", "C3", "C5", "D4", "D5", "G2", "F4", "E6"]:
         d = parse_diagram(text)
         assert set(positive_roots(d).roots) == reflection_closure(cartan_matrix(d)), text
+
+
+def test_positive_roots_match_string_walk_oracle():
+    connected = (
+        [f"A{n}" for n in range(1, 21)]
+        + [f"{fam}{n}" for fam in "BC" for n in range(2, 21)]
+        + [f"D{n}" for n in range(4, 21)]
+        + ["E6", "E7", "E8", "F4", "G2"]
+    )
+    for text in connected + ["A2+A1", "B3+A2", "D4+C2", "G2+F4+A1", "E8+E6"]:
+        d = parse_diagram(text)
+        assert positive_roots(d) == positive_roots_by_strings(d), text
 
 
 def test_positive_roots_contain_simples_and_are_sorted():

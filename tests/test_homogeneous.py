@@ -361,10 +361,8 @@ def test_enumerate_swapping_marks_is_harmless():
 def test_enumerate_builds_no_root_lists():
     enumerate_two_bundles.cache_clear()
     dynkin.positive_roots.cache_clear()
-    dynkin._component_positive_roots.cache_clear()
     assert len(enumerate_two_bundles(12)) == 164
     assert dynkin.positive_roots.cache_info().currsize == 0
-    assert dynkin._component_positive_roots.cache_info().currsize == 0
 
 
 def test_enumerate_builds_no_subdiagrams(monkeypatch):

@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "flagcalc"
-SHAPE_INTERNALS = {"_graph_components", "_read_shape", "_neighbour_table"}
+SHAPE_INTERNALS = {"_read_shape", "_walk", "_neighbour_table"}
 
 
 def _trees() -> list[tuple[str, ast.AST]]:
@@ -49,9 +49,12 @@ def test_package_imports_only_the_standard_library():
 
 def test_only_dynkin_names_its_shape_internals():
     # Other modules split node sets through ``dynkin._components``.
+    trees = dict(_trees())
+    defined = {node.name for node in trees["dynkin.py"].body if isinstance(node, ast.FunctionDef)}
+    assert SHAPE_INTERNALS <= defined, SHAPE_INTERNALS - defined
     named = [
         (name, internal)
-        for name, tree in _trees()
+        for name, tree in trees.items()
         if name != "dynkin.py"
         for internal in _names(tree)
         if internal in SHAPE_INTERNALS
