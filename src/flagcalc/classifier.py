@@ -2,20 +2,22 @@
 
 The two structures p+ and p- of a candidate variety restrict to tags
 delta_plus and delta_minus on lines of the opposite family.  This module
-computes those tags for the homogeneous models, checks the shape trichotomy
-that any configuration with one-dimensional minus-fibers must satisfy, and
-matches arbitrary data against the homogeneous models.
+computes those tags for the homogeneous models in closed form, off the
+fiber shapes of ``_fiber_table`` and with no root list, checks the shape
+trichotomy that any configuration with one-dimensional minus-fibers must
+satisfy, and matches arbitrary data against the homogeneous models.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .dynkin import DynkinDiagram, pairing, positive_roots
+from .dynkin import DynkinDiagram, cartan_matrix
 from .errors import DomainError
 from .homogeneous import (
     TwoBundleEntry,
     MarkedDiagram,
+    _fiber_table,
     enumerate_two_bundles,
     is_two_bundle_pair,
 )
@@ -26,7 +28,6 @@ from .tags import (
     TagShape,
     classify_tag_shape,
     is_trivial,
-    tag_from_splitting,
 )
 
 
@@ -36,19 +37,29 @@ class TagPair(NamedTuple):
 
 
 def _side_tag(d: DynkinDiagram, base: int, other: int) -> Tag:
-    """Tag of the bundle contracted to D{base}, on lines of the opposite side.
+    """Tag of the bundle contracted to D{base}, on lines of the opposite side, in closed form.
 
-    The fiber of the contraction to D{base} is cut out by the positive roots
-    beta with beta_base = 0 and beta_other > 0, and the splitting type of the
-    bundle realizing that fiber on a line of the base-node class is, up to
-    twist, {0} together with the negated pairings -<beta, alpha_base^v>.
-    Differencing the sorted degrees gives the tag.
+    Its splitting type is, up to twist, {0} with -<beta, alpha_base^v> over
+    the positive roots beta with beta_base = 0 and beta_other > 0: the roots
+    of F, the component of D - {base} holding ``other``.  At most one node b
+    of F is joined to base, so each degree is c * beta_b, c = -C[b][base].
+    Read from ``other``, F is A_r, or C_k with r = 2k - 1 (B2 read from node
+    2 is C2); let b sit at position p.  By the Bourbaki plates the roots are
+    alpha_1 + ... + alpha_m, m = 1..r, for A_r, so p degrees are 0 and the
+    rest c.  C_k adds alpha_1 + ... + alpha_{m-1} + 2(alpha_m + ... +
+    alpha_{k-1}) + alpha_k, m < k, so for p < k the degrees are p zeros, p
+    2c's and the rest c, and for p = k, k zeros and k c's.  Differencing the
+    sorted degrees, the tag is c at node p, and for C also at node r + 1 - p.
+    It is zero when no node of F is joined to base, as for a product.
     """
-    degrees = [0]
-    for beta in positive_roots(d).roots:
-        if beta[base - 1] == 0 and beta[other - 1] > 0:
-            degrees.append(-pairing(d, beta, base))
-    return tag_from_splitting(sorted(degrees))
+    _, ranks, comps = _fiber_table(d, base)
+    r, cartan = ranks[other - 1], cartan_matrix(d)
+    family, order = next(comp for comp in comps if other in (comp[1][0], comp[1][-1]))
+    values = [0] * r
+    for p, a in enumerate(order if order[0] == other else order[::-1], 1):
+        if cartan[a - 1][base - 1]:
+            values[p - 1] = values[p - 1 if family == "A" else r - p] = -cartan[a - 1][base - 1]
+    return Tag(DynkinDiagram((("A", r),)), tuple(values))
 
 
 def homogeneous_tags(d: DynkinDiagram, i: int, j: int) -> TagPair:
@@ -145,12 +156,13 @@ def _product_entry(r_minus: int, r_plus: int) -> TwoBundleEntry:
 
 
 def match_model(data: TwoBundleData, max_rank: int) -> tuple[HomogeneousModel, ...]:
-    """All homogeneous models of rank <= max_rank with the given invariants.
+    """All homogeneous models with the given invariants.
 
     A pair of zero tags matches the product of two projective spaces, which
-    is reported as a product model.  Every other model is drawn from the
-    connected classification, matched in both orientations.  An empty result
-    means no homogeneous model exists within the rank bound.
+    is reported as a product model at any ``max_rank``.  Every other model is
+    drawn from the connected classification of rank <= max_rank, matched in
+    both orientations: the rank bound limits only that catalogue, and an
+    empty result means no homogeneous model exists within it.
     """
     if max_rank < max(data.r_minus, data.r_plus) + 1:
         raise DomainError("max_rank must be at least max(r_minus, r_plus) + 1")

@@ -18,6 +18,7 @@ from typing import Callable
 from . import classifier, drum as drum_mod, homogeneous, tags as tags_mod
 from .dynkin import parse_diagram, parse_with_node_map, positive_roots, weyl_order
 from .errors import DomainError
+from .homogeneous import _marked_name
 
 SCHEMA = 1
 
@@ -48,11 +49,6 @@ def _typed_nodes(nodes, node_map: dict[int, int], text: str) -> tuple[int, ...]:
     if any(k not in node_map for k in nodes):
         raise DomainError(f"nodes {list(nodes)} not all in {text!r}")
     return tuple(node_map[k] for k in nodes)
-
-
-def _marked_name(diagram: str, marks) -> str:
-    """``B3{1,3}``: a rendered diagram and its marks, spelled as ``MarkedDiagram.render`` does."""
-    return f"{diagram}{{{','.join(str(i) for i in marks)}}}"
 
 
 def _cmd_roots(args) -> tuple[dict, Callable[[], list[str]]]:

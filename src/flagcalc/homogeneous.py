@@ -8,7 +8,8 @@ bundle structures.
 
 The fibers over a base node are read once, by ``_fiber_table``: the two-bundle
 test, catalogue entries and drums take their ranks and dimensions from it,
-with dim D{i,j} = dim D{i} + r_plus.
+with dim D{i,j} = dim D{i} + r_plus, and the classifier reads the tags off
+the same components.
 """
 from __future__ import annotations
 
@@ -29,6 +30,11 @@ from .dynkin import (
 from .errors import DomainError, ParseError
 
 
+def _marked_name(diagram: str, marks) -> str:
+    """``B3{1,3}``: a rendered diagram and its marks, the one spelling of a marked diagram."""
+    return f"{diagram}{{{','.join(str(i) for i in marks)}}}"
+
+
 @dataclass(frozen=True)
 class MarkedDiagram:
     diagram: DynkinDiagram
@@ -41,7 +47,7 @@ class MarkedDiagram:
         object.__setattr__(self, "marks", marks)
 
     def render(self) -> str:
-        return f"{self.diagram.render()}{{{','.join(str(i) for i in self.marks)}}}"
+        return _marked_name(self.diagram.render(), self.marks)
 
     def __str__(self) -> str:
         return self.render()
@@ -177,21 +183,24 @@ def is_two_bundle_pair(d: DynkinDiagram, i: int, j: int) -> tuple[int, int] | No
 
 
 @lru_cache(maxsize=None)
-def _fiber_table(d: DynkinDiagram, base: int) -> tuple[int, tuple[int | None, ...]]:
-    """(dim D{base}, ranks): entry ``mark - 1`` of ranks is ``_projective_rank`` of D{base,mark} -> D{base}.
+def _fiber_table(d: DynkinDiagram, base: int) -> tuple[int, tuple[int | None, ...], list]:
+    """(dim D{base}, ranks, comps): entry ``mark - 1`` of ranks is ``_projective_rank`` of D{base,mark} -> D{base}.
 
     That fiber is the component of the other nodes that holds ``mark``, so
     each component is read once, for all of its marks; the rank is None at
     ``base``.  The same components make up the Levi diagram of D{base}, so
     dim D{base} = |Φ⁺(D)| - Σ |Φ⁺(component)|, as in ``dimension``.
+    ``comps`` is that ``_components`` split, shared: the classifier reads the
+    tags off it and must not mutate it.
     """
     ranks: list[int | None] = [None] * d.rank
     dim = sum(_component_root_count(*comp) for comp in d.components)
-    for family, order in _components(d, [a for a in d.nodes if a != base]):
+    comps = _components(d, [a for a in d.nodes if a != base])
+    for family, order in comps:
         dim -= _component_root_count(family, len(order))
         for position, mark in enumerate(order, 1):
             ranks[mark - 1] = _projective_rank(family, len(order), position)
-    return dim, tuple(ranks)
+    return dim, tuple(ranks), comps
 
 
 @dataclass(frozen=True)

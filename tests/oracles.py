@@ -13,8 +13,10 @@ scan of the root list instead of closed-form root counts for the
 dimension of a marked diagram, fibers built as renumbered subdiagrams
 instead of read off their shape for the two-bundle test, a two-bundle
 catalogue built by canonicalizing every pair, deduplicating and sorting
-instead of in one ordered pass, and contraction fibers built by splitting
-the residual diagram three times instead of renumbering one split.
+instead of in one ordered pass, contraction fibers built by splitting
+the residual diagram three times instead of renumbering one split, and
+homogeneous tags from Cartan pairings over the whole root list instead of
+read off the fiber's shape in closed form.
 
 Module-level code is stdlib-only: the benchmark loads this file by path.
 """
@@ -435,6 +437,25 @@ def dimension_by_roots(m) -> int:
         for beta in positive_roots(m.diagram).roots
         if any(beta[i - 1] > 0 for i in marks)
     )
+
+
+def side_tag_by_roots(d, base: int, other: int):
+    """Tag of the bundle contracted to D{base}, scanning the whole root list of D.
+
+    The fiber of the contraction to D{base} is cut out by the positive roots
+    beta with beta_base = 0 and beta_other > 0, and the splitting type of the
+    bundle realizing that fiber on a line of the base-node class is, up to
+    twist, {0} together with the negated pairings -<beta, alpha_base^v>.
+    Differencing the sorted degrees gives the tag.
+    """
+    from flagcalc.dynkin import pairing, positive_roots
+    from flagcalc.tags import tag_from_splitting
+
+    degrees = [0]
+    for beta in positive_roots(d).roots:
+        if beta[base - 1] == 0 and beta[other - 1] > 0:
+            degrees.append(-pairing(d, beta, base))
+    return tag_from_splitting(sorted(degrees))
 
 
 def is_two_bundle_pair_by_fibers(d, i: int, j: int) -> tuple[int, int] | None:

@@ -5,6 +5,7 @@ import pytest
 from flagcalc.classifier import (
     HomogeneousModel,
     TwoBundleData,
+    _product_entry,
     check_shape_constraint,
     homogeneous_tags,
     match_model,
@@ -18,6 +19,7 @@ from oracles import (
     adjacent_flag_degrees,
     cotangent_line_degrees,
     point_hyperplane_degrees,
+    side_tag_by_roots,
 )
 
 
@@ -87,6 +89,21 @@ def test_homogeneous_tags_accepts_coincidence_forms():
     # C2{1,2} is enumerated as B2{1,2}; the tags are still computable on the
     # C2 presentation and agree with the B2 ones under the node swap
     assert tags_of("C2", 1, 2) == tuple(reversed(tags_of("B2", 1, 2)))
+
+
+def test_homogeneous_tags_match_root_scan_oracle():
+    # the closed form against the scan of the whole root list, both orientations
+    models = [(e.diagram, e.i, e.j) for e in enumerate_two_bundles(20)]
+    models.append((parse_diagram("C2"), 1, 2))
+    for a in range(1, 5):
+        for b in range(1, 5):
+            e = _product_entry(a, b)
+            models.append((e.diagram, e.i, e.j))
+    for d, i, j in models:
+        for base, other in ((i, j), (j, i)):
+            pair = homogeneous_tags(d, base, other)
+            assert pair.plus == side_tag_by_roots(d, base, other), (d, base, other)
+            assert pair.minus == side_tag_by_roots(d, other, base), (d, other, base)
 
 
 def test_swap_symmetry():

@@ -137,6 +137,12 @@ def test_classify():
         "--tag-minus", "0", "--tag-plus", "0", "--max-rank", "8",
     )
     assert payload["matches"][0]["product"] is True
+    # the rank bound limits only the connected catalogue: P^5 x P^5 has rank 10
+    payload = run_json(
+        "classify", "--r-minus", "5", "--r-plus", "5",
+        "--tag-minus", "0,0,0,0,0", "--tag-plus", "0,0,0,0,0", "--max-rank", "6",
+    )
+    assert [(m["diagram"], m["rank"], m["product"]) for m in payload["matches"]] == [("A5+A5", 10, True)]
 
 
 def test_drum_build():

@@ -6,7 +6,7 @@ from itertools import combinations
 import pytest
 
 from flagcalc import classifier, drum, dynkin, homogeneous
-from flagcalc.classifier import _product_entry, homogeneous_tags
+from flagcalc.classifier import TwoBundleData, _product_entry, homogeneous_tags, match_model
 from flagcalc.drum import build_drum
 from flagcalc.drum import weyl_dim
 from flagcalc.dynkin import parse_diagram, positive_roots, subdiagram
@@ -362,6 +362,12 @@ def test_enumerate_builds_no_root_lists():
     enumerate_two_bundles.cache_clear()
     dynkin.positive_roots.cache_clear()
     assert len(enumerate_two_bundles(12)) == 164
+    assert dynkin.positive_roots.cache_info().currsize == 0
+    # nor does classify: the tags are read off the fiber tables in closed form
+    enumerate_two_bundles.cache_clear()
+    homogeneous._fiber_table.cache_clear()
+    data = TwoBundleData.from_values(1, 1, (1,), (3,))
+    assert [m.entry.render() for m in match_model(data, 12)] == ["G2{1,2}"]
     assert dynkin.positive_roots.cache_info().currsize == 0
 
 

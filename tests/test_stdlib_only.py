@@ -1,7 +1,8 @@
 """flagcalc is stdlib-only: every import in the package is relative or names a standard module.
 
-Two layering rules are checked on the same syntax trees: only ``dynkin``
-names its shape-reading internals, and no module uses rational arithmetic.
+Three layering rules are checked on the same syntax trees: only ``dynkin``
+names its shape-reading internals, root lists are built only where they are
+the answer, and no module uses rational arithmetic.
 """
 from __future__ import annotations
 
@@ -11,6 +12,10 @@ from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "flagcalc"
 SHAPE_INTERNALS = {"_read_shape", "_walk", "_neighbour_table"}
+# The root machinery and the modules that may name it, besides the package's
+# re-exports in ``__init__``: ``roots`` prints the root list and ``weyl_dim``
+# takes a product over it.
+ROOT_MACHINERY = {"positive_roots": {"dynkin.py", "drum.py", "cli.py"}, "pairing": {"dynkin.py"}}
 
 
 def _trees() -> list[tuple[str, ast.AST]]:
@@ -58,6 +63,20 @@ def test_only_dynkin_names_its_shape_internals():
         if name != "dynkin.py"
         for internal in _names(tree)
         if internal in SHAPE_INTERNALS
+    ]
+    assert not named, named
+
+
+def test_only_root_consumers_name_the_root_machinery():
+    trees = dict(_trees())
+    defined = {node.name for node in trees["dynkin.py"].body if isinstance(node, ast.FunctionDef)}
+    assert set(ROOT_MACHINERY) <= defined, set(ROOT_MACHINERY) - defined
+    named = [
+        (name, function)
+        for name, tree in trees.items()
+        if name != "__init__.py"
+        for function in _names(tree)
+        if function in ROOT_MACHINERY and name not in ROOT_MACHINERY[function]
     ]
     assert not named, named
 
