@@ -323,23 +323,26 @@ def _components(d: DynkinDiagram, nodes) -> list[tuple[str, list[int]]]:
         if start not in members:
             continue
         members.remove(start)
-        comp, frontier = [start], [start]
-        while frontier:
-            for b in neighbours[frontier.pop()]:
+        comp = [start]
+        for a in comp:  # comp grows while it is read: a breadth-first walk
+            for b in neighbours[a]:
                 if b in members:
                     members.remove(b)
                     comp.append(b)
-                    frontier.append(b)
         comps.append(_read_shape(c, neighbours, comp))
     return comps
 
 
 def _walk(neighbours: dict[int, list[int]], start: int, prev: int | None) -> list[int]:
-    """Nodes met going from ``start`` away from ``prev`` until the path ends or branches."""
-    path = [start]
-    while len(ahead := [b for b in neighbours[path[-1]] if b != prev]) == 1:
-        prev = path[-1]
-        path.append(ahead[0])
+    """Nodes met going from ``start`` away from ``prev`` until the path ends or branches.
+
+    ``prev`` is None or a neighbour of ``start``, so the path goes on exactly
+    while the node reached has one neighbour besides the one it came from.
+    """
+    path, a = [start], start
+    while len(ahead := neighbours[a]) == (1 if prev is None else 2):
+        prev, a = a, ahead[0] if ahead[-1] == prev else ahead[-1]
+        path.append(a)
     return path
 
 

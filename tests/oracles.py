@@ -16,7 +16,8 @@ catalogue built by canonicalizing every pair, deduplicating and sorting
 instead of in one ordered pass, contraction fibers built by splitting
 the residual diagram three times instead of renumbering one split, and
 homogeneous tags from Cartan pairings over the whole root list instead of
-read off the fiber's shape in closed form.
+read off the fiber's shape in closed form, and fiber ranks tested at every
+position of each component instead of written at its two ends.
 
 Module-level code is stdlib-only: the benchmark loads this file by path.
 """
@@ -474,6 +475,22 @@ def is_two_bundle_pair_by_fibers(d, i: int, j: int) -> tuple[int, int] | None:
         fiber, node_map = subdiagram(d, comp)
         ranks.append(is_projective_space(MarkedDiagram(fiber, (node_map[mark],))))
     return None if None in ranks else (ranks[0], ranks[1])
+
+
+def fiber_ranks_by_positions(d, base: int) -> tuple[int | None, ...]:
+    """Fiber ranks over ``base``: ``_projective_rank`` at every position of every component.
+
+    Entry ``mark - 1`` is the rank of D{base,mark} -> D{base}, None when that
+    fiber is not a projective space and at ``base`` itself.
+    """
+    from flagcalc.dynkin import _components
+    from flagcalc.homogeneous import _projective_rank
+
+    ranks = [None] * d.rank
+    for family, order in _components(d, [a for a in d.nodes if a != base]):
+        for position, mark in enumerate(order, 1):
+            ranks[mark - 1] = _projective_rank(family, len(order), position)
+    return tuple(ranks)
 
 
 def contraction_fiber_by_subdiagrams(d, total_marks, base_marks):

@@ -29,6 +29,7 @@ from oracles import (
     dimension_by_roots,
     enumerate_two_bundles_by_canonical_pairs,
     expected_two_bundle_keys,
+    fiber_ranks_by_positions,
     is_two_bundle_pair_by_fibers,
 )
 
@@ -202,6 +203,28 @@ def test_is_two_bundle_pair_matches_fiber_oracle():
                         assert is_two_bundle_pair(d, i, j) == is_two_bundle_pair_by_fibers(d, i, j), (d, i, j)
                         pairs += 1
     assert pairs == 10774
+
+
+def test_fiber_table_ranks_match_every_position_oracle():
+    # the table writes ranks at component ends only; the oracle tests every position
+    connected = [
+        dynkin.DynkinDiagram(((fam, n),))
+        for fam, (lowest, highest) in dynkin._NORMALIZED_RANKS.items()
+        for n in range(lowest, (highest or 20) + 1)
+    ]
+    unions = [parse_diagram(t) for t in ("A2+A1", "B3+A2", "D4+C2", "G2+F4+A1", "E8+E6")]
+    bases = 0
+    for d in connected + unions:
+        for base in d.nodes:
+            assert homogeneous._fiber_table(d, base)[1] == fiber_ranks_by_positions(d, base), (d, base)
+            bases += 1
+    assert bases == 894
+
+
+def test_projective_rank_is_none_inside_every_component():
+    for fam, (lowest, highest) in dynkin._NORMALIZED_RANKS.items():
+        for k in range(lowest, (highest or dynkin.MAX_RANK) + 1):
+            assert all(homogeneous._projective_rank(fam, k, p) is None for p in range(2, k)), (fam, k)
 
 
 @pytest.mark.parametrize("check", [is_two_bundle_pair, homogeneous_tags, build_drum])
@@ -390,12 +413,25 @@ def test_enumerate_builds_no_subdiagrams(monkeypatch):
 
 
 def test_enumerate_reads_each_fiber_table_once():
-    # one shape read of D - {base} serves every second mark over that base
+    # one shape read of D - {base} serves every second mark over that base,
+    # and the scan reads each table once, as a list over the nodes
+    for max_rank, entries in ((12, 164), (ENUMERATE_MAX_RANK, 2596)):
+        enumerate_two_bundles.cache_clear()
+        homogeneous._fiber_table.cache_clear()
+        assert len(enumerate_two_bundles(max_rank)) == entries
+        scanned = sum(rank for family in "ABCDEFG" for rank in homogeneous._scan_ranks(family, max_rank))
+        info = homogeneous._fiber_table.cache_info()
+        assert (info.misses, info.hits) == (scanned, 0), max_rank
+
+
+def test_enumerate_makes_no_per_pair_test(monkeypatch):
+    # the catalogue is read off the fiber tables, not pair by pair
+    calls = []
+    monkeypatch.setattr(homogeneous, "is_two_bundle_pair", lambda *args: calls.append(args))
     enumerate_two_bundles.cache_clear()
     homogeneous._fiber_table.cache_clear()
     assert len(enumerate_two_bundles(12)) == 164
-    scanned = sum(rank for family in "ABCDEFG" for rank in homogeneous._scan_ranks(family, 12))
-    assert 0 < homogeneous._fiber_table.cache_info().misses <= scanned
+    assert calls == []
 
 
 def test_entry_drum_and_product_dimensions_call_no_dimension(monkeypatch):
