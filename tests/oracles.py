@@ -14,10 +14,12 @@ dimension of a marked diagram, fibers built as renumbered subdiagrams
 instead of read off their shape for the two-bundle test, a two-bundle
 catalogue built by canonicalizing every pair, deduplicating and sorting
 instead of in one ordered pass, contraction fibers built by splitting
-the residual diagram three times instead of renumbering one split, and
+the residual diagram three times instead of renumbering one split,
 homogeneous tags from Cartan pairings over the whole root list instead of
-read off the fiber's shape in closed form, and fiber ranks tested at every
-position of each component instead of written at its two ends.
+read off the fiber's shape in closed form, fiber ranks tested at every
+position of each component instead of written at its two ends, and the
+split of a diagram less one node walked on its neighbour table instead of
+read in closed form off the standard numbering of A, B, C and D.
 
 Module-level code is stdlib-only: the benchmark loads this file by path.
 """

@@ -3,8 +3,11 @@ from __future__ import annotations
 import pytest
 
 from flagcalc.dynkin import (
+    _NORMALIZED_RANKS,
     MAX_RANK,
     DynkinDiagram,
+    _components,
+    _split_at,
     automorphisms,
     cartan_matrix,
     pairing,
@@ -244,6 +247,22 @@ def test_subdiagram_matches_search_oracle_on_every_node_subset():
             nodes = [a for a in d.nodes if mask >> (a - 1) & 1]
             sub, node_map = subdiagram(d, nodes)
             assert (sub.components, node_map) == subdiagram_by_search(c, nodes), (text, nodes)
+
+
+def test_split_at_matches_components_at_every_base():
+    # the closed form on A-D must give the walk's families, node orders and
+    # component order exactly; the exceptional diagrams and unions walk
+    connected = [
+        DynkinDiagram(((fam, n),))
+        for fam, (lowest, highest) in _NORMALIZED_RANKS.items()
+        for n in range(lowest, (highest or MAX_RANK) + 1)
+    ]
+    bases = 0
+    for d in connected + [parse_diagram("D4+C2"), parse_diagram("B3+A2")]:
+        for base in d.nodes:
+            assert _split_at(d, base) == _components(d, [a for a in d.nodes if a != base]), (d, base)
+            bases += 1
+    assert bases == 20230
 
 
 def test_subdiagram_e7_tail_is_d6():

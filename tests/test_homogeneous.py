@@ -424,6 +424,22 @@ def test_enumerate_reads_each_fiber_table_once():
         assert (info.misses, info.hits) == (scanned, 0), max_rank
 
 
+def test_enumerate_builds_cartan_matrices_only_for_exceptional_diagrams():
+    # A, B, C and D are split at each base in closed form, with no Cartan
+    # matrix and no neighbour table; E6-8, F4 and G2 are walked
+    exceptional = [dynkin.DynkinDiagram((comp,)) for comp in (("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2))]
+    matrices = (dynkin.cartan_matrix, dynkin._neighbour_table)
+    for max_rank in (20, ENUMERATE_MAX_RANK):
+        for cached in (enumerate_two_bundles, homogeneous._fiber_table) + matrices:
+            cached.cache_clear()
+        enumerate_two_bundles(max_rank)
+        for cached in matrices:
+            assert cached.cache_info().currsize == 5, (max_rank, cached)
+            for d in exceptional:
+                cached(d)
+            assert (cached.cache_info().currsize, cached.cache_info().misses) == (5, 5), (max_rank, cached)
+
+
 def test_enumerate_makes_no_per_pair_test(monkeypatch):
     # the catalogue is read off the fiber tables, not pair by pair
     calls = []

@@ -53,7 +53,7 @@ def test_package_imports_only_the_standard_library():
 
 
 def test_only_dynkin_names_its_shape_internals():
-    # Other modules split node sets through ``dynkin._components``.
+    # Other modules split node sets through ``dynkin._components`` and ``dynkin._split_at``.
     trees = dict(_trees())
     defined = {node.name for node in trees["dynkin.py"].body if isinstance(node, ast.FunctionDef)}
     assert SHAPE_INTERNALS <= defined, SHAPE_INTERNALS - defined
