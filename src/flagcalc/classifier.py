@@ -43,17 +43,19 @@ def _side_tag(d: DynkinDiagram, base: int, other: int) -> Tag:
     the positive roots beta with beta_base = 0 and beta_other > 0: the roots
     of F, the component of D - {base} holding ``other``.  At most one node b
     of F is joined to base, so each degree is c * beta_b, c = -C[b][base].
-    Read from ``other``, F is A_r, or C_k with r = 2k - 1 (B2 read from node
-    2 is C2); let b sit at position p.  By the Bourbaki plates the roots are
-    alpha_1 + ... + alpha_m, m = 1..r, for A_r, so p degrees are 0 and the
-    rest c.  C_k adds alpha_1 + ... + alpha_{m-1} + 2(alpha_m + ... +
-    alpha_{k-1}) + alpha_k, m < k, so for p < k the degrees are p zeros, p
-    2c's and the rest c, and for p = k, k zeros and k c's.  Differencing the
-    sorted degrees, the tag is c at node p, and for C also at node r + 1 - p.
-    It is zero when no node of F is joined to base, as for a product.
+    ``other`` is an end of F, and r is its rank in the end map of
+    ``_fiber_table``.  Read from ``other``, F is A_r, or C_k with r = 2k - 1
+    (B2 read from node 2 is C2); let b sit at position p.  By the Bourbaki
+    plates the roots are alpha_1 + ... + alpha_m, m = 1..r, for A_r, so p
+    degrees are 0 and the rest c.  C_k adds alpha_1 + ... + alpha_{m-1} +
+    2(alpha_m + ... + alpha_{k-1}) + alpha_k, m < k, so for p < k the
+    degrees are p zeros, p 2c's and the rest c, and for p = k, k zeros and k
+    c's.  Differencing the sorted degrees, the tag is c at node p, and for C
+    also at node r + 1 - p.  It is zero when no node of F is joined to base,
+    as for a product.
     """
     _, ranks, comps = _fiber_table(d, base)
-    r, cartan = ranks[other - 1], cartan_matrix(d)
+    r, cartan = ranks[other], cartan_matrix(d)
     family, order = next(comp for comp in comps if other in (comp[1][0], comp[1][-1]))
     values = [0] * r
     for p, a in enumerate(order if order[0] == other else order[::-1], 1):

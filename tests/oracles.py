@@ -483,7 +483,9 @@ def fiber_ranks_by_positions(d, base: int) -> tuple[int | None, ...]:
     """Fiber ranks over ``base``: ``_projective_rank`` at every position of every component.
 
     Entry ``mark - 1`` is the rank of D{base,mark} -> D{base}, None when that
-    fiber is not a projective space and at ``base`` itself.
+    fiber is not a projective space and at ``base`` itself.  The end map of
+    ``homogeneous._fiber_table`` is this row with the None entries left out,
+    keyed by ``mark``: ``{a: r for a, r in enumerate(row, 1) if r is not None}``.
     """
     from flagcalc.dynkin import _components
     from flagcalc.homogeneous import _projective_rank

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import gc
 import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -206,7 +208,7 @@ def test_is_two_bundle_pair_matches_fiber_oracle():
 
 
 def test_fiber_table_ranks_match_every_position_oracle():
-    # the table writes ranks at component ends only; the oracle tests every position
+    # the table keeps ranks at component ends only; the oracle tests every position
     connected = [
         dynkin.DynkinDiagram(((fam, n),))
         for fam, (lowest, highest) in dynkin._NORMALIZED_RANKS.items()
@@ -216,7 +218,11 @@ def test_fiber_table_ranks_match_every_position_oracle():
     bases = 0
     for d in connected + unions:
         for base in d.nodes:
-            assert homogeneous._fiber_table(d, base)[1] == fiber_ranks_by_positions(d, base), (d, base)
+            table = homogeneous._fiber_table(d, base)
+            by_positions = fiber_ranks_by_positions(d, base)
+            assert table[1] == {a: r for a, r in enumerate(by_positions, 1) if r is not None}, (d, base)
+            total = sum(dynkin._component_root_count(*comp) for comp in d.components)
+            assert homogeneous._read_fibers(d, base, total) == table, (d, base)
             bases += 1
     assert bases == 894
 
@@ -412,16 +418,38 @@ def test_enumerate_builds_no_subdiagrams(monkeypatch):
     assert calls == []
 
 
-def test_enumerate_reads_each_fiber_table_once():
-    # one shape read of D - {base} serves every second mark over that base,
-    # and the scan reads each table once, as a list over the nodes
+def test_enumerate_leaves_fiber_table_cache_empty():
+    # the scan reads each table once, uncached; the two-bundle test, drums
+    # and classify still share one cached table per (diagram, base)
     for max_rank, entries in ((12, 164), (ENUMERATE_MAX_RANK, 2596)):
         enumerate_two_bundles.cache_clear()
         homogeneous._fiber_table.cache_clear()
         assert len(enumerate_two_bundles(max_rank)) == entries
-        scanned = sum(rank for family in "ABCDEFG" for rank in homogeneous._scan_ranks(family, max_rank))
         info = homogeneous._fiber_table.cache_info()
-        assert (info.misses, info.hits) == (scanned, 0), max_rank
+        assert (info.currsize, info.misses) == (0, 0), max_rank
+    catalogue = enumerate_two_bundles(12)
+    for e in catalogue:
+        assert is_two_bundle_pair(e.diagram, e.i, e.j) == (e.r_minus, e.r_plus)
+        assert is_two_bundle_pair(e.diagram, e.j, e.i) == (e.r_plus, e.r_minus)
+    read = {(e.diagram, base) for e in catalogue for base in (e.i, e.j)}
+    info = homogeneous._fiber_table.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (len(read), len(read), 4 * len(catalogue) - len(read))
+
+
+def test_cold_enumeration_retains_little_memory():
+    # no fiber table outlives the scan: at the ceiling the catalogue itself is
+    # about 0.5 MB, and its 5116 tables would hold about 5 MB more
+    for obj in gc.get_objects():
+        if isinstance(obj, type(enumerate_two_bundles)) and (obj.__module__ or "").startswith("flagcalc"):
+            obj.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        assert len(enumerate_two_bundles(ENUMERATE_MAX_RANK)) == 2596
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained < 2_000_000
 
 
 def test_enumerate_builds_cartan_matrices_only_for_exceptional_diagrams():
