@@ -278,15 +278,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_fiber.add_argument("--base", required=True, help="comma-separated base marks")
     add_format(p_fiber)
     p_fiber.set_defaults(func=_cmd_gp_fiber)
-    p_enum = gp_sub.add_parser("enumerate", help="diagrams with two projective bundle structures")
-    p_enum.add_argument("--max-rank", type=_int, required=True)
-    add_format(p_enum)
-    p_enum.set_defaults(func=_cmd_enumerate)
-
-    p_enum_top = sub.add_parser("enumerate", help="alias for gp enumerate")
-    p_enum_top.add_argument("--max-rank", type=_int, required=True)
-    add_format(p_enum_top)
-    p_enum_top.set_defaults(func=_cmd_enumerate)
+    enum_help = ((gp_sub, "diagrams with two projective bundle structures"), (sub, "alias for gp enumerate"))
+    for group, help_text in enum_help:
+        p_enum = group.add_parser("enumerate", help=help_text)
+        p_enum.add_argument("--max-rank", type=_int, required=True)
+        add_format(p_enum)
+        p_enum.set_defaults(func=_cmd_enumerate)
 
     p_tag = sub.add_parser("tag", help="tag calculus")
     tag_sub = p_tag.add_subparsers(dest="tag_command", required=True)

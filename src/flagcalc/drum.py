@@ -3,9 +3,9 @@
 Given a variety with two projective bundle structures, embedding it through
 the two fundamental representations attached to its marks produces a variety
 one dimension higher carrying a torus action whose fixed components are the
-two contraction targets.  This module computes the exact dimension data of
-that construction and the integer intersection ledger of the associated
-blowup, holding everything in exact arithmetic.
+two contraction targets.  This module computes, in exact arithmetic, the
+dimension data of that construction and the integer intersection ledger of
+the associated blowup, which is one table shared by every drum.
 """
 from __future__ import annotations
 
@@ -16,7 +16,8 @@ from .dynkin import DynkinDiagram, positive_roots
 from .errors import DomainError
 from .homogeneous import MarkedDiagram, _fiber_table, is_two_bundle_pair
 
-DIVISOR_CLASSES = ("alpha*L", "pi*L-", "pi*L+", "Y+", "Y-", "M+", "M-")
+BASIS = ("alpha*L", "pi*L-", "pi*L+")
+DIVISOR_CLASSES = (*BASIS, "Y+", "Y-", "M+", "M-")
 CURVE_CLASSES = ("ell-", "ell+")
 
 
@@ -126,7 +127,12 @@ def build_drum(d: DynkinDiagram, i: int, j: int) -> HorosphericalDrum:
 
 
 def bandwidth(drum: HorosphericalDrum) -> int:
-    """Spread of the torus weight over the fixed components."""
+    """Spread of the torus weight over the fixed components.
+
+    Weight 0 on V_i and 1 on V_j is the construction of ``build_drum``, so a
+    built drum has bandwidth 1 by definition; the spread is read off the
+    weights, so a drum assembled with other weights reports its own.
+    """
     if not isinstance(drum, HorosphericalDrum):
         raise TypeError(f"bandwidth needs a built drum, got {type(drum).__name__}")
     mus = [c.mu for c in drum.fixed_components]
@@ -140,7 +146,9 @@ class IntersectionLedger:
     Divisor classes are recorded as vectors over the basis
     (alpha*L, pi*L-, pi*L+); the exceptional classes satisfy
     Y+ = alpha*L - pi*L- and Y- = alpha*L - pi*L+, and M+- = alpha*L - Y+-.
-    The nefness of M+ and M- is recorded as a pair of flags, not derived.
+    ``m_plus_nef`` (``m_minus_nef``) is true exactly when M+ (M-) meets both
+    ell- and ell+ nonnegatively: nefness tested on the two line classes of
+    the table, the only curves it records.
     """
 
     class_vectors: tuple[tuple[str, tuple[int, int, int]], ...]
@@ -155,45 +163,39 @@ class IntersectionLedger:
         return dict(self.table)[(divisor, curve)]
 
 
-def ledger(
-    drum: HorosphericalDrum, l_ell_minus: int = 1, l_ell_plus: int = 1
-) -> IntersectionLedger:
-    """Pairing table of the drum blowup against the two line classes.
-
-    The degrees of the polarization on the two line classes default to the
-    normalization l_ell_minus = l_ell_plus = 1 under which the table is fully
-    numeric; other values keep the dependence on those degrees explicit.
-    """
-    if not isinstance(drum, HorosphericalDrum):
-        raise TypeError(f"ledger needs a built drum, got {type(drum).__name__}")
-    vectors: dict[str, tuple[int, int, int]] = {
-        "alpha*L": (1, 0, 0),
-        "pi*L-": (0, 1, 0),
-        "pi*L+": (0, 0, 1),
-        "Y+": (1, -1, 0),
-        "Y-": (1, 0, -1),
-        "M+": (0, 1, 0),
-        "M-": (0, 0, 1),
-    }
-    base_pairings = {
-        ("alpha*L", "ell-"): l_ell_minus,
-        ("alpha*L", "ell+"): l_ell_plus,
-        ("pi*L-", "ell-"): 0,
-        ("pi*L-", "ell+"): 1,
-        ("pi*L+", "ell-"): 1,
-        ("pi*L+", "ell+"): 0,
-    }
+def _build_ledger() -> IntersectionLedger:
+    vectors = {name: tuple(int(k == n) for k in range(3)) for n, name in enumerate(BASIS)}
+    alpha = vectors["alpha*L"]
+    for sign, other in (("+", "-"), ("-", "+")):
+        vectors[f"Y{sign}"] = tuple(a - b for a, b in zip(alpha, vectors[f"pi*L{other}"]))
+        vectors[f"M{sign}"] = tuple(a - y for a, y in zip(alpha, vectors[f"Y{sign}"]))
+    # the six basis pairings, over (alpha*L, pi*L-, pi*L+): L.ell+- = 1, and
+    # each pi*L-+ is 0 on the line ell-+ it contracts and 1 on the other
+    basis_pairings = {"ell-": (1, 0, 1), "ell+": (1, 1, 0)}
     table: dict[tuple[str, str], int] = {}
     for name in DIVISOR_CLASSES:
-        vec = vectors[name]
         for curve in CURVE_CLASSES:
-            table[(name, curve)] = sum(
-                coeff * base_pairings[(basis, curve)]
-                for coeff, basis in zip(vec, ("alpha*L", "pi*L-", "pi*L+"))
-            )
+            table[(name, curve)] = sum(c * p for c, p in zip(vectors[name], basis_pairings[curve]))
     return IntersectionLedger(
         class_vectors=tuple((name, vectors[name]) for name in DIVISOR_CLASSES),
         table=tuple(sorted(table.items())),
-        m_plus_nef=True,
-        m_minus_nef=True,
+        m_plus_nef=all(table[("M+", curve)] >= 0 for curve in CURVE_CLASSES),
+        m_minus_nef=all(table[("M-", curve)] >= 0 for curve in CURVE_CLASSES),
     )
+
+
+_LEDGER = _build_ledger()
+
+
+def ledger(drum: HorosphericalDrum) -> IntersectionLedger:
+    """Pairing table of the drum blowup against the two line classes.
+
+    Every entry is a number of the construction, not of the diagram: the
+    class relations hold on every drum blowup, L has degree 1 on both line
+    classes by normalization, and each pi*L-+ is pulled back along the
+    contraction of ell-+.  So every drum gets the same table, built once at
+    import; the drum is still required, and anything else is a TypeError.
+    """
+    if not isinstance(drum, HorosphericalDrum):
+        raise TypeError(f"ledger needs a built drum, got {type(drum).__name__}")
+    return _LEDGER

@@ -19,7 +19,9 @@ homogeneous tags from Cartan pairings over the whole root list instead of
 read off the fiber's shape in closed form, fiber ranks tested at every
 position of each component instead of written at its two ends, and the
 split of a diagram less one node walked on its neighbour table instead of
-read in closed form off the standard numbering of A, B, C and D.
+read in closed form off the standard numbering of A, B, C and D, and each
+drum identified with a known variety from the geometry of its orbit closure
+instead of measured by the dimension formulas of ``build_drum``.
 
 Module-level code is stdlib-only: the benchmark loads this file by path.
 """
@@ -585,3 +587,34 @@ def enumerate_two_bundles_by_canonical_pairs(max_rank: int):
             key=lambda e: (e.diagram.components[0][0], e.diagram.rank, e.i, e.j),
         )
     )
+
+
+def drum_identification(family: str, n: int, i: int, j: int) -> str | int:
+    """What the drum over X_n{i,j} is, from the geometry of the orbit closure.
+
+    The drum is the closure of the orbit of [v_i + v_j] in P(V_i + V_j).
+    When it is homogeneous the target is returned as a marked diagram text,
+    whose dimension is the drum's and whose fundamental representation is
+    V_i + V_j; otherwise it is one of Pasquier's smooth horospherical
+    varieties of Picard number one (Math. Ann. 2009), and its dimension is
+    returned.
+
+    - A_n{i,i+1}: the Grassmannian A_{n+1}{i+1}; A2{1,2} is read here.
+    - A_n{1,n}: the quadric Q^{2n} = D_{n+1}{1}.
+    - D_n{n-1,n}: the spinor variety D_{n+1}{n+1}.
+    - B_m{m-1,m}: dimension m(m+3)/2; B3{1,3}: dimension 9.
+    - C_m{i,i+1}: the odd symplectic Grassmannian IG(i+1, 2m+1) of Mihai
+      (Transform. Groups 2007), of dimension (i+1)(2m-i) - i(i+1)/2.
+    - F4{2,3}: dimension 23; G2{1,2}: dimension 7.
+    """
+    if family == "A" and j == i + 1:
+        return f"A{n + 1}{{{i + 1}}}"
+    if family == "A" and (i, j) == (1, n):
+        return f"D{n + 1}{{1}}"
+    if family == "D" and (i, j) == (n - 1, n):
+        return f"D{n + 1}{{{n + 1}}}"
+    if family == "B" and (i, j) == (n - 1, n):
+        return n * (n + 3) // 2
+    if family == "C" and j == i + 1:
+        return (i + 1) * (2 * n - i) - i * (i + 1) // 2
+    return {("B", 3, 1, 3): 9, ("F", 4, 2, 3): 23, ("G", 2, 1, 2): 7}[(family, n, i, j)]

@@ -17,7 +17,7 @@ from flagcalc.dynkin import DynkinDiagram, automorphisms, cartan_matrix, parse_d
 from flagcalc.errors import DomainError
 from flagcalc.homogeneous import MarkedDiagram, dimension, enumerate_two_bundles, is_two_bundle_pair, parse_marked
 
-from oracles import b3_spin_dimension, symmetrizer_fraction, weyl_dim_fraction
+from oracles import b3_spin_dimension, drum_identification, symmetrizer_fraction, weyl_dim_fraction
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -216,14 +216,32 @@ def test_ledger_identities():
     assert led.m_plus_nef and led.m_minus_nef
 
 
-def test_ledger_symbolic_parameter():
-    # before normalizing the polarization degrees, the exceptional divisor
-    # meets its own ruling in L.ell - 1
-    drum = build_drum(parse_diagram("A3"), 1, 2)
-    led = ledger(drum, l_ell_minus=5, l_ell_plus=7)
-    assert led.product("Y+", "ell+") == 7 - 1
-    assert led.product("Y-", "ell-") == 5 - 1
-    assert led.product("alpha*L", "ell-") == 5
+def test_every_drum_gets_one_ledger_with_nef_flags_read_off_its_table():
+    ledgers = {ledger(build_drum(e.diagram, e.i, e.j)) for e in enumerate_two_bundles(12)}
+    assert len(ledgers) == 1
+    (led,) = ledgers
+    for sign, flag in (("+", led.m_plus_nef), ("-", led.m_minus_nef)):
+        assert flag == all(led.product(f"M{sign}", curve) >= 0 for curve in ("ell-", "ell+"))
+
+
+def test_ledger_rejects_non_drums():
+    with pytest.raises(TypeError):
+        ledger(parse_diagram("A2"))
+
+
+def test_drums_match_their_identification_oracle():
+    entries = enumerate_two_bundles(12)
+    assert len(entries) == 164
+    for entry in entries:
+        ((family, n),) = entry.diagram.components
+        drum = build_drum(entry.diagram, entry.i, entry.j)
+        target = drum_identification(family, n, entry.i, entry.j)
+        if isinstance(target, str):
+            m = parse_marked(target)
+            assert drum.dim_z == dimension(m), (entry.render(), target)
+            assert drum.ambient_dim + 1 == weyl_dim(m.diagram, *m.marks), (entry.render(), target)
+        else:
+            assert drum.dim_z == target, entry.render()
 
 
 def test_ledger_table_consistent_with_vectors():

@@ -19,7 +19,7 @@ def _code_block(heading: str, language: str = "") -> str:
 def test_readme_quickstart_runs_as_doctest():
     block = _code_block("Library quickstart", "python")
     test = doctest.DocTestParser().get_doctest(block, {}, "README quickstart", str(README), 0)
-    assert tuple(doctest.DocTestRunner().run(test)) == (0, 11)
+    assert tuple(doctest.DocTestRunner().run(test)) == (0, 12)
 
 
 def test_readme_cli_examples_exit_zero(capsys):
