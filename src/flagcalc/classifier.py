@@ -78,6 +78,8 @@ def homogeneous_tags(d: DynkinDiagram, i: int, j: int) -> TagPair:
 
 @dataclass(frozen=True)
 class TwoBundleData:
+    """Relative dimensions r-+ and the tags delta-+ of a variety with two bundle structures."""
+
     r_minus: int
     r_plus: int
     delta_minus: Tag
@@ -105,8 +107,9 @@ class TwoBundleData:
         )
 
 
-@dataclass(frozen=True)
-class ShapeVerdict:
+class ShapeVerdict(NamedTuple):
+    """Outcome of the shape check: the tag shape and, on failure, the clauses it violates."""
+
     passed: bool
     shape: TagShape
     reason: str | None = None
@@ -136,8 +139,9 @@ def check_shape_constraint(data: TwoBundleData) -> ShapeVerdict:
     return ShapeVerdict(passed=False, shape=shape, reason="; ".join(clauses))
 
 
-@dataclass(frozen=True)
-class HomogeneousModel:
+class HomogeneousModel(NamedTuple):
+    """A catalogue entry whose invariants match the request, its tags and the matching orientation."""
+
     entry: TwoBundleEntry
     tag_plus: Tag
     tag_minus: Tag

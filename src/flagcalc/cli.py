@@ -106,14 +106,15 @@ def _cmd_gp_fiber(args) -> tuple[dict, Callable[[], list[str]]]:
 
 
 def _entry_payload(e: homogeneous.TwoBundleEntry) -> dict:
+    diagram, i, j, r_minus, r_plus, dim = e
     return {
-        "diagram": e.diagram.render(),
-        "family": e.diagram.components[0][0],
-        "rank": e.diagram.rank,
-        "marks": [e.i, e.j],
-        "r_minus": e.r_minus,
-        "r_plus": e.r_plus,
-        "dim": e.dim,
+        "diagram": diagram.render(),
+        "family": diagram.components[0][0],
+        "rank": diagram.rank,
+        "marks": [i, j],
+        "r_minus": r_minus,
+        "r_plus": r_plus,
+        "dim": dim,
     }
 
 

@@ -9,8 +9,8 @@ the associated blowup, which is one table shared by every drum.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .dynkin import DynkinDiagram, positive_roots
 from .errors import DomainError
@@ -72,15 +72,17 @@ def _weyl_dim(d: DynkinDiagram, node: int) -> int:
     return dim
 
 
-@dataclass(frozen=True)
-class FixedComponent:
+class FixedComponent(NamedTuple):
+    """A torus-fixed component of the drum: its variety, torus weight ``mu`` and dimension."""
+
     variety: MarkedDiagram
     mu: int
     dim: int
 
 
-@dataclass(frozen=True)
-class HorosphericalDrum:
+class HorosphericalDrum(NamedTuple):
+    """Dimensions of the drum over D{i,j}, its ambient space and its two fixed components."""
+
     diagram: DynkinDiagram
     i: int
     j: int
@@ -139,8 +141,7 @@ def bandwidth(drum: HorosphericalDrum) -> int:
     return max(mus) - min(mus)
 
 
-@dataclass(frozen=True)
-class IntersectionLedger:
+class IntersectionLedger(NamedTuple):
     """Integer pairing table between divisor and curve classes on the blowup.
 
     Divisor classes are recorded as vectors over the basis

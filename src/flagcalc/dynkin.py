@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import permutations
 from math import factorial
+from typing import NamedTuple
 
 from .errors import DomainError, ParseError
 
@@ -111,8 +112,7 @@ class DynkinDiagram:
         return self.render()
 
 
-@dataclass(frozen=True)
-class RootSystem:
+class RootSystem(NamedTuple):
     """Cartan matrix plus the full list of positive roots, sorted by (height, lex)."""
 
     cartan: Matrix

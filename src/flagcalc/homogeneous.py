@@ -22,6 +22,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .dynkin import (
     DynkinDiagram,
@@ -43,6 +44,8 @@ def _marked_name(diagram: str, marks) -> str:
 
 @dataclass(frozen=True)
 class MarkedDiagram:
+    """A diagram with a nonempty set of marked nodes, stored sorted and without repeats."""
+
     diagram: DynkinDiagram
     marks: tuple[int, ...]
 
@@ -59,8 +62,7 @@ class MarkedDiagram:
         return self.render()
 
 
-@dataclass(frozen=True)
-class ContractionFiber:
+class ContractionFiber(NamedTuple):
     """Fiber of the contraction forgetting the marks outside ``base_marks``.
 
     ``fiber`` lives on the subdiagram spanned by the components of the
@@ -224,8 +226,9 @@ def _fiber_table(d: DynkinDiagram, base: int) -> tuple[int, dict[int, int], list
     return _read_fibers(d, base, sum(_component_root_count(*comp) for comp in d.components))
 
 
-@dataclass(frozen=True)
-class TwoBundleEntry:
+class TwoBundleEntry(NamedTuple):
+    """A marked diagram D{i,j} with two projective bundle structures, their ranks and its dimension."""
+
     diagram: DynkinDiagram
     i: int
     j: int

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .dynkin import DynkinDiagram, parse_diagram, parse_with_node_map, subdiagram
 from .errors import DomainError, ParseError
@@ -22,6 +22,8 @@ OTHER = "other"
 
 @dataclass(frozen=True)
 class Tag:
+    """Nonnegative integer values, one per node of the diagram."""
+
     diagram: DynkinDiagram
     values: tuple[int, ...]
 
@@ -44,22 +46,23 @@ class Tag:
         return self.render()
 
 
-@dataclass(frozen=True)
-class ZeroData:
+class ZeroData(NamedTuple):
     """Partition of the node set into the zero set of a tag and its support."""
 
     zeros: tuple[int, ...]
     support: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class RestrictedTag:
+class RestrictedTag(NamedTuple):
+    """A tag restricted to a subdiagram, with the map from kept nodes to its nodes."""
+
     tag: Tag
     node_map: tuple[tuple[int, int], ...]
 
 
-@dataclass(frozen=True)
-class TagShape:
+class TagShape(NamedTuple):
+    """Kind of a type A tag, its first value ``d`` unless other, and a symmetric-ends C reduction."""
+
     kind: str
     d: int | None = None
     reduction: Tag | None = None

@@ -375,6 +375,14 @@ def test_module_entry_point():
     assert len(err) == 1 and err[0].startswith("error: ")
 
 
+def test_package_runs_as_the_flagcalc_command():
+    # ``python -m flagcalc`` runs cli.main_entry: same output, stderr and exit code as in-process main
+    for argv in (["gp", "dim", "B3{1,3}"], ["gp", "dim", "B3{1,9}"]):
+        done = _python("-m", "flagcalc", *argv)
+        assert (done.returncode, done.stdout.decode(), done.stderr.decode()) == _run_captured(argv)
+    assert done.returncode == 1
+
+
 def test_enumerate_rank12_matches_golden_fixture():
     _, text = run_cli("enumerate", "--max-rank", "12", "--format", "json")
     golden = (FIXTURES / "enumerate_rank12.json").read_text(encoding="utf-8")

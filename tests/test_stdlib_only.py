@@ -2,7 +2,10 @@
 
 Three layering rules are checked on the same syntax trees: only ``dynkin``
 names its shape-reading internals, root lists are built only where they are
-the answer, and no module uses rational arithmetic.
+the answer, and no module uses rational arithmetic.  A fourth keeps imports
+cheap: a frozen dataclass takes about five times as long as a ``NamedTuple``
+to create at import, so only a record that validates (``__post_init__``) or
+caches (``cached_property``, which needs an instance ``__dict__``) is one.
 """
 from __future__ import annotations
 
@@ -89,3 +92,31 @@ def test_no_module_imports_fractions():
         if module.partition(".")[0] == "fractions"
     ]
     assert not rational, rational
+
+
+def _decorator_name(node: ast.expr) -> str | None:
+    """``dataclass`` for ``@dataclass``, ``@dataclasses.dataclass`` and ``@dataclass(...)``."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Name):
+        return node.id
+    return node.attr if isinstance(node, ast.Attribute) else None
+
+
+def test_every_dataclass_validates_or_caches():
+    seen, plain = set(), []
+    for name, tree in _trees():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            if "dataclass" not in map(_decorator_name, node.decorator_list):
+                continue
+            seen.add(node.name)
+            methods = [item for item in node.body if isinstance(item, ast.FunctionDef)]
+            if not any(
+                item.name == "__post_init__" or "cached_property" in map(_decorator_name, item.decorator_list)
+                for item in methods
+            ):
+                plain.append((name, node.name))
+    assert {"DynkinDiagram", "MarkedDiagram", "Tag", "TwoBundleData"} <= seen, seen
+    assert not plain, f"plain records should be NamedTuples: {plain}"
