@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .dynkin import DynkinDiagram, cartan_matrix
+from .dynkin import DynkinDiagram, _bonds
 from .errors import DomainError
 from .homogeneous import (
     TwoBundleEntry,
@@ -42,7 +42,8 @@ def _side_tag(d: DynkinDiagram, base: int, other: int) -> Tag:
     Its splitting type is, up to twist, {0} with -<beta, alpha_base^v> over
     the positive roots beta with beta_base = 0 and beta_other > 0: the roots
     of F, the component of D - {base} holding ``other``.  At most one node b
-    of F is joined to base, so each degree is c * beta_b, c = -C[b][base].
+    of F is joined to base, so each degree is c * beta_b, c = -C[b][base],
+    read off the bonds of base in ``dynkin._bonds``.
     ``other`` is an end of F, and r is its rank in the end map of
     ``_fiber_table``.  Read from ``other``, F is A_r, or C_k with r = 2k - 1
     (B2 read from node 2 is C2); let b sit at position p.  By the Bourbaki
@@ -55,12 +56,12 @@ def _side_tag(d: DynkinDiagram, base: int, other: int) -> Tag:
     as for a product.
     """
     _, ranks, comps = _fiber_table(d, base)
-    r, cartan = ranks[other], cartan_matrix(d)
+    r, joined = ranks[other], _bonds(d)[base - 1]
     family, order = next(comp for comp in comps if other in (comp[1][0], comp[1][-1]))
     values = [0] * r
     for p, a in enumerate(order if order[0] == other else order[::-1], 1):
-        if cartan[a - 1][base - 1]:
-            values[p - 1] = values[p - 1 if family == "A" else r - p] = -cartan[a - 1][base - 1]
+        if a in joined:
+            values[p - 1] = values[p - 1 if family == "A" else r - p] = -joined[a]
     return Tag(DynkinDiagram((("A", r),)), tuple(values))
 
 

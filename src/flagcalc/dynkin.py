@@ -11,20 +11,23 @@ so the pairing of a root ``beta`` (an integer coefficient vector over the
 simple roots) with a simple coroot is ``<beta, alpha_i^v> = (C^T beta)_i``.
 Every value is immutable and every function is pure.
 
-``positive_roots`` is the one root generator: it grows the positive roots
-from the simple roots of the whole diagram by the simple reflections that
-raise height, pairing on the neighbour table, and sorts them once.
+``_bonds``, cached per diagram, is the one source of Cartan entries: for
+each node a, a read-only map from each neighbour b to C[b][a].
+``cartan_matrix`` renders the dense matrix from it.  ``positive_roots`` is
+the one root generator: it grows the positive roots from the simple roots
+of the whole diagram by the simple reflections that raise height, pairing
+on the bonds, and sorts them once.
 
 Parsing rejects a total rank above ``MAX_RANK`` before mapping its nodes,
 keeps the components of the normalized table ``_NORMALIZED_RANKS``
 and replaces the low-rank coincidences listed in ``_COINCIDENCES`` (B1, C1,
 D2, D3).  Subdiagram types and diagram automorphisms are closed forms read
 off the diagram's shape: ``_components`` is the generic reader that splits
-a node subset into named components, walked on a neighbour table cached per
-diagram.  Every node subset of a diagram of finite type is of finite type,
-so the shape read is the type.  ``_split_at`` gives the same split of a
-connected A, B, C or D diagram less one node in closed form, from the
-standard numbering, and hands every other diagram to ``_components``.
+a node subset into named components, walked on the bonds.  Every node
+subset of a diagram of finite type is of finite type, so the shape read is
+the type.  ``_split_at`` gives the same split of a connected A, B, C or D
+diagram less one node in closed form, from the standard numbering, and
+hands every other diagram to ``_components``.
 ``_renumber``, the one renumbering path, gives each component its
 lexicographically smallest isomorphism onto the standard numbering, and a
 rank-2 double bond is always named ``B2`` (a ``C2`` piece of ``C_n`` has its
@@ -37,13 +40,14 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import permutations
 from math import factorial
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .errors import DomainError, ParseError
 
 Matrix = tuple[tuple[int, ...], ...]
 Root = tuple[int, ...]
-Neighbours = tuple[tuple[int, ...], ...]
+Bonds = tuple[MappingProxyType, ...]
 
 _EXCEPTIONAL_WEYL = {
     ("G", 2): 12,
@@ -160,66 +164,62 @@ def parse_diagram(text: str) -> DynkinDiagram:
 
 
 @lru_cache(maxsize=None)
-def _component_cartan(family: str, rank: int) -> Matrix:
-    if not _in_table(family, rank):
-        raise DomainError(f"component {family}{rank} is not in the normalized table")
-    c = [[2 * (i == j) for j in range(rank)] for i in range(rank)]
+def _bonds(d: DynkinDiagram) -> Bonds:
+    """Off-diagonal Cartan entries of ``d``: entry ``a - 1`` maps each neighbour b of node a to C[b][a].
 
-    def edge(a: int, b: int, ab: int = -1, ba: int = -1) -> None:
-        c[a - 1][b - 1] = ab
-        c[b - 1][a - 1] = ba
+    ``bond(a, b, ab, ba)`` joins nodes a < b of a component, in its standard
+    numbering (Humphreys §11.4), with C[a][b] = ab and C[b][a] = ba.  Bonds
+    are added in increasing order, and a double bond overwrites its simple
+    one in place, so each map lists its neighbours in increasing order.
+    """
+    columns: list[dict[int, int]] = []
 
-    if family in ("A", "B", "C"):
-        for k in range(1, rank):
-            edge(k, k + 1)
-        if family == "B" and rank >= 2:
-            edge(rank - 1, rank, ab=-2, ba=-1)
-        if family == "C" and rank >= 2:
-            edge(rank - 1, rank, ab=-1, ba=-2)
-    elif family == "D":
-        for k in range(1, rank - 1):
-            edge(k, k + 1)
-        edge(rank - 2, rank)
-    elif family == "E":
-        chain = [1] + list(range(3, rank + 1))
-        for a, b in zip(chain, chain[1:]):
-            edge(a, b)
-        edge(2, 4)
-    elif family == "F":
-        edge(1, 2)
-        edge(2, 3, ab=-2, ba=-1)
-        edge(3, 4)
-    elif family == "G":
-        edge(1, 2, ab=-1, ba=-3)
-    return tuple(tuple(row) for row in c)
+    def bond(a: int, b: int, ab: int = -1, ba: int = -1) -> None:
+        columns[offset + b - 1][offset + a] = ab
+        columns[offset + a - 1][offset + b] = ba
+
+    for family, rank in d.components:
+        if not _in_table(family, rank):
+            raise DomainError(f"component {family}{rank} is not in the normalized table")
+        offset = len(columns)
+        columns.extend({} for _ in range(rank))
+        if family in "ABC":
+            for k in range(1, rank):
+                bond(k, k + 1)
+            if family == "B":
+                bond(rank - 1, rank, ab=-2)
+            if family == "C":
+                bond(rank - 1, rank, ba=-2)
+        elif family == "D":
+            for k in range(1, rank - 1):
+                bond(k, k + 1)
+            bond(rank - 2, rank)
+        elif family == "E":
+            for a, b in ((1, 3), (2, 4), *zip(range(3, rank), range(4, rank + 1))):
+                bond(a, b)
+        elif family == "F":
+            bond(1, 2)
+            bond(2, 3, ab=-2)
+            bond(3, 4)
+        else:
+            bond(1, 2, ba=-3)
+    return tuple(MappingProxyType(column) for column in columns)
 
 
 @lru_cache(maxsize=None)
 def cartan_matrix(d: DynkinDiagram) -> Matrix:
-    """Block-diagonal Cartan matrix of a normalized diagram."""
-    n = d.rank
-    c = [[0] * n for _ in range(n)]
-    offset = 0
-    for fam, rank in d.components:
-        block = _component_cartan(fam, rank)
-        for a in range(rank):
-            for b in range(rank):
-                c[offset + a][offset + b] = block[a][b]
-        offset += rank
-    return tuple(tuple(row) for row in c)
-
-
-@lru_cache(maxsize=None)
-def _neighbour_table(d: DynkinDiagram) -> Neighbours:
-    """Entry ``a - 1`` lists the nodes joined to node ``a``, in increasing order."""
-    c = cartan_matrix(d)
-    return tuple(tuple(b + 1 for b, x in enumerate(row) if x and b != a) for a, row in enumerate(c))
+    """Block-diagonal Cartan matrix of a normalized diagram, rendered from ``_bonds``."""
+    rows = [[0] * d.rank for _ in d.nodes]
+    for a, column in enumerate(_bonds(d)):
+        rows[a][a] = 2
+        for b, entry in column.items():
+            rows[b - 1][a] = entry
+    return tuple(map(tuple, rows))
 
 
 def pairing(d: DynkinDiagram, beta: Root, i: int) -> int:
     """Pairing <beta, alpha_i^v> = (C^T beta)_i."""
-    c = cartan_matrix(d)
-    return sum(beta[j] * c[j][i - 1] for j in range(d.rank))
+    return 2 * beta[i - 1] + sum(beta[b - 1] * entry for b, entry in _bonds(d)[i - 1].items())
 
 
 @lru_cache(maxsize=None)
@@ -232,13 +232,13 @@ def positive_roots(d: DynkinDiagram) -> RootSystem:
     roots other than alpha_i.  So the positive roots are exactly what the
     simple roots reach by the reflections beta -> beta - <beta, alpha_i^v>
     alpha_i with <beta, alpha_i^v> < 0, which raise the height.  The pairing
-    reads only node i and its neighbours, the nonzero entries of column i of
-    the Cartan matrix.  A reflection never leaves a component, so the
-    components need no separate handling.
+    reads only node i and its neighbours, the entries of ``_bonds``.  A
+    reflection never leaves a component, so the components need no separate
+    handling.
     """
-    n, c = d.rank, cartan_matrix(d)
+    n = d.rank
     # columns[i] lists (b, C[b][i]), 0-based, over the neighbours b of node i + 1
-    columns = [[(b - 1, c[b - 1][i]) for b in nbrs] for i, nbrs in enumerate(_neighbour_table(d))]
+    columns = [[(b - 1, entry) for b, entry in column.items()] for column in _bonds(d)]
     found: set[Root] = {tuple(int(k == i) for k in range(n)) for i in range(n)}
     layer = list(found)
     while layer:
@@ -254,7 +254,7 @@ def positive_roots(d: DynkinDiagram) -> RootSystem:
                         found.add(image)
                         grown.append(image)
         layer = grown
-    return RootSystem(cartan=c, roots=tuple(sorted(found, key=lambda r: (sum(r), r))))
+    return RootSystem(cartan=cartan_matrix(d), roots=tuple(sorted(found, key=lambda r: (sum(r), r))))
 
 
 def weyl_order(d: DynkinDiagram) -> int:
@@ -315,12 +315,12 @@ def _components(d: DynkinDiagram, nodes) -> list[tuple[str, list[int]]]:
     shape alone: every node subset of a diagram of finite type is of finite
     type.  ``_read_shape`` must be given a whole component: every neighbour
     in ``nodes`` of one of its nodes lies in it.  The components are walked
-    on one neighbour dict restricted to ``nodes`` and each shape is read on
-    that same dict, which keeps the rule here.
+    on one neighbour dict, ``_bonds`` restricted to ``nodes``, and each shape
+    is read on that same dict, which keeps the rule here.
     """
-    c, table = cartan_matrix(d), _neighbour_table(d)
+    bonds = _bonds(d)
     members = set(nodes)
-    neighbours = {a: [b for b in table[a - 1] if b in members] for a in sorted(members)}
+    neighbours = {a: [b for b in bonds[a - 1] if b in members] for a in sorted(members)}
     comps = []
     for start in neighbours:
         if start not in members:
@@ -332,7 +332,7 @@ def _components(d: DynkinDiagram, nodes) -> list[tuple[str, list[int]]]:
                 if b in members:
                     members.remove(b)
                     comp.append(b)
-        comps.append(_read_shape(c, neighbours, comp))
+        comps.append(_read_shape(bonds, neighbours, comp))
     return comps
 
 
@@ -377,11 +377,12 @@ def _walk(neighbours: dict[int, list[int]], start: int, prev: int | None) -> lis
     return path
 
 
-def _read_shape(c: Matrix, neighbours: dict[int, list[int]], comp: list[int]) -> tuple[str, list[int]]:
+def _read_shape(bonds: Bonds, neighbours: dict[int, list[int]], comp: list[int]) -> tuple[str, list[int]]:
     """Family of the connected node set ``comp`` and its nodes in standard order, read off its shape.
 
-    ``c`` is the Cartan matrix of the diagram; ``neighbours`` maps each node
-    of ``comp`` to its neighbours in ``comp``.  A connected diagram of finite
+    ``bonds`` is the diagram's ``_bonds``, which gives each bond's product
+    C[a][b] C[b][a] and direction C[a][b]; ``neighbours`` maps each node of
+    ``comp`` to its neighbours in ``comp``.  A connected diagram of finite
     type is a path with at most one multiple bond, or a tree with one branch
     node whose arms have lengths (1, 1, k) (type D) or (1, 2, 2|3|4) (type
     E); see Humphreys §11.4.
@@ -394,22 +395,22 @@ def _read_shape(c: Matrix, neighbours: dict[int, list[int]], comp: list[int]) ->
             return "D", long[::-1] + [hub] + short + mid
         return "E", [mid[-1], short[0], mid[0], hub] + long
     path = _walk(neighbours, min(a for a in comp if len(neighbours[a]) < 2), None)
-    bonds = [c[a - 1][b - 1] * c[b - 1][a - 1] for a, b in zip(path, path[1:])]
-    heavy = max(bonds, default=1)
+    products = [bonds[b - 1][a] * bonds[a - 1][b] for a, b in zip(path, path[1:])]
+    heavy = max(products, default=1)
     if heavy == 1:
         return "A", path
-    k, t = len(path), bonds.index(heavy)
+    k, t = len(path), products.index(heavy)
     # Put the multiple bond past the middle of the path.  On the middle (G2,
     # B2, F4) it must read -1 for G2 and -2 otherwise, so that a rank-2
     # double bond is named B2: B is the first family that fits it.
     middle_reads = -1 if heavy == 3 else -2
-    if 2 * t < k - 2 or 2 * t == k - 2 and c[path[t] - 1][path[t + 1] - 1] != middle_reads:
+    if 2 * t < k - 2 or 2 * t == k - 2 and bonds[path[t + 1] - 1][path[t]] != middle_reads:
         path, t = path[::-1], k - 2 - t
     if heavy == 3:
         return "G", path
     if (k, t) == (4, 1):
         return "F", path
-    return "B" if c[path[t] - 1][path[t + 1] - 1] == -2 else "C", path
+    return "B" if bonds[path[t + 1] - 1][path[t]] == -2 else "C", path
 
 
 def subdiagram(d: DynkinDiagram, nodes) -> tuple[DynkinDiagram, dict[int, int]]:

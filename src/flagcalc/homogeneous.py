@@ -25,6 +25,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .dynkin import (
+    MAX_RANK,
     DynkinDiagram,
     _NORMALIZED_RANKS,
     _component_root_count,
@@ -249,12 +250,6 @@ def _scan_ranks(family: str, max_rank: int) -> range:
     return range(max(lowest, 3 if family == "C" else 2), min(highest or max_rank, max_rank) + 1)
 
 
-# A cold enumeration takes about 0.015 s at rank 30, 0.026 s at 40 and 0.043 s
-# at 50: medians of nine runs, each in a fresh interpreter with the import not
-# timed, on a 2-vCPU Xeon VM.
-ENUMERATE_MAX_RANK = 50
-
-
 @lru_cache(maxsize=None)
 def enumerate_two_bundles(max_rank: int) -> tuple[TwoBundleEntry, ...]:
     """All connected diagrams of rank <= max_rank carrying two bundle structures.
@@ -270,12 +265,12 @@ def enumerate_two_bundles(max_rank: int) -> tuple[TwoBundleEntry, ...]:
     D4 pairs, kept as {3,4}) is listed once; type A pairs are all kept, so
     the flip-related pairs (r, r+1) and (n-r, n-r+1) are both listed,
     matching the usual presentation of the classification.  ``max_rank``
-    runs from 2 to ``ENUMERATE_MAX_RANK``.
+    runs from 2 to ``dynkin.MAX_RANK``, the ceiling of every diagram.
     """
     if max_rank < 2:
         raise DomainError("max_rank must be at least 2")
-    if max_rank > ENUMERATE_MAX_RANK:
-        raise DomainError(f"max_rank must be at most {ENUMERATE_MAX_RANK}")
+    if max_rank > MAX_RANK:
+        raise DomainError(f"max_rank must be at most {MAX_RANK}")
     entries = []
     for family in "ABCDEFG":
         for rank in _scan_ranks(family, max_rank):

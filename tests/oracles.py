@@ -1,27 +1,28 @@
 """Independent oracles used across the test suite.
 
 Everything here recomputes expected values by routes deliberately different
-from the library implementation: an alpha_i-string walk per component and
-a naive reflection closure instead of height-raising reflections on the
-whole diagram, breadth-first group enumeration instead of closed
-forms, orthogonal-basis arithmetic instead of simple-root bookkeeping, and
-tautological short exact sequences instead of Cartan pairings, a
-backtracking isomorphism search over every candidate Cartan matrix instead
-of reading a subdiagram's type off its shape, a running product of
-rationals instead of one exact integer division for the Weyl dimension, a
-scan of the root list instead of closed-form root counts for the
-dimension of a marked diagram, fibers built as renumbered subdiagrams
+from the library implementation: dense Cartan blocks written entry by entry
+per component instead of rendered from the bond table, an alpha_i-string
+walk per component and a naive reflection closure instead of height-raising
+reflections on the whole diagram, breadth-first group enumeration instead
+of closed forms, orthogonal-basis arithmetic instead of simple-root
+bookkeeping, and tautological short exact sequences instead of Cartan
+pairings, a backtracking isomorphism search over every candidate Cartan
+matrix instead of reading a subdiagram's type off its shape, a running
+product of rationals instead of one exact integer division for the Weyl
+dimension, a scan of the root list instead of closed-form root counts for
+the dimension of a marked diagram, fibers built as renumbered subdiagrams
 instead of read off their shape for the two-bundle test, a two-bundle
 catalogue built by canonicalizing every pair, deduplicating and sorting
-instead of in one ordered pass, contraction fibers built by splitting
-the residual diagram three times instead of renumbering one split,
-homogeneous tags from Cartan pairings over the whole root list instead of
-read off the fiber's shape in closed form, fiber ranks tested at every
-position of each component instead of written at its two ends, and the
-split of a diagram less one node walked on its neighbour table instead of
-read in closed form off the standard numbering of A, B, C and D, and each
-drum identified with a known variety from the geometry of its orbit closure
-instead of measured by the dimension formulas of ``build_drum``.
+instead of in one ordered pass, contraction fibers built by splitting the
+residual diagram three times instead of renumbering one split, homogeneous
+tags from Cartan pairings over the whole root list instead of read off the
+fiber's shape in closed form, fiber ranks tested at every position of each
+component instead of written at its two ends, and the split of a diagram
+less one node walked on its bonds instead of read in closed form off the
+standard numbering of A, B, C and D, and each drum identified with a known
+variety from the geometry of its orbit closure instead of measured by the
+dimension formulas of ``build_drum``.
 
 Module-level code is stdlib-only: the benchmark loads this file by path.
 """
@@ -91,21 +92,67 @@ def component_roots_by_strings(c: Matrix) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(found, key=lambda r: (sum(r), r)))
 
 
+def component_cartan(family: str, rank: int) -> Matrix:
+    """Dense Cartan matrix of a normalized component, written entry by entry in its standard numbering."""
+    c = [[2 * (i == j) for j in range(rank)] for i in range(rank)]
+
+    def edge(a: int, b: int, ab: int = -1, ba: int = -1) -> None:
+        c[a - 1][b - 1] = ab
+        c[b - 1][a - 1] = ba
+
+    if family in ("A", "B", "C"):
+        for k in range(1, rank):
+            edge(k, k + 1)
+        if family == "B" and rank >= 2:
+            edge(rank - 1, rank, ab=-2, ba=-1)
+        if family == "C" and rank >= 2:
+            edge(rank - 1, rank, ab=-1, ba=-2)
+    elif family == "D":
+        for k in range(1, rank - 1):
+            edge(k, k + 1)
+        edge(rank - 2, rank)
+    elif family == "E":
+        chain = [1] + list(range(3, rank + 1))
+        for a, b in zip(chain, chain[1:]):
+            edge(a, b)
+        edge(2, 4)
+    elif family == "F":
+        edge(1, 2)
+        edge(2, 3, ab=-2, ba=-1)
+        edge(3, 4)
+    elif family == "G":
+        edge(1, 2, ab=-1, ba=-3)
+    return tuple(tuple(row) for row in c)
+
+
+def cartan_matrix_by_blocks(d) -> Matrix:
+    """Block-diagonal Cartan matrix of ``d``, one dense ``component_cartan`` block per component."""
+    n = d.rank
+    c = [[0] * n for _ in range(n)]
+    offset = 0
+    for fam, rank in d.components:
+        block = component_cartan(fam, rank)
+        for a in range(rank):
+            c[offset + a][offset : offset + rank] = block[a]
+        offset += rank
+    return tuple(tuple(row) for row in c)
+
+
 def positive_roots_by_strings(d):
     """``positive_roots(d)`` from the string walk on each component, embedded and sorted by (height, lex)."""
-    from flagcalc.dynkin import RootSystem, _component_cartan, cartan_matrix
+    from flagcalc.dynkin import RootSystem
 
     n = d.rank
     roots = []
     offset = 0
     for fam, rank in d.components:
-        for r in component_roots_by_strings(_component_cartan(fam, rank)):
+        for r in component_roots_by_strings(component_cartan(fam, rank)):
             vec = [0] * n
             vec[offset : offset + rank] = r
             roots.append(tuple(vec))
         offset += rank
     roots.sort(key=lambda r: (sum(r), r))
-    return RootSystem(cartan=cartan_matrix(d), roots=tuple(roots))
+    return RootSystem(cartan=cartan_matrix_by_blocks(d), roots=tuple(roots))
 
 
 def reflection_matrices(cartan: Matrix) -> list[Matrix]:
@@ -289,13 +336,12 @@ def candidate_types(k: int) -> list[tuple[str, int]]:
 
 def classify_component(c: Matrix, comp: list[int]) -> tuple[str, int, dict[int, int]]:
     """First candidate type with an isomorphism from the induced matrix on ``comp``."""
-    from flagcalc.dynkin import _component_cartan
     from flagcalc.errors import DomainError
 
     k = len(comp)
     sub = tuple(tuple(c[a - 1][b - 1] for b in comp) for a in comp)
     for fam, rank in candidate_types(k):
-        isos = isomorphisms(sub, _component_cartan(fam, rank), find_all=False)
+        isos = isomorphisms(sub, component_cartan(fam, rank), find_all=False)
         if isos:
             sigma = isos[0]
             return fam, rank, {comp[a]: sigma[a] + 1 for a in range(k)}

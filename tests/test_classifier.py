@@ -13,7 +13,7 @@ from flagcalc.classifier import (
 from flagcalc.dynkin import parse_diagram
 from flagcalc.errors import DomainError
 from flagcalc.homogeneous import enumerate_two_bundles
-from flagcalc.tags import FIRST_NODE_ONLY, OTHER, SYMMETRIC_ENDS, tag_from_splitting
+from flagcalc.tags import FIRST_NODE_ONLY, OTHER, SYMMETRIC_ENDS, parse_tag, tag_from_splitting
 
 from oracles import (
     adjacent_flag_degrees,
@@ -126,6 +126,11 @@ def test_two_bundle_data_validation():
         TwoBundleData.from_values(1, 2, (1,), (1,))
     data = TwoBundleData.from_values(1, 2, (1,), (1, 0))
     assert data.delta_plus.values == (1, 0)
+    # built directly, the record checks the same conditions
+    with pytest.raises(DomainError, match="relative dimensions must be positive"):
+        TwoBundleData(r_minus=0, r_plus=2, delta_minus=data.delta_minus, delta_plus=data.delta_plus)
+    with pytest.raises(DomainError, match="delta_plus must live on A2, got A3"):
+        TwoBundleData(r_minus=1, r_plus=2, delta_minus=data.delta_minus, delta_plus=parse_tag("A3:1,0,0"))
 
 
 def test_check_shape_constraint_cases():

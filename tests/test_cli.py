@@ -178,25 +178,25 @@ def test_exit_codes(capsys):
     assert code == 2
     code, _ = run_cli()
     assert code == 2
-    # an empty mark entry is a parse error with a one-line message
+    # an empty mark or tag entry is a parse error with a one-line message
     capsys.readouterr()
-    for text in ("B3{1,,3}", "B3{,1}"):
-        assert run_cli("gp", "dim", text) == (1, "")
+    for argv in (("gp", "dim", "B3{1,,3}"), ("gp", "dim", "B3{,1}"), ("tag", "reduce", "A3:1,,2")):
+        assert run_cli(*argv) == (1, ""), argv
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: "), text
+        assert len(err) == 1 and err[0].startswith("error: "), argv
     # a relative dimension <= 0 is named as such, not as a tag on A0 or A-1
     for r in ("0", "-1"):
         argv = ("classify", "--r-minus", r, "--r-plus", "1", "--tag-minus", "1", "--tag-plus", "3")
         assert run_cli(*argv) == (1, "")
         err = capsys.readouterr().err.splitlines()
         assert err == ["error: relative dimensions must be positive"], r
-    # enumeration stops at its documented rank ceiling
+    # enumeration stops at the documented rank ceiling of every diagram
     for argv in (
-        ("enumerate", "--max-rank", "51"),
-        ("classify", "--r-minus", "1", "--r-plus", "1", "--tag-minus", "1", "--tag-plus", "3", "--max-rank", "51"),
+        ("enumerate", "--max-rank", "101"),
+        ("classify", "--r-minus", "1", "--r-plus", "1", "--tag-minus", "1", "--tag-plus", "3", "--max-rank", "101"),
     ):
         assert run_cli(*argv) == (1, ""), argv
-        assert capsys.readouterr().err.splitlines() == ["error: max_rank must be at most 50"], argv
+        assert capsys.readouterr().err.splitlines() == ["error: max_rank must be at most 100"], argv
     # a malformed integer list is a usage error with a one-line message
     for argv in (
         ("gp", "fiber", "B3{1,3}", "--base", "x"),

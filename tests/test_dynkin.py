@@ -20,6 +20,7 @@ from flagcalc.errors import DomainError, ParseError
 
 from oracles import (
     bfs_group_order,
+    cartan_matrix_by_blocks,
     closed_form_root_count,
     isomorphisms,
     positive_roots_by_strings,
@@ -34,6 +35,12 @@ ALL_CONNECTED = (
     + [f"D{n}" for n in range(4, 13)]
     + ["E6", "E7", "E8", "F4", "G2"]
 )
+# every connected diagram of the normalized table, up to the rank ceiling
+EVERY_CONNECTED = [
+    DynkinDiagram(((fam, n),))
+    for fam, (lowest, highest) in _NORMALIZED_RANKS.items()
+    for n in range(lowest, (highest or MAX_RANK) + 1)
+]
 
 
 def test_parse_simple():
@@ -121,6 +128,13 @@ def test_cartan_invariants():
                 if i != j:
                     assert c[i][j] <= 0
                     assert (c[i][j] == 0) == (c[j][i] == 0)
+
+
+def test_cartan_matrix_matches_dense_block_oracle():
+    # rendered from the bond table, against dense blocks written entry by entry
+    unions = [parse_diagram(text) for text in ("A2+B2", "D4+C2", "G2+F4+A1", "E8+E6")]
+    for d in EVERY_CONNECTED + unions:
+        assert cartan_matrix(d) == cartan_matrix_by_blocks(d), d
 
 
 @pytest.mark.parametrize("component", [("D", 2), ("B", 1), ("E", 9), ("F", 5)])
@@ -252,13 +266,8 @@ def test_subdiagram_matches_search_oracle_on_every_node_subset():
 def test_split_at_matches_components_at_every_base():
     # the closed form on A-D must give the walk's families, node orders and
     # component order exactly; the exceptional diagrams and unions walk
-    connected = [
-        DynkinDiagram(((fam, n),))
-        for fam, (lowest, highest) in _NORMALIZED_RANKS.items()
-        for n in range(lowest, (highest or MAX_RANK) + 1)
-    ]
     bases = 0
-    for d in connected + [parse_diagram("D4+C2"), parse_diagram("B3+A2")]:
+    for d in EVERY_CONNECTED + [parse_diagram("D4+C2"), parse_diagram("B3+A2")]:
         for base in d.nodes:
             assert _split_at(d, base) == _components(d, [a for a in d.nodes if a != base]), (d, base)
             bases += 1

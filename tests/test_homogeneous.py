@@ -11,10 +11,9 @@ from flagcalc import classifier, drum, dynkin, homogeneous
 from flagcalc.classifier import TwoBundleData, _product_entry, homogeneous_tags, match_model
 from flagcalc.drum import build_drum
 from flagcalc.drum import weyl_dim
-from flagcalc.dynkin import parse_diagram, positive_roots, subdiagram
+from flagcalc.dynkin import MAX_RANK, parse_diagram, positive_roots, subdiagram
 from flagcalc.errors import DomainError, ParseError
 from flagcalc.homogeneous import (
-    ENUMERATE_MAX_RANK,
     MarkedDiagram,
     contraction_fiber,
     dimension,
@@ -326,7 +325,7 @@ def test_enumerate_rank_three():
 
 
 def test_enumerate_matches_classification_list():
-    for max_rank in (2, 3, 4, 6, 8, 12, 20, 30, ENUMERATE_MAX_RANK):
+    for max_rank in (2, 3, 4, 6, 8, 12, 20, 30, 50, MAX_RANK):
         got = {entry_key(e) for e in enumerate_two_bundles(max_rank)}
         assert got == expected_two_bundle_keys(max_rank), max_rank
 
@@ -353,8 +352,9 @@ def test_enumerate_relative_dimensions():
 
 
 def test_enumerate_entry_dimensions_consistent():
-    # entries take dim D{i,j} = dim D{i} + r_plus from the fiber tables
-    for e in enumerate_two_bundles(ENUMERATE_MAX_RANK):
+    # entries take dim D{i,j} = dim D{i} + r_plus from the fiber tables; at
+    # MAX_RANK the 30588 dimensions would take about 3 s
+    for e in enumerate_two_bundles(50):
         m = MarkedDiagram(e.diagram, (e.i, e.j))
         assert e.dim == dimension(m)
         base_plus = dimension(MarkedDiagram(e.diagram, (e.i,)))
@@ -373,15 +373,18 @@ def test_enumerate_stable_under_automorphisms():
         assert listed == images if e.diagram.components[0][0] == "A" else len(listed) == 1, e.render()
 
 
-@pytest.mark.parametrize("max_rank", [2, 3, 4, 8, 12, 20, ENUMERATE_MAX_RANK])
+@pytest.mark.parametrize("max_rank", [2, 3, 4, 8, 12, 20, 50])
 def test_enumerate_matches_canonical_pair_oracle(max_rank):
-    # whole tuples: order, diagrams, marks, r-, r+ and dim
+    # whole tuples: order, diagrams, marks, r-, r+ and dim; at MAX_RANK the
+    # oracle would take about 8 s, and the classification list covers it
     assert enumerate_two_bundles(max_rank) == enumerate_two_bundles_by_canonical_pairs(max_rank)
 
 
 def test_enumerate_swapping_marks_is_harmless():
     d = parse_diagram("B3")
     assert is_two_bundle_pair(d, 1, 3) == (2, 3)
+    with pytest.raises(DomainError, match="not a pair of distinct nodes"):
+        is_two_bundle_pair(d, 2, 2)
     # the unordered pair is what the enumeration stores
     entries = [e for e in enumerate_two_bundles(3) if e.diagram.render() == "B3"]
     assert all(e.i < e.j for e in entries)
@@ -413,7 +416,7 @@ def test_enumerate_builds_no_subdiagrams(monkeypatch):
         monkeypatch.setattr(module, "_renumber", counting_renumber)
     enumerate_two_bundles.cache_clear()
     dynkin.cartan_matrix.cache_clear()
-    dynkin._neighbour_table.cache_clear()
+    dynkin._bonds.cache_clear()
     assert len(enumerate_two_bundles(12)) == 164
     assert calls == []
 
@@ -421,7 +424,7 @@ def test_enumerate_builds_no_subdiagrams(monkeypatch):
 def test_enumerate_leaves_fiber_table_cache_empty():
     # the scan reads each table once, uncached; the two-bundle test, drums
     # and classify still share one cached table per (diagram, base)
-    for max_rank, entries in ((12, 164), (ENUMERATE_MAX_RANK, 2596)):
+    for max_rank, entries in ((12, 164), (MAX_RANK, 10196)):
         enumerate_two_bundles.cache_clear()
         homogeneous._fiber_table.cache_clear()
         assert len(enumerate_two_bundles(max_rank)) == entries
@@ -438,14 +441,14 @@ def test_enumerate_leaves_fiber_table_cache_empty():
 
 def test_cold_enumeration_retains_little_memory():
     # no fiber table outlives the scan: at the ceiling the catalogue itself is
-    # about 0.5 MB, and its 5116 tables would hold about 5 MB more
+    # about 1.5 MB, and its 20216 tables would hold about 25 MB more
     for obj in gc.get_objects():
         if isinstance(obj, type(enumerate_two_bundles)) and (obj.__module__ or "").startswith("flagcalc"):
             obj.cache_clear()
     gc.collect()
     tracemalloc.start()
     try:
-        assert len(enumerate_two_bundles(ENUMERATE_MAX_RANK)) == 2596
+        assert len(enumerate_two_bundles(MAX_RANK)) == 10196
         retained = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -454,18 +457,20 @@ def test_cold_enumeration_retains_little_memory():
 
 def test_enumerate_builds_cartan_matrices_only_for_exceptional_diagrams():
     # A, B, C and D are split at each base in closed form, with no Cartan
-    # matrix and no neighbour table; E6-8, F4 and G2 are walked
+    # entries; E6-8, F4 and G2 are walked on their bonds, and no scan builds
+    # a dense Cartan matrix
     exceptional = [dynkin.DynkinDiagram((comp,)) for comp in (("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2))]
-    matrices = (dynkin.cartan_matrix, dynkin._neighbour_table)
-    for max_rank in (20, ENUMERATE_MAX_RANK):
-        for cached in (enumerate_two_bundles, homogeneous._fiber_table) + matrices:
+    for max_rank in (20, MAX_RANK):
+        for cached in (enumerate_two_bundles, homogeneous._fiber_table, dynkin.cartan_matrix, dynkin._bonds):
             cached.cache_clear()
         enumerate_two_bundles(max_rank)
-        for cached in matrices:
-            assert cached.cache_info().currsize == 5, (max_rank, cached)
-            for d in exceptional:
-                cached(d)
-            assert (cached.cache_info().currsize, cached.cache_info().misses) == (5, 5), (max_rank, cached)
+        info = dynkin.cartan_matrix.cache_info()
+        assert (info.currsize, info.misses) == (0, 0), max_rank
+        assert dynkin._bonds.cache_info().currsize == 5, max_rank
+        for d in exceptional:
+            dynkin._bonds(d)
+        info = dynkin._bonds.cache_info()
+        assert (info.currsize, info.misses) == (5, 5), max_rank
 
 
 def test_enumerate_makes_no_per_pair_test(monkeypatch):

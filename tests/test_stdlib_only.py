@@ -1,9 +1,11 @@
 """flagcalc is stdlib-only: every import in the package is relative or names a standard module.
 
-Three layering rules are checked on the same syntax trees: only ``dynkin``
-names its shape-reading internals, root lists are built only where they are
-the answer, and no module uses rational arithmetic.  A fourth keeps imports
-cheap: a frozen dataclass takes about five times as long as a ``NamedTuple``
+Four layering rules are checked on the same syntax trees: only ``dynkin``
+names its shape-reading internals, other modules name only the listed
+``dynkin`` privates (the classifier reads its tags off the bond table
+``_bonds``, the one source of Cartan entries), root lists are built only
+where they are the answer, and no module uses rational arithmetic.  A fifth
+keeps imports cheap: a frozen dataclass takes about five times as long as a ``NamedTuple``
 to create at import, so only a record that validates (``__post_init__``) or
 caches (``cached_property``, which needs an instance ``__dict__``) is one.
 """
@@ -14,7 +16,13 @@ import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "flagcalc"
-SHAPE_INTERNALS = {"_read_shape", "_walk", "_neighbour_table"}
+SHAPE_INTERNALS = {"_read_shape", "_walk"}
+# The ``dynkin`` privates that other modules name: ``homogeneous`` splits,
+# renumbers and counts roots, and the classifier reads Cartan entries.
+DYNKIN_PRIVATES_NAMED = {
+    "homogeneous.py": {"_NORMALIZED_RANKS", "_component_root_count", "_components", "_renumber", "_split_at"},
+    "classifier.py": {"_bonds"},
+}
 # The root machinery and the modules that may name it, besides the package's
 # re-exports in ``__init__``: ``roots`` prints the root list and ``weyl_dim``
 # takes a product over it.
@@ -68,6 +76,22 @@ def test_only_dynkin_names_its_shape_internals():
         if internal in SHAPE_INTERNALS
     ]
     assert not named, named
+
+
+def _top_level_names(tree: ast.Module):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, ast.Assign):
+            yield from (target.id for target in node.targets if isinstance(target, ast.Name))
+
+
+def test_other_modules_name_only_the_listed_dynkin_privates():
+    trees = dict(_trees())
+    private = {name for name in _top_level_names(trees["dynkin.py"]) if name.startswith("_")}
+    assert {"_bonds"} | SHAPE_INTERNALS <= private, private
+    named = {name: set(_names(tree)) & private for name, tree in trees.items() if name != "dynkin.py"}
+    assert {name: found for name, found in named.items() if found} == DYNKIN_PRIVATES_NAMED
 
 
 def test_only_root_consumers_name_the_root_machinery():

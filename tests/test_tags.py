@@ -41,6 +41,8 @@ def test_parse_and_render():
 def test_parse_errors():
     with pytest.raises(ParseError):
         parse_tag("A5")
+    with pytest.raises(ParseError, match="bad value list"):
+        parse_tag("A3:1,,2")
     with pytest.raises(DomainError):
         parse_tag("A5:1,2")
 
