@@ -14,8 +14,10 @@ test, drums and the classifier share the cached ``_fiber_table``: they take
 ranks and dimensions from it, with dim D{i,j} = dim D{i} + r_plus, and the
 classifier reads the tags off the same components.  The catalogue scan reads
 the tables of every base node of a diagram uncached, with no per-pair test,
-so it leaves no table behind, and a scan of the classical families builds no
-Cartan matrix.
+so it leaves no table behind.  On A, B, C and D it takes them from
+``_end_map``, which reads the same component ends by arithmetic on the
+standard numbering, so it splits no classical diagram and builds no node
+list or Cartan matrix for one.
 """
 from __future__ import annotations
 
@@ -192,30 +194,60 @@ def is_two_bundle_pair(d: DynkinDiagram, i: int, j: int) -> tuple[int, int] | No
     return (r_minus, r_plus)
 
 
-def _read_fibers(d: DynkinDiagram, base: int, total: int) -> tuple[int, dict[int, int], list]:
-    """(dim D{base}, ranks, comps) of D over ``base``, given ``total`` = |Φ⁺(D)|.
+def _rank_ends(total: int, ends) -> tuple[int, dict[int, int]]:
+    """(dim D{base}, ranks) from ``total`` = |Φ⁺(D)| and the ``ends`` of D - {base}.
 
-    ranks maps ``mark`` to r when the fiber of D{base,mark} -> D{base} is
-    projective r-space.  That fiber is the component of the other nodes that
-    holds ``mark``, so each component is read once, for all of its marks.  A
-    projective fiber is marked at an end of its standard order, so the keys
-    are component ends only, each with ``_projective_rank`` of that end;
-    every other mark, and ``base``, is missing.  The same components make up
-    the Levi diagram of D{base}, so dim D{base} = |Φ⁺(D)| - Σ
-    |Φ⁺(component)|, as in ``dimension``.  ``comps`` is the ``_split_at``
-    split; the classifier reads the tags off it.  Not cached: the catalogue
-    scan reads every table once and computes ``total`` once per diagram.
+    ``ends`` gives each component's family, rank, and first and last node in
+    its standard order.  ranks maps ``mark`` to r when the fiber of
+    D{base,mark} -> D{base}, the component holding ``mark``, is projective
+    r-space.  Such a fiber is marked at an end of its standard order, so the
+    keys are component ends only, each with ``_projective_rank`` of that
+    end.  The same components make up the Levi diagram of D{base}, so
+    dim D{base} = |Φ⁺(D)| - Σ |Φ⁺(component)|, as in ``dimension``.
     """
     ranks: dict[int, int] = {}
-    comps = _split_at(d, base)
-    for family, order in comps:
-        k = len(order)
+    for family, k, first, last in ends:
         total -= _component_root_count(family, k)
         if (r := _projective_rank(family, k, k)) is not None:
-            ranks[order[-1]] = r
+            ranks[last] = r
         if (r := _projective_rank(family, k, 1)) is not None:
-            ranks[order[0]] = r
-    return total, ranks, comps
+            ranks[first] = r
+    return total, ranks
+
+
+def _read_fibers(d: DynkinDiagram, base: int, total: int) -> tuple[int, dict[int, int], list]:
+    """(dim D{base}, ranks, comps) of D over ``base``: ``_rank_ends`` of the ``_split_at`` split ``comps``.
+
+    The classifier reads the tags off ``comps``.  Not cached: the catalogue
+    scan reads the tables of E6-8, F4 and G2 with it, computing ``total``
+    once per diagram, and ``_fiber_table`` caches it for everything else.
+    """
+    comps = _split_at(d, base)
+    return (*_rank_ends(total, [(family, len(order), order[0], order[-1]) for family, order in comps]), comps)
+
+
+def _end_map(family: str, n: int, base: int) -> tuple[int, dict[int, int]]:
+    """``_read_fibers(d, base, |Φ⁺(d)|)[:2]`` of d = ``family``/``n``, connected of type A, B, C or D.
+
+    The split is ``_split_at``'s, with each component's ends read by
+    arithmetic on the standard numbering instead of off a node list: nodes
+    1..base-1 form A_{base-1}, and the tail of rank k = n - base is named
+    and ordered as ``_split_at`` names it.
+    """
+    k = n - base
+    if family == "D" and k < 2:  # a spin node: the path 1..n-2 and the other spin node
+        ends = [("A", n - 1, 1, n - 1 + k)]
+    else:
+        ends = [("A", base - 1, 1, base - 1)] if base > 1 else []
+        if family == "D" and k == 2:  # the branch node
+            ends += [("A", 1, n - 1, n - 1), ("A", 1, n, n)]
+        elif family == "D" and k < 5:  # D3 is A3 centred at its branch node
+            ends.append(("A", 3, n - 1, n) if k == 3 else ("D", 4, n, n - 1))
+        elif (family, k) == ("C", 2):  # a rank-2 double bond is named B2
+            ends.append(("B", 2, n, n - 1))
+        elif k:
+            ends.append(("A" if k == 1 else family, k, base + 1, n))
+    return _rank_ends(_component_root_count(family, n), ends)
 
 
 @lru_cache(maxsize=None)
@@ -254,18 +286,20 @@ def _scan_ranks(family: str, max_rank: int) -> range:
 def enumerate_two_bundles(max_rank: int) -> tuple[TwoBundleEntry, ...]:
     """All connected diagrams of rank <= max_rank carrying two bundle structures.
 
-    Built in (family, rank, marks) order from the uncached ``_read_fibers``
-    of every node of each diagram, with |Φ⁺(D)| computed once per diagram:
-    for each end j > i in the table over i, in ascending order, r_plus is
-    its rank, r_minus is the rank of i in the table over j, if any, and
-    dim D{i,j} = dim D{i} + r_plus, as in ``is_two_bundle_pair``, which is
-    not called.  C2 is not scanned, as C2{1,2} is B2{1,2}.  Outside type A
-    a pair is kept only when it is the largest sorted image of itself under
-    the diagram automorphisms, so each automorphism orbit (such as the three
-    D4 pairs, kept as {3,4}) is listed once; type A pairs are all kept, so
-    the flip-related pairs (r, r+1) and (n-r, n-r+1) are both listed,
-    matching the usual presentation of the classification.  ``max_rank``
-    runs from 2 to ``dynkin.MAX_RANK``, the ceiling of every diagram.
+    Built in (family, rank, marks) order from the uncached table of every
+    node of each diagram: ``_end_map`` on A, B, C and D, with no split, and
+    ``_read_fibers`` on E6-8, F4 and G2, with |Φ⁺(D)| computed once per
+    diagram.  For each end j > i in the table over i, in ascending order,
+    r_plus is its rank, r_minus is the rank of i in the table over j, if
+    any, and dim D{i,j} = dim D{i} + r_plus, as in ``is_two_bundle_pair``,
+    which is not called.  C2 is not scanned, as C2{1,2} is B2{1,2}.  Outside
+    type A a pair is kept only when it is the largest sorted image of itself
+    under the diagram automorphisms other than the identity, so each
+    automorphism orbit (such as the three D4 pairs, kept as {3,4}) is listed
+    once; type A pairs are all kept, so the flip-related pairs (r, r+1) and
+    (n-r, n-r+1) are both listed, matching the usual presentation of the
+    classification.  ``max_rank`` runs from 2 to ``dynkin.MAX_RANK``, the
+    ceiling of every diagram.
     """
     if max_rank < 2:
         raise DomainError("max_rank must be at least 2")
@@ -275,13 +309,17 @@ def enumerate_two_bundles(max_rank: int) -> tuple[TwoBundleEntry, ...]:
     for family in "ABCDEFG":
         for rank in _scan_ranks(family, max_rank):
             d = DynkinDiagram(((family, rank),))
-            autos = () if family == "A" else automorphisms(d)
-            total = _component_root_count(family, rank)
-            tables = [_read_fibers(d, base, total) for base in d.nodes]
-            for i, (dim, ranks, _) in enumerate(tables, 1):
-                for j, r_plus in sorted(ranks.items()):
-                    if j < i or (r_minus := tables[j - 1][1].get(i)) is None:
-                        continue
-                    if all((i, j) >= tuple(sorted((s[i - 1], s[j - 1]))) for s in autos):
-                        entries.append(TwoBundleEntry(d, i, j, r_minus, r_plus, dim=dim + r_plus))
+            autos = () if family == "A" else automorphisms(d)[1:]  # the identity comes first
+            nodes = range(1, rank + 1)  # not the cached property d.nodes, which costs more
+            if family in "ABCD":
+                tables = [_end_map(family, rank, base) for base in nodes]
+            else:
+                total = _component_root_count(family, rank)
+                tables = [_read_fibers(d, base, total)[:2] for base in nodes]
+            for i, (dim, ranks) in enumerate(tables, 1):
+                for j in sorted(ranks):
+                    if j > i and (r_minus := tables[j - 1][1].get(i)) is not None and (
+                        not autos or all((i, j) >= tuple(sorted((s[i - 1], s[j - 1]))) for s in autos)
+                    ):
+                        entries.append(TwoBundleEntry(d, i, j, r_minus, ranks[j], dim=dim + ranks[j]))
     return tuple(entries)

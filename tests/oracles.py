@@ -14,15 +14,16 @@ dimension, a scan of the root list instead of closed-form root counts for
 the dimension of a marked diagram, fibers built as renumbered subdiagrams
 instead of read off their shape for the two-bundle test, a two-bundle
 catalogue built by canonicalizing every pair, deduplicating and sorting
-instead of in one ordered pass, contraction fibers built by splitting the
-residual diagram three times instead of renumbering one split, homogeneous
-tags from Cartan pairings over the whole root list instead of read off the
-fiber's shape in closed form, fiber ranks tested at every position of each
-component instead of written at its two ends, and the split of a diagram
-less one node walked on its bonds instead of read in closed form off the
-standard numbering of A, B, C and D, and each drum identified with a known
-variety from the geometry of its orbit closure instead of measured by the
-dimension formulas of ``build_drum``.
+instead of in one ordered pass, and one read off the split of every base
+node instead of off closed-form end maps on A, B, C and D, contraction
+fibers built by splitting the residual diagram three times instead of
+renumbering one split, homogeneous tags from Cartan pairings over the whole
+root list instead of read off the fiber's shape in closed form, fiber ranks
+tested at every position of each component instead of written at its two
+ends, and the split of a diagram less one node walked on its bonds instead
+of read in closed form off the standard numbering of A, B, C and D, and
+each drum identified with a known variety from the geometry of its orbit
+closure instead of measured by the dimension formulas of ``build_drum``.
 
 Module-level code is stdlib-only: the benchmark loads this file by path.
 """
@@ -633,6 +634,34 @@ def enumerate_two_bundles_by_canonical_pairs(max_rank: int):
             key=lambda e: (e.diagram.components[0][0], e.diagram.rank, e.i, e.j),
         )
     )
+
+
+def enumerate_two_bundles_by_fiber_reads(max_rank: int):
+    """The two-bundle catalogue with every base node's table read off its split.
+
+    The scan of ``enumerate_two_bundles``, but each table of every diagram,
+    A-D included, comes from ``homogeneous._read_fibers`` on the
+    ``dynkin._split_at`` node lists, and the pair loop runs over every end in
+    the table, skipping j < i, and over every automorphism, the identity
+    included.
+    """
+    from flagcalc.dynkin import DynkinDiagram, _component_root_count, automorphisms
+    from flagcalc.homogeneous import TwoBundleEntry, _read_fibers, _scan_ranks
+
+    entries = []
+    for family in "ABCDEFG":
+        for rank in _scan_ranks(family, max_rank):
+            d = DynkinDiagram(((family, rank),))
+            autos = () if family == "A" else automorphisms(d)
+            total = _component_root_count(family, rank)
+            tables = [_read_fibers(d, base, total) for base in d.nodes]
+            for i, (dim, ranks, _) in enumerate(tables, 1):
+                for j, r_plus in sorted(ranks.items()):
+                    if j < i or (r_minus := tables[j - 1][1].get(i)) is None:
+                        continue
+                    if all((i, j) >= tuple(sorted((s[i - 1], s[j - 1]))) for s in autos):
+                        entries.append(TwoBundleEntry(d, i, j, r_minus, r_plus, dim=dim + r_plus))
+    return tuple(entries)
 
 
 def drum_identification(family: str, n: int, i: int, j: int) -> str | int:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import gc
 import random
 import tracemalloc
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -29,6 +30,7 @@ from oracles import (
     contraction_fiber_by_subdiagrams,
     dimension_by_roots,
     enumerate_two_bundles_by_canonical_pairs,
+    enumerate_two_bundles_by_fiber_reads,
     expected_two_bundle_keys,
     fiber_ranks_by_positions,
     is_two_bundle_pair_by_fibers,
@@ -226,6 +228,20 @@ def test_fiber_table_ranks_match_every_position_oracle():
     assert bases == 894
 
 
+def test_end_map_matches_read_fibers_at_every_base():
+    # the closed-form ends must give the split's dim D{base} and end ranks
+    # exactly, at every base of every classical diagram up to the ceiling
+    bases = 0
+    for fam, lowest in (("A", 1), ("B", 2), ("C", 2), ("D", 4)):
+        for n in range(lowest, MAX_RANK + 1):
+            d = dynkin.DynkinDiagram(((fam, n),))
+            total = dynkin._component_root_count(fam, n)
+            for base in d.nodes:
+                assert homogeneous._end_map(fam, n, base) == homogeneous._read_fibers(d, base, total)[:2], (d, base)
+                bases += 1
+    assert bases == 20192
+
+
 def test_projective_rank_is_none_inside_every_component():
     for fam, (lowest, highest) in dynkin._NORMALIZED_RANKS.items():
         for k in range(lowest, (highest or dynkin.MAX_RANK) + 1):
@@ -380,6 +396,11 @@ def test_enumerate_matches_canonical_pair_oracle(max_rank):
     assert enumerate_two_bundles(max_rank) == enumerate_two_bundles_by_canonical_pairs(max_rank)
 
 
+def test_enumerate_matches_fiber_read_oracle_at_the_ceiling():
+    # whole tuples up to MAX_RANK, against the scan that splits every base node
+    assert enumerate_two_bundles(MAX_RANK) == enumerate_two_bundles_by_fiber_reads(MAX_RANK)
+
+
 def test_enumerate_swapping_marks_is_harmless():
     d = parse_diagram("B3")
     assert is_two_bundle_pair(d, 1, 3) == (2, 3)
@@ -471,6 +492,25 @@ def test_enumerate_builds_cartan_matrices_only_for_exceptional_diagrams():
             dynkin._bonds(d)
         info = dynkin._bonds.cache_info()
         assert (info.currsize, info.misses) == (5, 5), max_rank
+
+
+def test_enumerate_splits_only_exceptional_diagrams(monkeypatch):
+    # A-D tables come from the closed-form end maps; only the 27 bases of
+    # E6, E7, E8, F4 and G2 are split
+    calls = []
+    split_at = dynkin._split_at
+
+    def counting_split_at(d, base):
+        calls.append(d.components[0])
+        return split_at(d, base)
+
+    for module in (dynkin, homogeneous):
+        monkeypatch.setattr(module, "_split_at", counting_split_at)
+    enumerate_two_bundles.cache_clear()
+    homogeneous._fiber_table.cache_clear()
+    enumerate_two_bundles(20)
+    assert len(calls) == 27
+    assert Counter(calls) == {comp: comp[1] for comp in (("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2))}
 
 
 def test_enumerate_makes_no_per_pair_test(monkeypatch):
