@@ -3,7 +3,8 @@
 The two structures p+ and p- of a candidate variety restrict to tags
 delta_plus and delta_minus on lines of the opposite family.  This module
 computes those tags for the homogeneous models in closed form, off the
-fiber shapes of ``_fiber_table`` and with no root list, checks the shape
+end records of ``_fiber_table`` (the node b joined to the base node and its
+position p) and with no node or root list, checks the shape
 trichotomy that any configuration with one-dimensional minus-fibers must
 satisfy, and matches arbitrary data against the homogeneous models.
 """
@@ -45,7 +46,8 @@ def _side_tag(d: DynkinDiagram, base: int, other: int) -> Tag:
     of F is joined to base, so each degree is c * beta_b, c = -C[b][base],
     read off the bonds of base in ``dynkin._bonds``.
     ``other`` is an end of F, and r is its rank in the end map of
-    ``_fiber_table``.  Read from ``other``, F is A_r, or C_k with r = 2k - 1
+    ``_fiber_table``, whose record of F gives b and its position in F's
+    standard order.  Read from ``other``, F is A_r, or C_k with r = 2k - 1
     (B2 read from node 2 is C2); let b sit at position p.  By the Bourbaki
     plates the roots are alpha_1 + ... + alpha_m, m = 1..r, for A_r, so p
     degrees are 0 and the rest c.  C_k adds alpha_1 + ... + alpha_{m-1} +
@@ -55,13 +57,14 @@ def _side_tag(d: DynkinDiagram, base: int, other: int) -> Tag:
     also at node r + 1 - p.  It is zero when no node of F is joined to base,
     as for a product.
     """
-    _, ranks, comps = _fiber_table(d, base)
-    r, joined = ranks[other], _bonds(d)[base - 1]
-    family, order = next(comp for comp in comps if other in (comp[1][0], comp[1][-1]))
+    _, ranks, ends = _fiber_table(d, base)
+    r = ranks[other]
+    family, k, first, _, b, p = next(end for end in ends if other in (end[2], end[3]))
     values = [0] * r
-    for p, a in enumerate(order if order[0] == other else order[::-1], 1):
-        if a in joined:
-            values[p - 1] = values[p - 1 if family == "A" else r - p] = -joined[a]
+    if p:
+        if other != first:
+            p = k + 1 - p
+        values[p - 1] = values[p - 1 if family == "A" else r - p] = -_bonds(d)[base - 1][b]
     return Tag(DynkinDiagram((("A", r),)), tuple(values))
 
 

@@ -25,13 +25,10 @@ D2, D3).  Subdiagram types and diagram automorphisms are closed forms read
 off the diagram's shape: ``_components`` is the generic reader that splits
 a node subset into named components, walked on the bonds.  Every node
 subset of a diagram of finite type is of finite type, so the shape read is
-the type.  ``_split_at`` gives the same split of a connected A, B, C or D
-diagram less one node in closed form, from the standard numbering, and
-hands every other diagram to ``_components``.
-``_renumber``, the one renumbering path, gives each component its
-lexicographically smallest isomorphism onto the standard numbering, and a
-rank-2 double bond is always named ``B2`` (a ``C2`` piece of ``C_n`` has its
-nodes swapped).
+the type.  ``_renumber``, the one renumbering path, gives each component
+its lexicographically smallest isomorphism onto the standard numbering, and
+a rank-2 double bond is always named ``B2`` (a ``C2`` piece of ``C_n`` has
+its nodes swapped).
 """
 from __future__ import annotations
 
@@ -334,34 +331,6 @@ def _components(d: DynkinDiagram, nodes) -> list[tuple[str, list[int]]]:
                     comp.append(b)
         comps.append(_read_shape(bonds, neighbours, comp))
     return comps
-
-
-def _split_at(d: DynkinDiagram, base: int) -> list[tuple[str, list[int]]]:
-    """``_components`` of the nodes of ``d`` other than ``base``, in closed form on A, B, C and D.
-
-    In the standard numbering (Humphreys §11.4), nodes 1..base-1 form
-    A_{base-1} and nodes base+1..n a tail of the same family, named and
-    ordered as ``_read_shape`` reads it; D_n falls apart at its last three
-    nodes and has D3 (= A3) and D4 tails of its own.  Other diagrams are
-    split by ``_components``.
-    """
-    (family, n), *rest = d.components
-    if rest or family not in "ABCD":
-        return _components(d, [a for a in d.nodes if a != base])
-    k = n - base
-    if family == "D" and k < 2:  # a spin node: the other nodes form a path
-        return [("A", [a for a in d.nodes if a != base])]
-    head = [("A", list(range(1, base)))] if base > 1 else []
-    if family == "D" and k == 2:  # the branch node
-        return head + [("A", [n - 1]), ("A", [n])]
-    if family == "D" and k < 5:  # D3 is A3 centred at its branch node
-        return head + [("A", [n - 1, n - 2, n]) if k == 3 else ("D", [n, n - 2, n - 3, n - 1])]
-    tail = list(range(base + 1, n + 1))
-    if k == 1:
-        family = "A"
-    elif (family, k) == ("C", 2):  # a rank-2 double bond is named B2
-        family, tail = "B", tail[::-1]
-    return head + [(family, tail)] if tail else head
 
 
 def _walk(neighbours: dict[int, list[int]], start: int, prev: int | None) -> list[int]:

@@ -6,18 +6,20 @@ computes dimensions, Picard numbers, fibers of the forgetful contractions
 between marked diagrams, and the search for diagrams carrying two projective
 bundle structures.
 
-The fibers over a base node are read once, by ``_read_fibers``, off the
-split of the other nodes, which ``dynkin._split_at`` gives in closed form on
-A, B, C and D.  Its table keeps dim D{base} and the projective ranks at the
-component ends, the only marks a projective fiber can have.  The two-bundle
-test, drums and the classifier share the cached ``_fiber_table``: they take
-ranks and dimensions from it, with dim D{i,j} = dim D{i} + r_plus, and the
-classifier reads the tags off the same components.  The catalogue scan reads
-the tables of every base node of a diagram uncached, with no per-pair test,
-so it leaves no table behind.  On A, B, C and D it takes them from
-``_end_map``, which reads the same component ends by arithmetic on the
-standard numbering, so it splits no classical diagram and builds no node
-list or Cartan matrix for one.
+The fibers over a base node are read off one split of the other nodes,
+kept as one end record per component: its family, rank, first and last
+node in standard order, the node b joined to base and b's position p.
+``_end_map`` gives the records of a connected A, B, C or D diagram by
+arithmetic on the standard numbering, with no node list, and
+``_component_ends`` reads them off the ``dynkin._components`` node lists of
+any other diagram.  ``_rank_ends`` takes dim D{base} and the projective
+ranks at the component ends, the only marks a projective fiber can have,
+from the records.  The two-bundle test, drums and the classifier share the
+cached ``_fiber_table``: they take ranks and dimensions from it, with
+dim D{i,j} = dim D{i} + r_plus, and the classifier reads the tags off b and
+p of the same records.  The catalogue scan reads the tables of every base
+node of a diagram uncached, with no per-pair test, so it leaves no table
+behind and splits no classical diagram.
 """
 from __future__ import annotations
 
@@ -30,10 +32,10 @@ from .dynkin import (
     MAX_RANK,
     DynkinDiagram,
     _NORMALIZED_RANKS,
+    _bonds,
     _component_root_count,
     _components,
     _renumber,
-    _split_at,
     automorphisms,
     parse_with_node_map,
 )
@@ -195,18 +197,17 @@ def is_two_bundle_pair(d: DynkinDiagram, i: int, j: int) -> tuple[int, int] | No
 
 
 def _rank_ends(total: int, ends) -> tuple[int, dict[int, int]]:
-    """(dim D{base}, ranks) from ``total`` = |Φ⁺(D)| and the ``ends`` of D - {base}.
+    """(dim D{base}, ranks) from ``total`` = |Φ⁺(D)| and the ``_end_map`` records ``ends`` of D - {base}.
 
-    ``ends`` gives each component's family, rank, and first and last node in
-    its standard order.  ranks maps ``mark`` to r when the fiber of
-    D{base,mark} -> D{base}, the component holding ``mark``, is projective
-    r-space.  Such a fiber is marked at an end of its standard order, so the
-    keys are component ends only, each with ``_projective_rank`` of that
-    end.  The same components make up the Levi diagram of D{base}, so
+    ranks maps ``mark`` to r when the fiber of D{base,mark} -> D{base}, the
+    component holding ``mark``, is projective r-space.  Such a fiber is
+    marked at an end of its standard order, so the keys are component ends
+    only, each with ``_projective_rank`` of that end.  The same components
+    make up the Levi diagram of D{base}, so
     dim D{base} = |Φ⁺(D)| - Σ |Φ⁺(component)|, as in ``dimension``.
     """
     ranks: dict[int, int] = {}
-    for family, k, first, last in ends:
+    for family, k, first, last, _, _ in ends:
         total -= _component_root_count(family, k)
         if (r := _projective_rank(family, k, k)) is not None:
             ranks[last] = r
@@ -215,48 +216,59 @@ def _rank_ends(total: int, ends) -> tuple[int, dict[int, int]]:
     return total, ranks
 
 
-def _read_fibers(d: DynkinDiagram, base: int, total: int) -> tuple[int, dict[int, int], list]:
-    """(dim D{base}, ranks, comps) of D over ``base``: ``_rank_ends`` of the ``_split_at`` split ``comps``.
+def _end_map(family: str, n: int, base: int) -> list[tuple[str, int, int, int, int, int]]:
+    """End records of D - {base} for D = ``family``/``n``, connected of type A, B, C or D.
 
-    The classifier reads the tags off ``comps``.  Not cached: the catalogue
-    scan reads the tables of E6-8, F4 and G2 with it, computing ``total``
-    once per diagram, and ``_fiber_table`` caches it for everything else.
-    """
-    comps = _split_at(d, base)
-    return (*_rank_ends(total, [(family, len(order), order[0], order[-1]) for family, order in comps]), comps)
-
-
-def _end_map(family: str, n: int, base: int) -> tuple[int, dict[int, int]]:
-    """``_read_fibers(d, base, |Φ⁺(d)|)[:2]`` of d = ``family``/``n``, connected of type A, B, C or D.
-
-    The split is ``_split_at``'s, with each component's ends read by
-    arithmetic on the standard numbering instead of off a node list: nodes
-    1..base-1 form A_{base-1}, and the tail of rank k = n - base is named
-    and ordered as ``_split_at`` names it.
+    A record (family, k, first, last, b, p) is one component of rank k,
+    named by its shape, with the first and last node of its standard order,
+    the node b joined to base and the position p of b in that order; b and p
+    are 0 when no node is joined.  The records are read by arithmetic on the
+    standard numbering (Humphreys §11.4), in the order of their smallest
+    nodes: nodes 1..base-1 form A_{base-1}, joined at its last node, and the
+    tail base+1..n of rank k = n - base is of the same family, joined at its
+    first node.  D_n falls apart at its last three nodes and has D3 (= A3)
+    and D4 tails of its own, and a C2 tail is a reversed B2.
     """
     k = n - base
     if family == "D" and k < 2:  # a spin node: the path 1..n-2 and the other spin node
-        ends = [("A", n - 1, 1, n - 1 + k)]
-    else:
-        ends = [("A", base - 1, 1, base - 1)] if base > 1 else []
-        if family == "D" and k == 2:  # the branch node
-            ends += [("A", 1, n - 1, n - 1), ("A", 1, n, n)]
-        elif family == "D" and k < 5:  # D3 is A3 centred at its branch node
-            ends.append(("A", 3, n - 1, n) if k == 3 else ("D", 4, n, n - 1))
-        elif (family, k) == ("C", 2):  # a rank-2 double bond is named B2
-            ends.append(("B", 2, n, n - 1))
-        elif k:
-            ends.append(("A" if k == 1 else family, k, base + 1, n))
-    return _rank_ends(_component_root_count(family, n), ends)
+        return [("A", n - 1, 1, n - 1 + k, n - 2, n - 2)]
+    ends = [("A", base - 1, 1, base - 1, base - 1, base - 1)] if base > 1 else []
+    if family == "D" and k == 2:  # the branch node
+        ends += [("A", 1, n - 1, n - 1, n - 1, 1), ("A", 1, n, n, n, 1)]
+    elif family == "D" and k < 5:  # D3 is A3 centred at its branch node n - 2
+        ends.append(("A", 3, n - 1, n, n - 2, 2) if k == 3 else ("D", 4, n, n - 1, n - 3, 3))
+    elif (family, k) == ("C", 2):  # a rank-2 double bond is named B2
+        ends.append(("B", 2, n, n - 1, n - 1, 2))
+    elif k:
+        ends.append(("A" if k == 1 else family, k, base + 1, n, base + 1, 1))
+    return ends
+
+
+def _component_ends(d: DynkinDiagram, base: int) -> list[tuple[str, int, int, int, int, int]]:
+    """``_end_map``'s records of D - {base} for any diagram, read off the ``_components`` node lists.
+
+    b is the one node of the component among the neighbours of base,
+    ``_bonds(d)[base - 1]``: a diagram of finite type is a forest.
+    """
+    joined = _bonds(d)[base - 1]
+    ends = []
+    for family, order in _components(d, [a for a in d.nodes if a != base]):
+        p = next((p for p, a in enumerate(order, 1) if a in joined), 0)
+        ends.append((family, len(order), order[0], order[-1], order[p - 1] if p else 0, p))
+    return ends
 
 
 @lru_cache(maxsize=None)
 def _fiber_table(d: DynkinDiagram, base: int) -> tuple[int, dict[int, int], list]:
-    """``_read_fibers`` of D over ``base``, cached for the two-bundle test, drums and the classifier.
+    """(dim D{base}, ranks, records) of D over ``base``, cached for the two-bundle test, drums and the classifier.
 
-    Its ranks and comps are shared by every caller and must not be mutated.
+    The records are ``_end_map``'s on a connected A, B, C or D diagram and
+    ``_component_ends``' on any other, and ``_rank_ends`` reads them.  The
+    ranks and records are shared by every caller and must not be mutated.
     """
-    return _read_fibers(d, base, sum(_component_root_count(*comp) for comp in d.components))
+    (family, n), *rest = d.components
+    ends = _component_ends(d, base) if rest or family not in "ABCD" else _end_map(family, n, base)
+    return (*_rank_ends(sum(_component_root_count(*comp) for comp in d.components), ends), ends)
 
 
 class TwoBundleEntry(NamedTuple):
@@ -287,12 +299,12 @@ def enumerate_two_bundles(max_rank: int) -> tuple[TwoBundleEntry, ...]:
     """All connected diagrams of rank <= max_rank carrying two bundle structures.
 
     Built in (family, rank, marks) order from the uncached table of every
-    node of each diagram: ``_end_map`` on A, B, C and D, with no split, and
-    ``_read_fibers`` on E6-8, F4 and G2, with |Φ⁺(D)| computed once per
-    diagram.  For each end j > i in the table over i, in ascending order,
-    r_plus is its rank, r_minus is the rank of i in the table over j, if
-    any, and dim D{i,j} = dim D{i} + r_plus, as in ``is_two_bundle_pair``,
-    which is not called.  C2 is not scanned, as C2{1,2} is B2{1,2}.  Outside
+    node of each diagram: ``_rank_ends`` of ``_end_map`` on A, B, C and D,
+    with no split, and of ``_component_ends`` on E6-8, F4 and G2, with
+    |Φ⁺(D)| computed once per diagram.  For each end j > i in the table
+    over i, in ascending order, r_plus is its rank, r_minus is the rank of i
+    in the table over j, if any, and dim D{i,j} = dim D{i} + r_plus, as in
+    ``is_two_bundle_pair``, which is not called.  C2 is not scanned, as C2{1,2} is B2{1,2}.  Outside
     type A a pair is kept only when it is the largest sorted image of itself
     under the diagram automorphisms other than the identity, so each
     automorphism orbit (such as the three D4 pairs, kept as {3,4}) is listed
@@ -311,11 +323,11 @@ def enumerate_two_bundles(max_rank: int) -> tuple[TwoBundleEntry, ...]:
             d = DynkinDiagram(((family, rank),))
             autos = () if family == "A" else automorphisms(d)[1:]  # the identity comes first
             nodes = range(1, rank + 1)  # not the cached property d.nodes, which costs more
+            total = _component_root_count(family, rank)
             if family in "ABCD":
-                tables = [_end_map(family, rank, base) for base in nodes]
+                tables = [_rank_ends(total, _end_map(family, rank, base)) for base in nodes]
             else:
-                total = _component_root_count(family, rank)
-                tables = [_read_fibers(d, base, total)[:2] for base in nodes]
+                tables = [_rank_ends(total, _component_ends(d, base)) for base in nodes]
             for i, (dim, ranks) in enumerate(tables, 1):
                 for j in sorted(ranks):
                     if j > i and (r_minus := tables[j - 1][1].get(i)) is not None and (

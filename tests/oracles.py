@@ -14,15 +14,16 @@ dimension, a scan of the root list instead of closed-form root counts for
 the dimension of a marked diagram, fibers built as renumbered subdiagrams
 instead of read off their shape for the two-bundle test, a two-bundle
 catalogue built by canonicalizing every pair, deduplicating and sorting
-instead of in one ordered pass, and one read off the split of every base
-node instead of off closed-form end maps on A, B, C and D, contraction
+instead of in one ordered pass, and one read off the ``split_at`` node
+lists of every base node instead of off closed-form end maps on A, B, C and
+D, contraction
 fibers built by splitting the residual diagram three times instead of
 renumbering one split, homogeneous tags from Cartan pairings over the whole
 root list instead of read off the fiber's shape in closed form, fiber ranks
 tested at every position of each component instead of written at its two
-ends, and the split of a diagram less one node walked on its bonds instead
-of read in closed form off the standard numbering of A, B, C and D, and
-each drum identified with a known variety from the geometry of its orbit
+ends, the split of a diagram less one node as node lists read off the
+standard numbering of A, B, C and D, or walked on its bonds, instead of as
+end records by arithmetic, and each drum identified with a known variety from the geometry of its orbit
 closure instead of measured by the dimension formulas of ``build_drum``.
 
 Module-level code is stdlib-only: the benchmark loads this file by path.
@@ -579,6 +580,54 @@ def contraction_fiber_by_subdiagrams(d, total_marks, base_marks):
     )
 
 
+def split_at(d, base: int) -> list[tuple[str, list[int]]]:
+    """``_components`` of the nodes of ``d`` other than ``base``, in closed form on A, B, C and D.
+
+    In the standard numbering (Humphreys §11.4), nodes 1..base-1 form
+    A_{base-1} and nodes base+1..n a tail of the same family, named and
+    ordered as ``_read_shape`` reads it; D_n falls apart at its last three
+    nodes and has D3 (= A3) and D4 tails of its own.  Other diagrams are
+    split by ``_components``.
+    """
+    from flagcalc.dynkin import _components
+
+    (family, n), *rest = d.components
+    if rest or family not in "ABCD":
+        return _components(d, [a for a in d.nodes if a != base])
+    k = n - base
+    if family == "D" and k < 2:  # a spin node: the other nodes form a path
+        return [("A", [a for a in d.nodes if a != base])]
+    head = [("A", list(range(1, base)))] if base > 1 else []
+    if family == "D" and k == 2:  # the branch node
+        return head + [("A", [n - 1]), ("A", [n])]
+    if family == "D" and k < 5:  # D3 is A3 centred at its branch node
+        return head + [("A", [n - 1, n - 2, n]) if k == 3 else ("D", [n, n - 2, n - 3, n - 1])]
+    tail = list(range(base + 1, n + 1))
+    if k == 1:
+        family = "A"
+    elif (family, k) == ("C", 2):  # a rank-2 double bond is named B2
+        family, tail = "B", tail[::-1]
+    return head + [(family, tail)] if tail else head
+
+
+def end_records_by_split(d, base: int) -> list[tuple[str, int, int, int, int, int]]:
+    """The end records of ``homogeneous._fiber_table``, read off the ``split_at`` node lists.
+
+    Each component of D - {base} gives (family, k, first, last, b, p): its
+    rank, the two ends of its node list, the node b of it joined to base in
+    ``dynkin._bonds`` and the position p of b in the list; b and p are 0
+    when no node of the component is joined.
+    """
+    from flagcalc.dynkin import _bonds
+
+    joined = _bonds(d)[base - 1]
+    records = []
+    for family, order in split_at(d, base):
+        b = next((a for a in order if a in joined), 0)
+        records.append((family, len(order), order[0], order[-1], b, order.index(b) + 1 if b else 0))
+    return records
+
+
 def _canonical_pair(d, i: int, j: int):
     """Canonical representative of a two-bundle pair.
 
@@ -640,13 +689,13 @@ def enumerate_two_bundles_by_fiber_reads(max_rank: int):
     """The two-bundle catalogue with every base node's table read off its split.
 
     The scan of ``enumerate_two_bundles``, but each table of every diagram,
-    A-D included, comes from ``homogeneous._read_fibers`` on the
-    ``dynkin._split_at`` node lists, and the pair loop runs over every end in
-    the table, skipping j < i, and over every automorphism, the identity
-    included.
+    A-D included, is ``homogeneous._rank_ends`` of the records that
+    ``end_records_by_split`` reads off the ``split_at`` node lists, and the
+    pair loop runs over every end in the table, skipping j < i, and over
+    every automorphism, the identity included.
     """
     from flagcalc.dynkin import DynkinDiagram, _component_root_count, automorphisms
-    from flagcalc.homogeneous import TwoBundleEntry, _read_fibers, _scan_ranks
+    from flagcalc.homogeneous import TwoBundleEntry, _rank_ends, _scan_ranks
 
     entries = []
     for family in "ABCDEFG":
@@ -654,8 +703,8 @@ def enumerate_two_bundles_by_fiber_reads(max_rank: int):
             d = DynkinDiagram(((family, rank),))
             autos = () if family == "A" else automorphisms(d)
             total = _component_root_count(family, rank)
-            tables = [_read_fibers(d, base, total) for base in d.nodes]
-            for i, (dim, ranks, _) in enumerate(tables, 1):
+            tables = [_rank_ends(total, end_records_by_split(d, base)) for base in d.nodes]
+            for i, (dim, ranks) in enumerate(tables, 1):
                 for j, r_plus in sorted(ranks.items()):
                     if j < i or (r_minus := tables[j - 1][1].get(i)) is None:
                         continue

@@ -7,7 +7,6 @@ from flagcalc.dynkin import (
     MAX_RANK,
     DynkinDiagram,
     _components,
-    _split_at,
     automorphisms,
     cartan_matrix,
     pairing,
@@ -25,6 +24,7 @@ from oracles import (
     isomorphisms,
     positive_roots_by_strings,
     reflection_closure,
+    split_at,
     subdiagram_by_search,
 )
 
@@ -264,12 +264,12 @@ def test_subdiagram_matches_search_oracle_on_every_node_subset():
 
 
 def test_split_at_matches_components_at_every_base():
-    # the closed form on A-D must give the walk's families, node orders and
-    # component order exactly; the exceptional diagrams and unions walk
+    # the oracle's closed form on A-D must give the walk's families, node
+    # orders and component order exactly; the exceptional diagrams and unions walk
     bases = 0
     for d in EVERY_CONNECTED + [parse_diagram("D4+C2"), parse_diagram("B3+A2")]:
         for base in d.nodes:
-            assert _split_at(d, base) == _components(d, [a for a in d.nodes if a != base]), (d, base)
+            assert split_at(d, base) == _components(d, [a for a in d.nodes if a != base]), (d, base)
             bases += 1
     assert bases == 20230
 

@@ -29,11 +29,13 @@ from flagcalc.tags import nesting_admissible, parse_tag, restrict_tag
 from oracles import (
     contraction_fiber_by_subdiagrams,
     dimension_by_roots,
+    end_records_by_split,
     enumerate_two_bundles_by_canonical_pairs,
     enumerate_two_bundles_by_fiber_reads,
     expected_two_bundle_keys,
     fiber_ranks_by_positions,
     is_two_bundle_pair_by_fibers,
+    side_tag_by_roots,
 )
 
 CONNECTED_UP_TO_RANK_8 = [
@@ -222,24 +224,78 @@ def test_fiber_table_ranks_match_every_position_oracle():
             table = homogeneous._fiber_table(d, base)
             by_positions = fiber_ranks_by_positions(d, base)
             assert table[1] == {a: r for a, r in enumerate(by_positions, 1) if r is not None}, (d, base)
-            total = sum(dynkin._component_root_count(*comp) for comp in d.components)
-            assert homogeneous._read_fibers(d, base, total) == table, (d, base)
+            assert table[2] == end_records_by_split(d, base), (d, base)
             bases += 1
     assert bases == 894
 
 
-def test_end_map_matches_read_fibers_at_every_base():
-    # the closed-form ends must give the split's dim D{base} and end ranks
-    # exactly, at every base of every classical diagram up to the ceiling
+def test_end_map_matches_split_records_at_every_base():
+    # the closed-form records must give the split's families, ranks, ends,
+    # joined nodes and their positions exactly, at every base of every
+    # classical diagram up to the ceiling; other diagrams walk their bonds
     bases = 0
     for fam, lowest in (("A", 1), ("B", 2), ("C", 2), ("D", 4)):
         for n in range(lowest, MAX_RANK + 1):
             d = dynkin.DynkinDiagram(((fam, n),))
-            total = dynkin._component_root_count(fam, n)
             for base in d.nodes:
-                assert homogeneous._end_map(fam, n, base) == homogeneous._read_fibers(d, base, total)[:2], (d, base)
+                assert homogeneous._end_map(fam, n, base) == end_records_by_split(d, base), (d, base)
                 bases += 1
     assert bases == 20192
+    for text in ("E6", "E7", "E8", "F4", "G2", "A1+A1", "D4+C2", "B3+A2", "G2+E6+C3"):
+        d = parse_diagram(text)
+        for base in d.nodes:
+            assert homogeneous._component_ends(d, base) == end_records_by_split(d, base), (d, base)
+
+
+# every component of the normalized table up to the rank ceiling
+TABLE_COMPONENTS = [
+    (fam, k)
+    for fam, (lowest, highest) in dynkin._NORMALIZED_RANKS.items()
+    for k in range(lowest, (highest or MAX_RANK) + 1)
+]
+
+
+def _random_union(rng, cap):
+    """A union of two to four random table components of total rank at most ``cap``."""
+    comps, room = [], cap
+    for left in range(rng.randint(2, 4), 0, -1):
+        comps.append(rng.choice([c for c in TABLE_COMPONENTS if c[1] <= room - left + 1]))
+        room -= comps[-1][1]
+    return dynkin.DynkinDiagram(tuple(comps))
+
+
+def test_random_unions_match_oracles():
+    # unions take the walked records of ``_component_ends``, where every
+    # component outside the one holding base is joined to no node (b = p = 0);
+    # half the unions are small enough for the root scan of the tags
+    rng = random.Random(21)
+    joined = unjoined = pairs = tagged = 0
+    for case in range(60):
+        d = _random_union(rng, 12 if case % 2 else MAX_RANK)
+        for base in rng.sample(d.nodes, min(4, d.rank)):
+            dim, ranks, ends = homogeneous._fiber_table(d, base)
+            assert ends == end_records_by_split(d, base), (d, base)
+            assert dim == dimension(MarkedDiagram(d, (base,))), (d, base)
+            joined += sum(1 for end in ends if end[5])
+            unjoined += sum(1 for end in ends if not end[5])
+            for j in [*rng.sample(sorted(ranks), min(2, len(ranks))), rng.choice(d.nodes)]:
+                if j == base:
+                    continue
+                got = is_two_bundle_pair(d, base, j)
+                assert got == is_two_bundle_pair_by_fibers(d, base, j), (d, base, j)
+                if got is not None:
+                    pairs += 1
+                    if d.rank <= 12:
+                        tagged += 1
+                        tags = homogeneous_tags(d, base, j)
+                        assert tags.plus == side_tag_by_roots(d, base, j), (d, base, j)
+                        assert tags.minus == side_tag_by_roots(d, j, base), (d, base, j)
+                total = (base, j, rng.choice(d.nodes))
+                for marks in ((base,), (base, j)):
+                    if set(marks) < set(total):
+                        got = contraction_fiber(d, total, marks)
+                        assert got == contraction_fiber_by_subdiagrams(d, total, marks), (d, total, marks)
+    assert min(joined, unjoined, pairs, tagged) > 20, (joined, unjoined, pairs, tagged)
 
 
 def test_projective_rank_is_none_inside_every_component():
@@ -476,6 +532,30 @@ def test_cold_enumeration_retains_little_memory():
     assert retained < 2_000_000
 
 
+def test_cold_classify_keeps_end_records_and_little_memory():
+    # a classify request at the ceiling reads 10493 fiber tables and keeps
+    # them all; each keeps one flat record per component, no node list, and
+    # they retain about 14 MB where node lists in every table retained 20 MB
+    for obj in gc.get_objects():
+        if isinstance(obj, type(enumerate_two_bundles)) and (obj.__module__ or "").startswith("flagcalc"):
+            obj.cache_clear()
+    gc.collect()
+    data = TwoBundleData.from_values(1, 1, (1,), (3,))
+    tracemalloc.start()
+    try:
+        assert [m.entry.render() for m in match_model(data, MAX_RANK)] == ["G2{1,2}"]
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    misses = homogeneous._fiber_table.cache_info().misses
+    for e in enumerate_two_bundles(MAX_RANK):
+        for base in (e.i, e.j):
+            for end in homogeneous._fiber_table(e.diagram, base)[2]:
+                assert type(end) is tuple and [type(x) for x in end] == [str] + [int] * 5, (e, base, end)
+    assert homogeneous._fiber_table.cache_info().misses == misses == 10493
+    assert retained < 17_000_000
+
+
 def test_enumerate_builds_cartan_matrices_only_for_exceptional_diagrams():
     # A, B, C and D are split at each base in closed form, with no Cartan
     # entries; E6-8, F4 and G2 are walked on their bonds, and no scan builds
@@ -498,14 +578,14 @@ def test_enumerate_splits_only_exceptional_diagrams(monkeypatch):
     # A-D tables come from the closed-form end maps; only the 27 bases of
     # E6, E7, E8, F4 and G2 are split
     calls = []
-    split_at = dynkin._split_at
+    components = dynkin._components
 
-    def counting_split_at(d, base):
+    def counting_components(d, nodes):
         calls.append(d.components[0])
-        return split_at(d, base)
+        return components(d, nodes)
 
     for module in (dynkin, homogeneous):
-        monkeypatch.setattr(module, "_split_at", counting_split_at)
+        monkeypatch.setattr(module, "_components", counting_components)
     enumerate_two_bundles.cache_clear()
     homogeneous._fiber_table.cache_clear()
     enumerate_two_bundles(20)

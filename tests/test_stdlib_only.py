@@ -18,9 +18,10 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "flagcalc"
 SHAPE_INTERNALS = {"_read_shape", "_walk"}
 # The ``dynkin`` privates that other modules name: ``homogeneous`` splits,
-# renumbers and counts roots, and the classifier reads Cartan entries.
+# renumbers, counts roots and finds the node of each component joined to a
+# base node, and the classifier reads Cartan entries.
 DYNKIN_PRIVATES_NAMED = {
-    "homogeneous.py": {"_NORMALIZED_RANKS", "_component_root_count", "_components", "_renumber", "_split_at"},
+    "homogeneous.py": {"_NORMALIZED_RANKS", "_bonds", "_component_root_count", "_components", "_renumber"},
     "classifier.py": {"_bonds"},
 }
 # The root machinery and the modules that may name it, besides the package's
@@ -64,7 +65,8 @@ def test_package_imports_only_the_standard_library():
 
 
 def test_only_dynkin_names_its_shape_internals():
-    # Other modules split node sets through ``dynkin._components`` and ``dynkin._split_at``.
+    # Other modules split node sets through ``dynkin._components``; ``homogeneous._end_map``
+    # splits a connected A, B, C or D diagram at one node by arithmetic on its numbering.
     trees = dict(_trees())
     defined = {node.name for node in trees["dynkin.py"].body if isinstance(node, ast.FunctionDef)}
     assert SHAPE_INTERNALS <= defined, SHAPE_INTERNALS - defined
