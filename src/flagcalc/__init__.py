@@ -1,5 +1,7 @@
 """Exact combinatorics of Dynkin diagrams, two-bundle varieties, tags, and drums."""
 
+from types import ModuleType as _ModuleType
+
 from .classifier import (
     HomogeneousModel,
     ShapeVerdict,
@@ -56,6 +58,7 @@ from .tags import (
     zero_data,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the re-exported names, not the submodules that importing them binds here
+__all__ = [name for name in dir() if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)]
 
 __version__ = "0.1.0"

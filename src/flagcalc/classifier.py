@@ -10,7 +10,7 @@ satisfy, and matches arbitrary data against the homogeneous models.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import NamedTuple
 
 from .dynkin import DynkinDiagram, _bonds
@@ -80,24 +80,20 @@ def homogeneous_tags(d: DynkinDiagram, i: int, j: int) -> TagPair:
     return TagPair(plus=_side_tag(d, i, j), minus=_side_tag(d, j, i))
 
 
-@dataclass(frozen=True)
-class TwoBundleData:
+class TwoBundleData(namedtuple("TwoBundleData", "r_minus r_plus delta_minus delta_plus")):
     """Relative dimensions r-+ and the tags delta-+ of a variety with two bundle structures."""
 
-    r_minus: int
-    r_plus: int
-    delta_minus: Tag
-    delta_plus: Tag
+    __slots__ = ()
+    # namedtuple's ``_make`` and ``_replace`` build with ``tuple.__new__``; these go through ``__new__``
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __post_init__(self) -> None:
-        for r, tag, name in (
-            (self.r_minus, self.delta_minus, "delta_minus"),
-            (self.r_plus, self.delta_plus, "delta_plus"),
-        ):
+    def __new__(cls, r_minus: int, r_plus: int, delta_minus: Tag, delta_plus: Tag) -> TwoBundleData:
+        for r, tag, name in ((r_minus, delta_minus, "delta_minus"), (r_plus, delta_plus, "delta_plus")):
             if r < 1:
                 raise DomainError("relative dimensions must be positive")
             if not (tag.diagram.is_connected() and tag.diagram.components[0] == ("A", r)):
                 raise DomainError(f"{name} must live on A{r}, got {tag.diagram}")
+        return super().__new__(cls, r_minus, r_plus, delta_minus, delta_plus)
 
     @classmethod
     def from_values(cls, r_minus, r_plus, minus_values, plus_values) -> "TwoBundleData":

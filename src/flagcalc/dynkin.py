@@ -33,8 +33,7 @@ its nodes swapped).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import permutations
 from math import factorial
 from types import MappingProxyType
@@ -78,17 +77,16 @@ def _in_table(family: str, rank: int) -> bool:
     return lowest <= rank <= (highest or rank)
 
 
-@dataclass(frozen=True)
-class DynkinDiagram:
+class DynkinDiagram(NamedTuple):
     """A normalized diagram: an ordered tuple of (family, rank) components."""
 
     components: tuple[tuple[str, int], ...]
 
-    @cached_property
+    @property
     def rank(self) -> int:
         return sum(r for _, r in self.components)
 
-    @cached_property
+    @property
     def nodes(self) -> range:
         return range(1, self.rank + 1)
 
@@ -98,8 +96,9 @@ class DynkinDiagram:
         for a in nodes:
             if type(a) is not int:
                 raise DomainError(f"nodes must be integers, got {nodes}")
+        own = self.nodes
         for a in nodes:
-            if a not in self.nodes:
+            if a not in own:
                 raise DomainError(f"nodes {sorted(set(nodes))} not all in diagram {self}")
         return nodes
 

@@ -24,7 +24,7 @@ behind and splits no classical diagram.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -47,18 +47,18 @@ def _marked_name(diagram: str, marks) -> str:
     return f"{diagram}{{{','.join(str(i) for i in marks)}}}"
 
 
-@dataclass(frozen=True)
-class MarkedDiagram:
+class MarkedDiagram(namedtuple("MarkedDiagram", "diagram marks")):
     """A diagram with a nonempty set of marked nodes, stored sorted and without repeats."""
 
-    diagram: DynkinDiagram
-    marks: tuple[int, ...]
+    __slots__ = ()
+    # namedtuple's ``_make`` and ``_replace`` build with ``tuple.__new__``; these go through ``__new__``
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __post_init__(self) -> None:
-        marks = tuple(sorted(set(self.diagram.check_nodes(self.marks))))
+    def __new__(cls, diagram: DynkinDiagram, marks) -> MarkedDiagram:
+        marks = tuple(sorted(set(diagram.check_nodes(marks))))
         if not marks:
             raise DomainError("mark set must be nonempty")
-        object.__setattr__(self, "marks", marks)
+        return super().__new__(cls, diagram, marks)
 
     def render(self) -> str:
         return _marked_name(self.diagram.render(), self.marks)
@@ -322,7 +322,7 @@ def enumerate_two_bundles(max_rank: int) -> tuple[TwoBundleEntry, ...]:
         for rank in _scan_ranks(family, max_rank):
             d = DynkinDiagram(((family, rank),))
             autos = () if family == "A" else automorphisms(d)[1:]  # the identity comes first
-            nodes = range(1, rank + 1)  # not the cached property d.nodes, which costs more
+            nodes = range(1, rank + 1)
             total = _component_root_count(family, rank)
             if family in "ABCD":
                 tables = [_rank_ends(total, _end_map(family, rank, base)) for base in nodes]

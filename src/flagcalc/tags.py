@@ -9,7 +9,7 @@ type A obtained from a direct sum of line bundles of degrees
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import NamedTuple, Sequence
 
 from .dynkin import DynkinDiagram, parse_diagram, parse_with_node_map, subdiagram
@@ -20,24 +20,22 @@ SYMMETRIC_ENDS = "symmetric_ends"
 OTHER = "other"
 
 
-@dataclass(frozen=True)
-class Tag:
+class Tag(namedtuple("Tag", "diagram values")):
     """Nonnegative integer values, one per node of the diagram."""
 
-    diagram: DynkinDiagram
-    values: tuple[int, ...]
+    __slots__ = ()
+    # namedtuple's ``_make`` and ``_replace`` build with ``tuple.__new__``; these go through ``__new__``
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __post_init__(self) -> None:
-        values = tuple(self.values)
+    def __new__(cls, diagram: DynkinDiagram, values) -> Tag:
+        values = tuple(values)
         if not all(type(v) is int for v in values):
             raise DomainError(f"tag values must be integers, got {values}")
-        if len(values) != self.diagram.rank:
-            raise DomainError(
-                f"tag has {len(values)} values but diagram {self.diagram} has rank {self.diagram.rank}"
-            )
+        if len(values) != diagram.rank:
+            raise DomainError(f"tag has {len(values)} values but diagram {diagram} has rank {diagram.rank}")
         if any(v < 0 for v in values):
             raise DomainError(f"tag values must be nonnegative, got {values}")
-        object.__setattr__(self, "values", values)
+        return super().__new__(cls, diagram, values)
 
     def render(self) -> str:
         return f"{self.diagram.render()}:{','.join(str(v) for v in self.values)}"

@@ -40,24 +40,45 @@ def test_oracle_module_loads_by_path_without_flagcalc(tmp_path):
     assert (result.returncode, result.stdout) == (0, "ok\n"), result.stderr
 
 
-# The split references check ``homogeneous._end_map`` and ``_component_ends``,
-# so they name no ``homogeneous`` rule: of flagcalc they use only the walk and
-# the bond table of ``dynkin``.
-SPLIT_REFERENCES = {"split_at", "end_records_by_split"}
-SPLIT_REFERENCE_IMPORTS = {("flagcalc.dynkin", "_components"), ("flagcalc.dynkin", "_bonds")}
+# Each reference, and the flagcalc names that it and the oracles it calls may
+# import.  A reference that imports the rule it checks passes that rule's
+# mutants, so: the split references check ``homogeneous._end_map`` and
+# ``_component_ends`` with only the walk and the bond table of ``dynkin``;
+# ``side_tag_by_roots`` checks ``classifier._side_tag`` with the public root
+# machinery; and the catalogue, root and drum references import no flagcalc
+# code.  These are the references that catch mutants of ``_side_tag``,
+# ``_rank_ends`` and ``homogeneous._projective_rank``.
+SPLIT_IMPORTS = {("flagcalc.dynkin", "_components"), ("flagcalc.dynkin", "_bonds")}
+REFERENCE_IMPORTS = {
+    "split_at": SPLIT_IMPORTS,
+    "end_records_by_split": SPLIT_IMPORTS,
+    "side_tag_by_roots": {
+        ("flagcalc.dynkin", "pairing"),
+        ("flagcalc.dynkin", "positive_roots"),
+        ("flagcalc.tags", "tag_from_splitting"),
+    },
+    "expected_two_bundle_keys": set(),
+    "reflection_closure": set(),
+    "drum_identification": set(),
+}
 
 
-def test_split_references_import_only_components_and_bonds():
+def test_references_import_only_their_listed_flagcalc_names():
     tree = ast.parse((TESTS / "oracles.py").read_text(encoding="utf-8"))
     functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-    imported, called = set(), set()
-    for name in SPLIT_REFERENCES:
-        for node in ast.walk(functions[name]):
-            if isinstance(node, ast.ImportFrom):
-                imported.update((node.module, alias.name) for alias in node.names)
-            elif isinstance(node, ast.Import):
-                imported.update((alias.name, None) for alias in node.names)
-            elif isinstance(node, ast.Name) and node.id in functions:
-                called.add(node.id)
-    assert imported <= SPLIT_REFERENCE_IMPORTS, imported - SPLIT_REFERENCE_IMPORTS
-    assert called <= SPLIT_REFERENCES, called - SPLIT_REFERENCES
+    for reference, allowed in REFERENCE_IMPORTS.items():
+        todo, seen, imported = [reference], set(), set()
+        while todo:  # the reference and every oracle it calls, transitively
+            name = todo.pop()
+            if name in seen:
+                continue
+            seen.add(name)
+            for node in ast.walk(functions[name]):
+                if isinstance(node, ast.ImportFrom):
+                    imported.update((node.module, alias.name) for alias in node.names)
+                elif isinstance(node, ast.Import):
+                    imported.update((alias.name, None) for alias in node.names)
+                elif isinstance(node, ast.Name) and node.id in functions:
+                    todo.append(node.id)
+        flagcalc = {(module, name) for module, name in imported if module.partition(".")[0] == "flagcalc"}
+        assert flagcalc <= allowed, (reference, flagcalc - allowed)

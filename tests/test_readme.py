@@ -4,7 +4,9 @@ from __future__ import annotations
 import doctest
 import shlex
 from pathlib import Path
+from types import ModuleType
 
+import flagcalc
 from flagcalc import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -29,3 +31,9 @@ def test_readme_cli_examples_exit_zero(capsys):
         argv = shlex.split(line, comments=True)
         assert cli.main(argv[1:]) == 0, line
     assert capsys.readouterr().err == ""
+
+
+def test_star_import_binds_no_submodule():
+    # the quickstart's ``from flagcalc import *`` binds the public API, not ``dynkin``, ``tags`` and the rest
+    modules = [name for name in flagcalc.__all__ if isinstance(getattr(flagcalc, name), ModuleType)]
+    assert not modules and {"DynkinDiagram", "parse_diagram", "DomainError"} <= set(flagcalc.__all__), modules

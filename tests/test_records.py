@@ -1,18 +1,18 @@
-"""The value records' contract: repr, hash, equality and immutability.
+"""The value records' contract: repr, hash, equality, immutability and validation.
 
-Plain records are ``NamedTuple``s; the four that validate their fields or
-cache derived values are frozen dataclasses.  Both kinds print as
-``Name(field=value, ...)``, hash as the tuple of their fields, compare equal
-to a record of the same type with equal fields and refuse assignment.  The
-``repr`` strings below were pinned while every record was a dataclass.
+Every public record is a tuple: ``DynkinDiagram`` and the plain records are
+``typing.NamedTuple``s, and the three that validate their fields
+(``MarkedDiagram``, ``Tag`` and ``TwoBundleData``) subclass a
+``collections.namedtuple`` and check in ``__new__``, which ``_make`` and
+``_replace`` also go through.  Each prints as ``Name(field=value, ...)``,
+hashes and compares as the tuple of its fields, and refuses assignment.  The
+``repr`` strings below were pinned while some records were dataclasses.
 """
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
-from flagcalc import classifier, drum, dynkin, homogeneous, tags
+from flagcalc import DomainError, classifier, drum, dynkin, homogeneous, tags
 
 A1 = dynkin.DynkinDiagram((("A", 1),))
 A2 = dynkin.DynkinDiagram((("A", 2),))
@@ -109,7 +109,6 @@ SAMPLES = [
         "m_plus_nef=True, m_minus_nef=False)",
     ),
 ]
-VALIDATED = {dynkin.DynkinDiagram, homogeneous.MarkedDiagram, tags.Tag, classifier.TwoBundleData}
 
 
 def _public_classes() -> set[type]:
@@ -121,23 +120,15 @@ def _public_classes() -> set[type]:
     }
 
 
-def _field_names(cls: type) -> tuple[str, ...]:
-    if dataclasses.is_dataclass(cls):
-        return tuple(f.name for f in dataclasses.fields(cls))
-    return cls._fields
-
-
 def test_every_public_record_has_a_sample():
     assert {cls for cls, _, _ in SAMPLES} == _public_classes()
-    # the validated ones are frozen dataclasses, every other record a NamedTuple
-    for cls, _, _ in SAMPLES:
-        assert dataclasses.is_dataclass(cls) == (cls in VALIDATED) != issubclass(cls, tuple), cls
+    assert all(issubclass(cls, tuple) for cls, _, _ in SAMPLES)
 
 
 @pytest.mark.parametrize("cls, fields, text", SAMPLES, ids=[cls.__name__ for cls, _, _ in SAMPLES])
 def test_record_contract(cls, fields, text):
     x = cls(**fields)
-    assert _field_names(cls) == tuple(fields)
+    assert cls._fields == tuple(fields)
     assert repr(x) == text
     assert hash(x) == hash(tuple(fields.values()))
     assert x == cls(**fields) and x == cls(*fields.values())
@@ -153,7 +144,31 @@ def test_record_defaults():
 
 
 def test_named_tuple_records_are_tuples():
-    # the documented difference from a dataclass: fields by position, tuple equality, _asdict and _replace
+    # fields by position, tuple equality (also across record types), _asdict and _replace
     assert ENTRY == (A2, 1, 2, 1, 1, 3) and ENTRY[1:3] == (1, 2) and len(ENTRY) == 6
     assert ENTRY._replace(dim=4).dim == 4 and ENTRY.dim == 3
     assert list(SINK._asdict()) == ["variety", "mu", "dim"]
+    assert homogeneous.MarkedDiagram(A2, (1, 2)) == tags.Tag(A2, (1, 2)) == (A2, (1, 2))
+    assert A2 == ((("A", 2),),) and A2.rank == 2 and A2.nodes == range(1, 3)
+
+
+@pytest.mark.parametrize(
+    "record, fields",
+    [
+        (TAG, {"values": (-1, 0)}),
+        (classifier.TwoBundleData(1, 2, tags.Tag(A1, (1,)), TAG), {"r_minus": 0}),
+        (homogeneous.MarkedDiagram(B3, (1,)), {"marks": (4,)}),
+    ],
+    ids=["Tag", "TwoBundleData", "MarkedDiagram"],
+)
+def test_replace_validates(record, fields):
+    # namedtuple's own _make and _replace would skip __new__ and return an invalid record
+    with pytest.raises(DomainError):
+        record._replace(**fields)
+    with pytest.raises(DomainError):
+        type(record)._make({**record._asdict(), **fields}.values())
+
+
+def test_replace_normalises_marks():
+    marked = homogeneous.MarkedDiagram(B3, (1,))._replace(marks=(3, 1, 3))
+    assert marked.marks == (1, 3) and type(marked) is homogeneous.MarkedDiagram

@@ -4,14 +4,16 @@ Four layering rules are checked on the same syntax trees: only ``dynkin``
 names its shape-reading internals, other modules name only the listed
 ``dynkin`` privates (the classifier reads its tags off the bond table
 ``_bonds``, the one source of Cartan entries), root lists are built only
-where they are the answer, and no module uses rational arithmetic.  A fifth
-keeps imports cheap: a frozen dataclass takes about five times as long as a ``NamedTuple``
-to create at import, so only a record that validates (``__post_init__``) or
-caches (``cached_property``, which needs an instance ``__dict__``) is one.
+where they are the answer, and no module uses a banned standard module or
+name: ``fractions``, as every value is an exact integer, and ``dataclasses``
+and ``cached_property``, as every record is a tuple.  A fresh interpreter
+importing ``flagcalc.cli`` loads none of ``dataclasses`` and the
+introspection modules it pulls in.
 """
 from __future__ import annotations
 
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
@@ -23,6 +25,12 @@ SHAPE_INTERNALS = {"_read_shape", "_walk"}
 DYNKIN_PRIVATES_NAMED = {
     "homogeneous.py": {"_NORMALIZED_RANKS", "_bonds", "_component_root_count", "_components", "_renumber"},
     "classifier.py": {"_bonds"},
+}
+# Banned standard modules and names, each with the reason.
+BANNED = {
+    "fractions": "every value is exact integer arithmetic",
+    "dataclasses": "every record is a tuple; importing it loads inspect, ast and dis",
+    "cached_property": "records are tuples with no instance __dict__ to cache in",
 }
 # The root machinery and the modules that may name it, besides the package's
 # re-exports in ``__init__``: ``roots`` prints the root list and ``weyl_dim``
@@ -110,39 +118,32 @@ def test_only_root_consumers_name_the_root_machinery():
     assert not named, named
 
 
-def test_no_module_imports_fractions():
-    rational = [
-        (name, module)
+def test_no_module_uses_a_banned_module_or_name():
+    used = [
+        (name, banned, reason)
         for name, tree in _trees()
-        for module in _absolute_imports(tree)
-        if module.partition(".")[0] == "fractions"
+        for banned, reason in BANNED.items()
+        if banned in {module.partition(".")[0] for module in _absolute_imports(tree)} | set(_names(tree))
     ]
-    assert not rational, rational
+    assert not used, used
 
 
-def _decorator_name(node: ast.expr) -> str | None:
-    """``dataclass`` for ``@dataclass``, ``@dataclasses.dataclass`` and ``@dataclass(...)``."""
-    if isinstance(node, ast.Call):
-        node = node.func
-    if isinstance(node, ast.Name):
-        return node.id
-    return node.attr if isinstance(node, ast.Attribute) else None
+# Imports ``flagcalc.cli`` with the source tree, argv[1], as the only addition to the path.
+_IMPORT_CLI = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import flagcalc.cli
+print(sorted({"dataclasses", "inspect", "ast", "dis"} & sys.modules.keys()))
+"""
 
 
-def test_every_dataclass_validates_or_caches():
-    seen, plain = set(), []
-    for name, tree in _trees():
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            if "dataclass" not in map(_decorator_name, node.decorator_list):
-                continue
-            seen.add(node.name)
-            methods = [item for item in node.body if isinstance(item, ast.FunctionDef)]
-            if not any(
-                item.name == "__post_init__" or "cached_property" in map(_decorator_name, item.decorator_list)
-                for item in methods
-            ):
-                plain.append((name, node.name))
-    assert {"DynkinDiagram", "MarkedDiagram", "Tag", "TwoBundleData"} <= seen, seen
-    assert not plain, f"plain records should be NamedTuples: {plain}"
+def test_cli_import_loads_no_dataclasses_or_introspection(tmp_path):
+    # ``dataclasses`` imports ``inspect``, which imports ``ast`` and ``dis``: about a fifth of the CLI's import
+    result = subprocess.run(
+        [sys.executable, "-S", "-I", "-c", _IMPORT_CLI, str(PACKAGE.parent)],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (result.returncode, result.stdout) == (0, "[]\n"), (result.stdout, result.stderr)
