@@ -6,7 +6,8 @@ names its shape-reading internals, other modules name only the listed
 ``_bonds``, the one source of Cartan entries), root lists are built only
 where they are the answer, and no module uses a banned standard module or
 name: ``fractions``, as every value is an exact integer, and ``dataclasses``
-and ``cached_property``, as every record is a tuple.  A fresh interpreter
+and ``cached_property``, as every record is a tuple; a record that validates
+does so in ``__new__``, with ``_make`` rebound to it.  A fresh interpreter
 importing ``flagcalc.cli`` loads none of ``dataclasses`` and the
 introspection modules it pulls in.
 """
@@ -26,9 +27,8 @@ DYNKIN_PRIVATES_NAMED = {
     "homogeneous.py": {"_NORMALIZED_RANKS", "_bonds", "_component_root_count", "_components", "_renumber"},
     "classifier.py": {"_bonds"},
 }
-# Banned standard modules and names, each with the reason.
+# Banned standard modules and names, each with the reason (``fractions`` has its own test).
 BANNED = {
-    "fractions": "every value is exact integer arithmetic",
     "dataclasses": "every record is a tuple; importing it loads inspect, ast and dis",
     "cached_property": "records are tuples with no instance __dict__ to cache in",
 }
@@ -118,6 +118,16 @@ def test_only_root_consumers_name_the_root_machinery():
     assert not named, named
 
 
+def test_no_module_imports_fractions():
+    rational = [
+        (name, module)
+        for name, tree in _trees()
+        for module in _absolute_imports(tree)
+        if module.partition(".")[0] == "fractions"
+    ]
+    assert not rational, rational
+
+
 def test_no_module_uses_a_banned_module_or_name():
     used = [
         (name, banned, reason)
@@ -126,6 +136,43 @@ def test_no_module_uses_a_banned_module_or_name():
         if banned in {module.partition(".")[0] for module in _absolute_imports(tree)} | set(_names(tree))
     ]
     assert not used, used
+
+
+def _decorator_name(node: ast.expr) -> str | None:
+    """``dataclass`` for ``@dataclass``, ``@dataclasses.dataclass`` and ``@dataclass(...)``."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Name):
+        return node.id
+    return node.attr if isinstance(node, ast.Attribute) else None
+
+
+def test_every_dataclass_validates_or_caches():
+    # No record is a dataclass any more: a record that validates is a namedtuple
+    # subclass checking in ``__new__``, with ``_make`` (which ``_replace`` calls)
+    # rebound so that it checks too; every other record is a plain ``NamedTuple``.
+    dataclasses, validating, unchecked = [], set(), []
+    for name, tree in _trees():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            if "dataclass" in map(_decorator_name, node.decorator_list):
+                dataclasses.append((name, node.name))
+            methods = {item.name for item in node.body if isinstance(item, ast.FunctionDef)}
+            assigned = {
+                target.id
+                for item in node.body
+                if isinstance(item, ast.Assign)
+                for target in item.targets
+                if isinstance(target, ast.Name)
+            }
+            if "__new__" in methods:
+                validating.add(node.name)
+                if "_make" not in assigned:
+                    unchecked.append((name, node.name))
+    assert not dataclasses, f"records should be tuples: {dataclasses}"
+    assert {"MarkedDiagram", "Tag", "TwoBundleData"} <= validating, validating
+    assert not unchecked, f"_make and _replace skip __new__ in: {unchecked}"
 
 
 # Imports ``flagcalc.cli`` with the source tree, argv[1], as the only addition to the path.
