@@ -170,6 +170,8 @@ def match_model(data: TwoBundleData, max_rank: int) -> tuple[HomogeneousModel, .
     both orientations: the rank bound limits only that catalogue, and an
     empty result means no homogeneous model exists within it.
     """
+    if type(max_rank) is not int:
+        raise DomainError(f"max_rank must be an integer, got {max_rank!r}")
     if max_rank < max(data.r_minus, data.r_plus) + 1:
         raise DomainError("max_rank must be at least max(r_minus, r_plus) + 1")
     product = is_trivial(data.delta_minus) and is_trivial(data.delta_plus)

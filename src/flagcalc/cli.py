@@ -1,54 +1,42 @@
 """Command-line front end.
 
 Subcommands: roots, gp (dim | fiber | enumerate), tag (reduce | restrict |
-shape), classify, drum (build | ledger), and enumerate as an alias for
-gp enumerate.  Each ``_cmd_*`` handler returns its JSON payload and a
-callable making its text lines from the same values; ``main`` prints the
-JSON (schema 1) or, for text, calls the callable.  Identical inputs produce
-byte-identical output.  Exit codes: 0 success, 1 domain error, 2 usage error.
+shape), classify, drum (build | ledger), and enumerate, an alias of gp
+enumerate.  ``dynkin.parse_ints`` reads every integer, ``dynkin.typed_nodes``
+every typed node.  Each ``_cmd_*`` handler returns its JSON payload and a
+callable giving its text lines; ``main`` prints the one asked for.  Identical
+inputs give byte-identical output.  Exit codes: 0 success, 1 domain error,
+2 usage error.
 """
 from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 from typing import Callable
 
 from . import classifier, drum as drum_mod, homogeneous, tags as tags_mod
-from .dynkin import parse_diagram, parse_with_node_map, positive_roots, weyl_order
+from .dynkin import parse_diagram, parse_ints, parse_with_node_map, positive_roots, typed_nodes, weyl_order
 from .errors import DomainError
 from .homogeneous import _marked_name
 
 SCHEMA = 1
 
-_INT_RE = re.compile(r"\s*[+-]?[0-9]+\s*")
-
 
 def _int(text: str) -> int:
-    """An integer argument: ASCII digits with an optional sign and surrounding spaces.
-
-    As in the mark and tag grammars, ``int``'s digit separators (``1_0``)
-    and non-ASCII digits are rejected.
-    """
-    if not _INT_RE.fullmatch(text):
+    """An integer argument: one ``dynkin.parse_ints`` entry, or argparse's usage error."""
+    values = parse_ints(text)
+    if values is None or len(values) != 1:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    return int(text)
+    return values[0]
 
 
 def _int_list(text: str, option: str) -> tuple[int, ...]:
-    """The comma-separated ``_int`` entries given to ``option``; a malformed list is a usage error."""
-    parts = text.split(",")
-    if not all(_INT_RE.fullmatch(p) for p in parts):
+    """The ``dynkin.parse_ints`` entries given to ``option``; a malformed list is a usage error."""
+    values = parse_ints(text)
+    if values is None:
         raise argparse.ArgumentTypeError(f"{option} expects comma-separated integers, got {text!r}")
-    return tuple(int(p) for p in parts)
-
-
-def _typed_nodes(nodes, node_map: dict[int, int], text: str) -> tuple[int, ...]:
-    """Node arguments numbered as in the diagram typed in ``text``, in its normalized numbering."""
-    if any(k not in node_map for k in nodes):
-        raise DomainError(f"nodes {list(nodes)} not all in {text!r}")
-    return tuple(node_map[k] for k in nodes)
+    return values
 
 
 def _cmd_roots(args) -> tuple[dict, Callable[[], list[str]]]:
@@ -88,7 +76,7 @@ def _cmd_gp_dim(args) -> tuple[dict, Callable[[], list[str]]]:
 
 def _cmd_gp_fiber(args) -> tuple[dict, Callable[[], list[str]]]:
     m, node_map = homogeneous.parse_marked_with_node_map(args.marked)
-    base = _typed_nodes(_int_list(args.base, "--base"), node_map, args.marked)
+    base = typed_nodes(_int_list(args.base, "--base"), node_map, args.marked)
     fiber = homogeneous.contraction_fiber(m.diagram, m.marks, base)
     payload = {
         "base_marks": list(fiber.base_marks),
@@ -141,7 +129,7 @@ def _cmd_tag_reduce(args) -> tuple[dict, Callable[[], list[str]]]:
 
 def _cmd_tag_restrict(args) -> tuple[dict, Callable[[], list[str]]]:
     t, node_map = tags_mod.parse_tag_with_node_map(args.tag)
-    marks = _typed_nodes(_int_list(args.marks, "--marks"), node_map, args.tag)
+    marks = typed_nodes(_int_list(args.marks, "--marks"), node_map, args.tag)
     restricted = tags_mod.restrict_tag(t, marks)
     payload = {
         "input": t.render(),
@@ -226,7 +214,7 @@ def _drum_payload(d: drum_mod.HorosphericalDrum) -> dict:
 
 def _build_drum(args) -> drum_mod.HorosphericalDrum:
     d, node_map = parse_with_node_map(args.diagram)
-    return drum_mod.build_drum(d, *_typed_nodes((args.i, args.j), node_map, args.diagram))
+    return drum_mod.build_drum(d, *typed_nodes((args.i, args.j), node_map, args.diagram))
 
 
 def _cmd_drum_build(args) -> tuple[dict, Callable[[], list[str]]]:
@@ -260,67 +248,42 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_format(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--format", choices=("text", "json"), default="text")
+    def group(name: str, help_text: str):
+        return sub.add_parser(name, help=help_text).add_subparsers(dest=f"{name}_command", required=True)
 
-    p_roots = sub.add_parser("roots", help="positive roots, Cartan matrix, Weyl order")
-    p_roots.add_argument("diagram")
-    add_format(p_roots)
-    p_roots.set_defaults(func=_cmd_roots)
+    def leaf(parent, name: str, func, *positionals: str, **kwargs) -> argparse.ArgumentParser:
+        p = parent.add_parser(name, **kwargs)
+        for positional in positionals:
+            p.add_argument(positional)
+        p.set_defaults(func=func)
+        return p
 
-    p_gp = sub.add_parser("gp", help="marked-diagram geometry")
-    gp_sub = p_gp.add_subparsers(dest="gp_command", required=True)
-    p_dim = gp_sub.add_parser("dim", help="dimension and Picard number")
-    p_dim.add_argument("marked")
-    add_format(p_dim)
-    p_dim.set_defaults(func=_cmd_gp_dim)
-    p_fiber = gp_sub.add_parser("fiber", help="fiber of a forgetful contraction")
-    p_fiber.add_argument("marked")
-    p_fiber.add_argument("--base", required=True, help="comma-separated base marks")
-    add_format(p_fiber)
-    p_fiber.set_defaults(func=_cmd_gp_fiber)
-    enum_help = ((gp_sub, "diagrams with two projective bundle structures"), (sub, "alias for gp enumerate"))
-    for group, help_text in enum_help:
-        p_enum = group.add_parser("enumerate", help=help_text)
-        p_enum.add_argument("--max-rank", type=_int, required=True)
-        add_format(p_enum)
-        p_enum.set_defaults(func=_cmd_enumerate)
-
-    p_tag = sub.add_parser("tag", help="tag calculus")
-    tag_sub = p_tag.add_subparsers(dest="tag_command", required=True)
-    p_reduce = tag_sub.add_parser("reduce", help="symplectic reduction of a palindromic tag")
-    p_reduce.add_argument("tag")
-    add_format(p_reduce)
-    p_reduce.set_defaults(func=_cmd_tag_reduce)
-    p_restrict = tag_sub.add_parser("restrict", help="restrict a tag to a subdiagram")
-    p_restrict.add_argument("tag")
-    p_restrict.add_argument("--marks", required=True, help="comma-separated nodes to delete")
-    add_format(p_restrict)
-    p_restrict.set_defaults(func=_cmd_tag_restrict)
-    p_shape = tag_sub.add_parser("shape", help="shape trichotomy of a type A tag")
-    p_shape.add_argument("tag")
-    add_format(p_shape)
-    p_shape.set_defaults(func=_cmd_tag_shape)
-
-    p_classify = sub.add_parser("classify", help="match two-bundle data against the homogeneous models")
-    p_classify.add_argument("--r-minus", type=_int, required=True)
-    p_classify.add_argument("--r-plus", type=_int, required=True)
-    p_classify.add_argument("--tag-minus", required=True)
-    p_classify.add_argument("--tag-plus", required=True)
-    p_classify.add_argument("--max-rank", type=_int, default=8)
-    add_format(p_classify)
-    p_classify.set_defaults(func=_cmd_classify)
-
-    p_drum = sub.add_parser("drum", help="drum construction over a two-bundle variety")
-    drum_sub = p_drum.add_subparsers(dest="drum_command", required=True)
+    leaf(sub, "roots", _cmd_roots, "diagram", help="positive roots, Cartan matrix, Weyl order")
+    gp = group("gp", "marked-diagram geometry")
+    leaf(gp, "dim", _cmd_gp_dim, "marked", help="dimension and Picard number")
+    p = leaf(gp, "fiber", _cmd_gp_fiber, "marked", help="fiber of a forgetful contraction")
+    p.add_argument("--base", required=True, help="comma-separated base marks")
+    for parent, text in ((gp, "diagrams with two projective bundle structures"), (sub, "alias for gp enumerate")):
+        leaf(parent, "enumerate", _cmd_enumerate, help=text).add_argument("--max-rank", type=_int, required=True)
+    tag = group("tag", "tag calculus")
+    leaf(tag, "reduce", _cmd_tag_reduce, "tag", help="symplectic reduction of a palindromic tag")
+    p = leaf(tag, "restrict", _cmd_tag_restrict, "tag", help="restrict a tag to a subdiagram")
+    p.add_argument("--marks", required=True, help="comma-separated nodes to delete")
+    leaf(tag, "shape", _cmd_tag_shape, "tag", help="shape trichotomy of a type A tag")
+    p = leaf(sub, "classify", _cmd_classify, help="match two-bundle data against the homogeneous models")
+    p.add_argument("--r-minus", type=_int, required=True)
+    p.add_argument("--r-plus", type=_int, required=True)
+    p.add_argument("--tag-minus", required=True)
+    p.add_argument("--tag-plus", required=True)
+    p.add_argument("--max-rank", type=_int, default=8)
+    drum = group("drum", "drum construction over a two-bundle variety")
     for name, func in (("build", _cmd_drum_build), ("ledger", _cmd_drum_ledger)):
-        p = drum_sub.add_parser(name)
-        p.add_argument("diagram")
+        p = leaf(drum, name, func, "diagram")  # no help=: argparse lists one given help=None in "drum -h"
         p.add_argument("i", type=_int)
         p.add_argument("j", type=_int)
-        add_format(p)
-        p.set_defaults(func=func)
-
+    # every leaf takes --format last, so that usage and help list its own options first
+    for p in [q for g in (sub, gp, tag, drum) for q in g.choices.values() if q.get_default("func")]:
+        p.add_argument("--format", choices=("text", "json"), default="text")
     return parser
 
 
@@ -345,12 +308,9 @@ def main(argv: list[str] | None = None, out=None) -> int:
         return int(exc.code or 0)
     try:
         payload, lines = args.func(args)
-    except DomainError as exc:
+    except (DomainError, argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except argparse.ArgumentTypeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, DomainError) else 2
     if args.format == "json":
         print(json.dumps({"schema": SCHEMA, **payload}, sort_keys=True), file=out)
     else:

@@ -159,6 +159,26 @@ def parse_diagram(text: str) -> DynkinDiagram:
     return parse_with_node_map(text)[0]
 
 
+# An integer entry: ASCII digits (``int`` would also read ``1_0`` and ``٣``), an optional sign and
+# surrounding whitespace, ``\s`` less U+001C-U+001F: ``\s`` matches those four, but ``int`` does not strip them.
+_INT_RE = re.compile(r"[^\S\x1c-\x1f]*[+-]?[0-9]+[^\S\x1c-\x1f]*")
+
+
+def parse_ints(text: str) -> tuple[int, ...] | None:
+    """The comma-separated ``_INT_RE`` entries of ``text``, or None when any entry is malformed."""
+    parts = text.split(",")
+    if not all(_INT_RE.fullmatch(p) for p in parts):
+        return None
+    return tuple(int(p) for p in parts)
+
+
+def typed_nodes(nodes, node_map: dict[int, int], text: str) -> tuple[int, ...]:
+    """``nodes``, numbered as in the diagram typed in ``text``, in the normalized numbering of ``node_map``."""
+    if any(k not in node_map for k in nodes):
+        raise DomainError(f"nodes {list(nodes)} not all in {text!r}")
+    return tuple(node_map[k] for k in nodes)
+
+
 @lru_cache(maxsize=None)
 def _bonds(d: DynkinDiagram) -> Bonds:
     """Off-diagonal Cartan entries of ``d``: entry ``a - 1`` maps each neighbour b of node a to C[b][a].

@@ -37,7 +37,9 @@ from .dynkin import (
     _components,
     _renumber,
     automorphisms,
+    parse_ints,
     parse_with_node_map,
+    typed_nodes,
 )
 from .errors import DomainError, ParseError
 
@@ -92,13 +94,10 @@ def parse_marked_with_node_map(text: str) -> tuple[MarkedDiagram, dict[int, int]
     if m is None:
         raise ParseError(f"cannot parse marked diagram {text!r}")
     diagram, node_map = parse_with_node_map(m.group(1))
-    try:
-        raw_marks = [int(p) for p in m.group(2).split(",")]
-    except ValueError as exc:
-        raise ParseError(f"bad mark list in {text!r}") from exc
-    if any(k not in node_map for k in raw_marks):
-        raise DomainError(f"marks {raw_marks} not all in diagram {m.group(1)!r}")
-    return MarkedDiagram(diagram, tuple(node_map[k] for k in raw_marks)), node_map
+    raw_marks = parse_ints(m.group(2))
+    if raw_marks is None:
+        raise ParseError(f"bad mark list in {text!r}")
+    return MarkedDiagram(diagram, typed_nodes(raw_marks, node_map, text)), node_map
 
 
 def parse_marked(text: str) -> MarkedDiagram:
@@ -311,8 +310,10 @@ def enumerate_two_bundles(max_rank: int) -> tuple[TwoBundleEntry, ...]:
     once; type A pairs are all kept, so the flip-related pairs (r, r+1) and
     (n-r, n-r+1) are both listed, matching the usual presentation of the
     classification.  ``max_rank`` runs from 2 to ``dynkin.MAX_RANK``, the
-    ceiling of every diagram.
+    ceiling of every diagram, and must be an ``int``.
     """
+    if type(max_rank) is not int:
+        raise DomainError(f"max_rank must be an integer, got {max_rank!r}")
     if max_rank < 2:
         raise DomainError("max_rank must be at least 2")
     if max_rank > MAX_RANK:

@@ -12,7 +12,7 @@ import re
 from collections import namedtuple
 from typing import NamedTuple, Sequence
 
-from .dynkin import DynkinDiagram, parse_diagram, parse_with_node_map, subdiagram
+from .dynkin import DynkinDiagram, parse_diagram, parse_ints, parse_with_node_map, subdiagram
 from .errors import DomainError, ParseError
 
 FIRST_NODE_ONLY = "first_node_only"
@@ -75,14 +75,11 @@ def parse_tag_with_node_map(text: str) -> tuple[Tag, dict[int, int]]:
     if m is None:
         raise ParseError(f"cannot parse tag {text!r}")
     diagram, node_map = parse_with_node_map(m.group(1))
-    try:
-        raw_values = [int(p) for p in m.group(2).split(",")]
-    except ValueError as exc:
-        raise ParseError(f"bad value list in {text!r}") from exc
+    raw_values = parse_ints(m.group(2))
+    if raw_values is None:
+        raise ParseError(f"bad value list in {text!r}")
     if len(raw_values) != diagram.rank:
-        raise DomainError(
-            f"tag {text!r} has {len(raw_values)} values for a rank-{diagram.rank} diagram"
-        )
+        raise DomainError(f"tag {text!r} has {len(raw_values)} values for a rank-{diagram.rank} diagram")
     values = [0] * diagram.rank
     for old, new in node_map.items():
         values[new - 1] = raw_values[old - 1]

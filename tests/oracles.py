@@ -23,13 +23,17 @@ root list instead of read off the fiber's shape in closed form, fiber ranks
 tested at every position of each component instead of written at its two
 ends, the split of a diagram less one node as node lists read off the
 standard numbering of A, B, C and D, or walked on its bonds, instead of as
-end records by arithmetic, and each drum identified with a known variety from the geometry of its orbit
-closure instead of measured by the dimension formulas of ``build_drum``.
+end records by arithmetic, each drum identified with a known variety from the geometry of its orbit
+closure instead of measured by the dimension formulas of ``build_drum``, and
+typed integers read as the CLI and the mark and tag parsers read them
+before ``dynkin.parse_ints``: by a regex per entry, or by ``int`` on each
+entry, instead of by one grammar.
 
 Module-level code is stdlib-only: the benchmark loads this file by path.
 """
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -742,3 +746,25 @@ def drum_identification(family: str, n: int, i: int, j: int) -> str | int:
     if family == "C" and j == i + 1:
         return (i + 1) * (2 * n - i) - i * (i + 1) // 2
     return {("B", 3, 1, 3): 9, ("F", 4, 2, 3): 23, ("G", 2, 1, 2): 7}[(family, n, i, j)]
+
+
+def ints_by_entry_regex(text: str) -> tuple[int, ...] | None:
+    """The CLI's integer reader: each comma-separated entry must match ``\\s*[+-]?[0-9]+\\s*``.
+
+    None when an entry does not match; otherwise ``int`` reads each entry,
+    which raises ``ValueError`` when an entry is padded with U+001C-U+001F:
+    ``\\s`` matches those, but ``int`` does not strip them.
+    """
+    parts = text.split(",")
+    if not all(re.fullmatch(r"\s*[+-]?[0-9]+\s*", p) for p in parts):
+        return None
+    return tuple(int(p) for p in parts)
+
+
+def ints_by_split(text: str) -> tuple[int, ...]:
+    """The mark and tag list reader: ``int`` on each comma-separated entry; ``ValueError`` on a bad one.
+
+    The mark and tag grammars pass it only text of ``[0-9,\\s]+``, so no
+    entry it reads has a sign, an underscore or a non-ASCII digit.
+    """
+    return tuple(int(p) for p in text.split(","))

@@ -205,6 +205,11 @@ def test_exit_codes(capsys):
         # int() would read these as 10 and 3: only ASCII digits are integers
         ("gp", "fiber", "A3{1,2}", "--base", "1_0"),
         ("gp", "fiber", "A3{1,2}", "--base", "\u0663"),
+        # \s matches U+001C-U+001F, but int() does not strip them
+        ("gp", "fiber", "B3{1,3}", "--base", "\x1f3"),
+        ("tag", "restrict", "A3:1,0,2", "--marks", "2\x1c"),
+        ("classify", "--r-minus", "1", "--r-plus", "1", "--tag-minus", "\x1d1", "--tag-plus", "3"),
+        ("classify", "--r-minus", "1", "--r-plus", "1", "--tag-minus", "1", "--tag-plus", "\x1e3"),
     ):
         assert run_cli(*argv) == (2, "")
         err = capsys.readouterr().err.splitlines()
@@ -218,10 +223,24 @@ def test_exit_codes(capsys):
         ("classify", "--r-minus", "1", "--r-plus", "1", "--tag-minus", "1", "--tag-plus", "3", "--max-rank", "٨"),
         ("drum", "build", "B3", "1_0", "3"),
         ("drum", "ledger", "B3", "1", "٣"),
+        ("enumerate", "--max-rank", "\x1f3"),
+        ("classify", "--r-minus", "1\x1c", "--r-plus", "1", "--tag-minus", "1", "--tag-plus", "3"),
+        ("drum", "build", "B3", "\x1d1", "3"),
     ):
         assert run_cli(*argv) == (2, ""), argv
         err = capsys.readouterr().err.splitlines()
         assert ERROR_LINE.match(err[-1]) and "invalid int value" in err[-1], argv
+
+
+def test_typed_node_outside_the_typed_diagram_has_one_message(capsys):
+    for argv, nodes, typed in (
+        (("gp", "dim", "D3{4}"), "[4]", "D3{4}"),
+        (("gp", "fiber", "D3{2,3}", "--base", "4"), "[4]", "D3{2,3}"),
+        (("tag", "restrict", "D3:1,2,3", "--marks", "4"), "[4]", "D3:1,2,3"),
+        (("drum", "build", "D3", "2", "4"), "[2, 4]", "D3"),
+    ):
+        assert run_cli(*argv) == (1, ""), argv
+        assert capsys.readouterr().err == f"error: nodes {nodes} not all in '{typed}'\n", argv
 
 
 def test_diagram_rank_ceiling_is_a_domain_error(capsys):

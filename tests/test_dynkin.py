@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import random
+import re
+
 import pytest
 
 from flagcalc.dynkin import (
@@ -11,16 +14,21 @@ from flagcalc.dynkin import (
     cartan_matrix,
     pairing,
     parse_diagram,
+    parse_ints,
     positive_roots,
     subdiagram,
     weyl_order,
 )
 from flagcalc.errors import DomainError, ParseError
+from flagcalc.homogeneous import MarkedDiagram, parse_marked
+from flagcalc.tags import Tag, parse_tag
 
 from oracles import (
     bfs_group_order,
     cartan_matrix_by_blocks,
     closed_form_root_count,
+    ints_by_entry_regex,
+    ints_by_split,
     isomorphisms,
     positive_roots_by_strings,
     reflection_closure,
@@ -96,6 +104,52 @@ def test_parse_rejects_rank_above_ceiling():
         with pytest.raises(DomainError, match="above the ceiling 100") as info:
             parse_diagram(text)
         assert type(info.value) is DomainError, text
+
+
+# digits, separators, signs, what ``int`` reads but the grammar does not (``_``,
+# ``٣``), junk, the four separators U+001C-U+001F and three non-ASCII spaces
+GRAMMAR_ALPHABET = [*"0123456789", *", \t+-_\u0663x", *"\x1c\x1d\x1e\x1f", *"\xa0\u2007\u3000"]
+
+
+def _outcome(call):
+    """The value of ``call()``, or the type of the ``ValueError`` it raises (``DomainError`` is one)."""
+    try:
+        return call()
+    except ValueError as exc:
+        return type(exc)
+
+
+def _split_reader_outcome(body: str, build):
+    """What a mark or tag list ``body`` gave when the split reader read it: ``build(values)`` or an error type."""
+    if not re.fullmatch(r"[0-9,\s]+", body):  # the outer mark and tag grammar
+        return ParseError
+    try:
+        values = ints_by_split(body)
+    except ValueError:
+        return ParseError
+    return _outcome(lambda: build(values))
+
+
+def test_parse_ints_agrees_with_the_readers_it_replaced():
+    rng = random.Random(23)
+    texts = sorted({"".join(rng.choices(GRAMMAR_ALPHABET, k=rng.randint(0, 6))) for _ in range(3000)})
+    assert len(texts) >= 2000
+    a9 = DynkinDiagram((("A", 9),))
+    for text in texts:
+        try:
+            expected = ints_by_entry_regex(text)
+        except ValueError:  # the CLI reader crashed: only on U+001C-U+001F, which parse_ints rejects
+            assert re.search("[\x1c-\x1f]", text) and parse_ints(text) is None, repr(text)
+        else:
+            assert parse_ints(text) == expected, repr(text)
+        assert _outcome(lambda: parse_marked(f"A9{{{text}}}")) == _split_reader_outcome(
+            text, lambda values: MarkedDiagram(a9, values)
+        ), repr(text)
+        # a tag on A_k, k its entry count; parse_tag strips the whole string, so the reader sees the body rstripped
+        a_k = DynkinDiagram((("A", text.count(",") + 1),))
+        assert _outcome(lambda: parse_tag(f"{a_k}:{text}")) == _split_reader_outcome(
+            text.rstrip(), lambda values: Tag(a_k, values)
+        ), repr(text)
 
 
 def test_cartan_anchors():

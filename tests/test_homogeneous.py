@@ -402,6 +402,19 @@ def test_enumerate_matches_classification_list():
         assert got == expected_two_bundle_keys(max_rank), max_rank
 
 
+def test_max_rank_must_be_an_int():
+    data = TwoBundleData.from_values(1, 1, (1,), (3,))
+    product = TwoBundleData.from_values(1, 1, (0,), (0,))
+    assert len(enumerate_two_bundles(12)) == 164 and match_model(data, 8) and match_model(product, 8)
+    # 12.0 and 8.0 equal ranks already cached; no cached entry may answer them
+    for max_rank in (12.0, 8.0, True, "8"):
+        with pytest.raises(DomainError, match="max_rank must be an integer"):
+            enumerate_two_bundles(max_rank)
+        for request in (data, product):
+            with pytest.raises(DomainError, match="max_rank must be an integer"):
+                match_model(request, max_rank)
+
+
 def test_enumerate_d4_triality_collapsed():
     entries = [e for e in enumerate_two_bundles(4) if e.diagram.render() == "D4"]
     assert [(e.i, e.j) for e in entries] == [(3, 4)]

@@ -47,7 +47,9 @@ def test_oracle_module_loads_by_path_without_flagcalc(tmp_path):
 # ``side_tag_by_roots`` checks ``classifier._side_tag`` with the public root
 # machinery; and the catalogue, root and drum references import no flagcalc
 # code.  These are the references that catch mutants of ``_side_tag``,
-# ``_rank_ends`` and ``homogeneous._projective_rank``.
+# ``_rank_ends`` and ``homogeneous._projective_rank``.  The subdiagram search
+# imports only ``DomainError``, the rational Weyl dimension only the public
+# root machinery, and the two integer readers nothing.
 SPLIT_IMPORTS = {("flagcalc.dynkin", "_components"), ("flagcalc.dynkin", "_bonds")}
 REFERENCE_IMPORTS = {
     "split_at": SPLIT_IMPORTS,
@@ -60,12 +62,62 @@ REFERENCE_IMPORTS = {
     "expected_two_bundle_keys": set(),
     "reflection_closure": set(),
     "drum_identification": set(),
+    "subdiagram_by_search": {("flagcalc.errors", "DomainError")},
+    "symmetrizer_fraction": {("flagcalc.dynkin", "cartan_matrix")},
+    "weyl_dim_fraction": {
+        ("flagcalc.dynkin", "cartan_matrix"),
+        ("flagcalc.dynkin", "positive_roots"),
+        ("flagcalc.errors", "DomainError"),
+    },
+    "ints_by_entry_regex": set(),
+    "ints_by_split": set(),
+}
+
+# Each private rule, and a test (file, function) that checks it against a
+# reference of ``REFERENCE_IMPORTS`` that does not import the rule, so that a
+# mutant of the rule cannot pass on a copy of itself.  The catalogue test runs
+# the whole scan: ``_scan_ranks``, ``_end_map`` (A-D), ``_component_ends`` (E,
+# F, G) and ``_rank_ends`` with ``_projective_rank``; the drum test reads
+# dim D{i} off ``_fiber_table``.
+CATALOGUE = ("test_homogeneous.py", "test_enumerate_matches_classification_list", "expected_two_bundle_keys")
+RULE_CHECKS = {
+    ("homogeneous", "_projective_rank"): CATALOGUE,
+    ("homogeneous", "_rank_ends"): CATALOGUE,
+    ("homogeneous", "_end_map"): CATALOGUE,
+    ("homogeneous", "_component_ends"): CATALOGUE,
+    ("homogeneous", "_scan_ranks"): CATALOGUE,
+    ("homogeneous", "_fiber_table"): (
+        "test_drum.py", "test_drums_match_their_identification_oracle", "drum_identification"
+    ),
+    ("classifier", "_side_tag"): (
+        "test_classifier.py", "test_homogeneous_tags_match_root_scan_oracle", "side_tag_by_roots"
+    ),
+    ("drum", "_weyl_dim"): ("test_drum.py", "test_weyl_dim_matches_fraction_oracle", "weyl_dim_fraction"),
+    ("drum", "_symmetrizer"): (
+        "test_drum.py", "test_symmetrizer_closed_form_matches_fraction_walk", "symmetrizer_fraction"
+    ),
+    ("dynkin", "_read_shape"): (
+        "test_dynkin.py", "test_subdiagram_matches_search_oracle_on_every_node_subset", "subdiagram_by_search"
+    ),
+}
+# The private functions of these modules that no oracle restates, each with the reason.
+RULE_EXEMPT = {
+    ("homogeneous", "_marked_name"): "the spelling D{i,j}, pinned byte for byte by the golden fixtures",
+    ("classifier", "_product_entry"): "P^a x P^b marked at each first node: a definition, which "
+    "test_match_model_product pins",
+    ("drum", "_build_ledger"): "one table of the construction, the same for every drum, pinned entry by "
+    "entry by the ledger tests of test_drum and the golden ledger fixture",
 }
 
 
+def _functions(path: Path) -> dict[str, ast.FunctionDef]:
+    """The module-level functions of the Python file ``path``, by name."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+
 def test_references_import_only_their_listed_flagcalc_names():
-    tree = ast.parse((TESTS / "oracles.py").read_text(encoding="utf-8"))
-    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    functions = _functions(TESTS / "oracles.py")
     for reference, allowed in REFERENCE_IMPORTS.items():
         todo, seen, imported = [reference], set(), set()
         while todo:  # the reference and every oracle it calls, transitively
@@ -82,3 +134,19 @@ def test_references_import_only_their_listed_flagcalc_names():
                     todo.append(node.id)
         flagcalc = {(module, name) for module, name in imported if module.partition(".")[0] == "flagcalc"}
         assert flagcalc <= allowed, (reference, flagcalc - allowed)
+
+
+def test_every_private_rule_has_a_test_whose_reference_does_not_import_it():
+    src = TESTS.parent / "src" / "flagcalc"
+    for (module, rule), (test_file, test, reference) in RULE_CHECKS.items():
+        assert rule in _functions(src / f"{module}.py"), (module, rule)
+        # the import test above holds each reference to its listed names, transitively
+        assert (f"flagcalc.{module}", rule) not in REFERENCE_IMPORTS[reference], (module, rule)
+        calls = [node.func for node in ast.walk(_functions(TESTS / test_file)[test]) if isinstance(node, ast.Call)]
+        assert reference in {call.id for call in calls if isinstance(call, ast.Name)}, (module, rule, test)
+    assert not RULE_CHECKS.keys() & RULE_EXEMPT.keys()
+    for module in ("homogeneous", "classifier", "drum"):
+        private = {(module, name) for name in _functions(src / f"{module}.py") if name.startswith("_")}
+        exempt = {key for key in RULE_EXEMPT if key[0] == module}
+        assert exempt <= private, exempt - private
+        assert private <= RULE_CHECKS.keys() | exempt, sorted(private - RULE_CHECKS.keys() - exempt)
