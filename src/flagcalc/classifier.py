@@ -11,13 +11,13 @@ satisfy, and matches arbitrary data against the homogeneous models.
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import NamedTuple
 
 from .dynkin import DynkinDiagram, _bonds
 from .errors import DomainError
 from .homogeneous import (
     TwoBundleEntry,
     MarkedDiagram,
+    _check_max_rank,
     _fiber_table,
     enumerate_two_bundles,
     is_two_bundle_pair,
@@ -26,15 +26,15 @@ from .tags import (
     FIRST_NODE_ONLY,
     SYMMETRIC_ENDS,
     Tag,
-    TagShape,
     classify_tag_shape,
     is_trivial,
 )
 
 
-class TagPair(NamedTuple):
-    plus: Tag
-    minus: Tag
+class TagPair(namedtuple("TagPair", "plus minus")):
+    """The tags (delta_plus, delta_minus) of a homogeneous model, on the fibers over D{i} and D{j}."""
+
+    __slots__ = ()
 
 
 def _side_tag(d: DynkinDiagram, base: int, other: int) -> Tag:
@@ -80,6 +80,14 @@ def homogeneous_tags(d: DynkinDiagram, i: int, j: int) -> TagPair:
     return TagPair(plus=_side_tag(d, i, j), minus=_side_tag(d, j, i))
 
 
+def _check_relative_dimensions(*ranks) -> None:
+    """``DomainError`` unless each relative dimension is a positive ``int``, a ``bool`` not being one."""
+    if any(type(r) is not int for r in ranks):
+        raise DomainError(f"relative dimensions must be integers, got {ranks}")
+    if min(ranks) < 1:
+        raise DomainError("relative dimensions must be positive")
+
+
 class TwoBundleData(namedtuple("TwoBundleData", "r_minus r_plus delta_minus delta_plus")):
     """Relative dimensions r-+ and the tags delta-+ of a variety with two bundle structures."""
 
@@ -88,17 +96,15 @@ class TwoBundleData(namedtuple("TwoBundleData", "r_minus r_plus delta_minus delt
     _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __new__(cls, r_minus: int, r_plus: int, delta_minus: Tag, delta_plus: Tag) -> TwoBundleData:
+        _check_relative_dimensions(r_minus, r_plus)
         for r, tag, name in ((r_minus, delta_minus, "delta_minus"), (r_plus, delta_plus, "delta_plus")):
-            if r < 1:
-                raise DomainError("relative dimensions must be positive")
             if not (tag.diagram.is_connected() and tag.diagram.components[0] == ("A", r)):
                 raise DomainError(f"{name} must live on A{r}, got {tag.diagram}")
         return super().__new__(cls, r_minus, r_plus, delta_minus, delta_plus)
 
     @classmethod
-    def from_values(cls, r_minus, r_plus, minus_values, plus_values) -> "TwoBundleData":
-        if min(r_minus, r_plus) < 1:
-            raise DomainError("relative dimensions must be positive")
+    def from_values(cls, r_minus, r_plus, minus_values, plus_values) -> TwoBundleData:
+        _check_relative_dimensions(r_minus, r_plus)
         return cls(
             r_minus=r_minus,
             r_plus=r_plus,
@@ -107,12 +113,10 @@ class TwoBundleData(namedtuple("TwoBundleData", "r_minus r_plus delta_minus delt
         )
 
 
-class ShapeVerdict(NamedTuple):
-    """Outcome of the shape check: the tag shape and, on failure, the clauses it violates."""
+class ShapeVerdict(namedtuple("ShapeVerdict", "passed shape reason", defaults=(None,))):
+    """Outcome of the shape check: the tag shape and, on failure, the clauses it violates (else None)."""
 
-    passed: bool
-    shape: TagShape
-    reason: str | None = None
+    __slots__ = ()
 
 
 def check_shape_constraint(data: TwoBundleData) -> ShapeVerdict:
@@ -126,10 +130,9 @@ def check_shape_constraint(data: TwoBundleData) -> ShapeVerdict:
     shape = classify_tag_shape(data.delta_plus)
     if shape.kind in (FIRST_NODE_ONLY, SYMMETRIC_ENDS):
         return ShapeVerdict(passed=True, shape=shape)
+    # the shape is OTHER, so a value past node 1 is nonzero
     v = data.delta_plus.values
-    clauses = []
-    if any(x != 0 for x in v[1:]):
-        clauses.append("first-node clause: support extends past node 1")
+    clauses = ["first-node clause: support extends past node 1"]
     if len(v) % 2 == 0:
         clauses.append("symmetric-ends clause: rank is even")
     elif not (v[0] == v[-1] > 0):
@@ -139,14 +142,12 @@ def check_shape_constraint(data: TwoBundleData) -> ShapeVerdict:
     return ShapeVerdict(passed=False, shape=shape, reason="; ".join(clauses))
 
 
-class HomogeneousModel(NamedTuple):
+class HomogeneousModel(
+    namedtuple("HomogeneousModel", "entry tag_plus tag_minus orientation product", defaults=(False,))
+):
     """A catalogue entry whose invariants match the request, its tags and the matching orientation."""
 
-    entry: TwoBundleEntry
-    tag_plus: Tag
-    tag_minus: Tag
-    orientation: str
-    product: bool = False
+    __slots__ = ()
 
 
 def _product_entry(r_minus: int, r_plus: int) -> TwoBundleEntry:
@@ -165,13 +166,14 @@ def match_model(data: TwoBundleData, max_rank: int) -> tuple[HomogeneousModel, .
     """All homogeneous models with the given invariants.
 
     A pair of zero tags matches the product of two projective spaces, which
-    is reported as a product model at any ``max_rank``.  Every other model is
-    drawn from the connected classification of rank <= max_rank, matched in
-    both orientations: the rank bound limits only that catalogue, and an
-    empty result means no homogeneous model exists within it.
+    is reported as a product model at any valid ``max_rank``.  Every other
+    model is drawn from the connected classification of rank <= max_rank,
+    matched in both orientations: the rank bound limits only that catalogue,
+    and an empty result means no homogeneous model exists within it.
+    ``max_rank`` is an ``int`` from max(r_minus, r_plus) + 1 to
+    ``dynkin.MAX_RANK`` on both paths.
     """
-    if type(max_rank) is not int:
-        raise DomainError(f"max_rank must be an integer, got {max_rank!r}")
+    _check_max_rank(max_rank)
     if max_rank < max(data.r_minus, data.r_plus) + 1:
         raise DomainError("max_rank must be at least max(r_minus, r_plus) + 1")
     product = is_trivial(data.delta_minus) and is_trivial(data.delta_plus)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Callable
+from collections.abc import Callable
 
 from . import classifier, drum as drum_mod, homogeneous, tags as tags_mod
 from .dynkin import parse_diagram, parse_ints, parse_with_node_map, positive_roots, typed_nodes, weyl_order

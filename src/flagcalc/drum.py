@@ -9,8 +9,8 @@ the associated blowup, which is one table shared by every drum.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import lru_cache
-from typing import NamedTuple
 
 from .dynkin import DynkinDiagram, positive_roots
 from .errors import DomainError
@@ -72,27 +72,18 @@ def _weyl_dim(d: DynkinDiagram, node: int) -> int:
     return dim
 
 
-class FixedComponent(NamedTuple):
+class FixedComponent(namedtuple("FixedComponent", "variety mu dim")):
     """A torus-fixed component of the drum: its variety, torus weight ``mu`` and dimension."""
 
-    variety: MarkedDiagram
-    mu: int
-    dim: int
+    __slots__ = ()
 
 
-class HorosphericalDrum(NamedTuple):
+class HorosphericalDrum(
+    namedtuple("HorosphericalDrum", "diagram i j dim_y dim_z dim_v_i dim_v_j ambient_dim sink source")
+):
     """Dimensions of the drum over D{i,j}, its ambient space and its two fixed components."""
 
-    diagram: DynkinDiagram
-    i: int
-    j: int
-    dim_y: int
-    dim_z: int
-    dim_v_i: int
-    dim_v_j: int
-    ambient_dim: int
-    sink: FixedComponent
-    source: FixedComponent
+    __slots__ = ()
 
     @property
     def fixed_components(self) -> tuple[FixedComponent, ...]:
@@ -141,7 +132,7 @@ def bandwidth(drum: HorosphericalDrum) -> int:
     return max(mus) - min(mus)
 
 
-class IntersectionLedger(NamedTuple):
+class IntersectionLedger(namedtuple("IntersectionLedger", "class_vectors table m_plus_nef m_minus_nef")):
     """Integer pairing table between divisor and curve classes on the blowup.
 
     Divisor classes are recorded as vectors over the basis
@@ -149,13 +140,12 @@ class IntersectionLedger(NamedTuple):
     Y+ = alpha*L - pi*L- and Y- = alpha*L - pi*L+, and M+- = alpha*L - Y+-.
     ``m_plus_nef`` (``m_minus_nef``) is true exactly when M+ (M-) meets both
     ell- and ell+ nonnegatively: nefness tested on the two line classes of
-    the table, the only curves it records.
+    the table, the only curves it records.  ``class_vectors`` pairs each
+    divisor class with its vector and ``table`` each (divisor, curve) with
+    their product, both as tuples of pairs.
     """
 
-    class_vectors: tuple[tuple[str, tuple[int, int, int]], ...]
-    table: tuple[tuple[tuple[str, str], int], ...]
-    m_plus_nef: bool
-    m_minus_nef: bool
+    __slots__ = ()
 
     def vector(self, divisor: str) -> tuple[int, int, int]:
         return dict(self.class_vectors)[divisor]

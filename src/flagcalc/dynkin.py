@@ -33,11 +33,11 @@ its nodes swapped).
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from functools import lru_cache
 from itertools import permutations
 from math import factorial
 from types import MappingProxyType
-from typing import NamedTuple
 
 from .errors import DomainError, ParseError
 
@@ -77,10 +77,10 @@ def _in_table(family: str, rank: int) -> bool:
     return lowest <= rank <= (highest or rank)
 
 
-class DynkinDiagram(NamedTuple):
+class DynkinDiagram(namedtuple("DynkinDiagram", "components")):
     """A normalized diagram: an ordered tuple of (family, rank) components."""
 
-    components: tuple[tuple[str, int], ...]
+    __slots__ = ()
 
     @property
     def rank(self) -> int:
@@ -112,14 +112,16 @@ class DynkinDiagram(NamedTuple):
         return self.render()
 
 
-class RootSystem(NamedTuple):
+class RootSystem(namedtuple("RootSystem", "cartan roots")):
     """Cartan matrix plus the full list of positive roots, sorted by (height, lex)."""
 
-    cartan: Matrix
-    roots: tuple[Root, ...]
+    __slots__ = ()
 
 
-_COMPONENT_RE = re.compile(r"^([A-G])\s*([0-9]+)$")
+# The one whitespace class of the diagram, mark, tag and integer grammars: ``\s`` less
+# U+001C-U+001F, which ``\s`` and ``str.strip`` take but ``int`` does not strip.
+SPACE = r"[^\S\x1c-\x1f]"
+_COMPONENT_RE = re.compile(rf"{SPACE}*([A-G]){SPACE}*([0-9]+){SPACE}*")
 
 
 def parse_with_node_map(text: str) -> tuple[DynkinDiagram, dict[int, int]]:
@@ -130,13 +132,10 @@ def parse_with_node_map(text: str) -> tuple[DynkinDiagram, dict[int, int]]:
     rank is a ``ParseError``, and a total rank above ``MAX_RANK`` is a
     ``DomainError``, raised before any node of the offending component is mapped.
     """
-    parts = [p.strip() for p in text.replace("⊔", "+").split("+")]
-    if not parts or any(not p for p in parts):
-        raise ParseError(f"cannot parse diagram {text!r}")
     comps: list[tuple[str, int]] = []
     node_map: dict[int, int] = {}
-    for part in parts:
-        m = _COMPONENT_RE.match(part.upper())
+    for part in text.replace("⊔", "+").split("+"):
+        m = _COMPONENT_RE.fullmatch(part.upper())
         if m is None:
             raise ParseError(f"cannot parse diagram component {part!r}")
         fam, rank = m.group(1), int(m.group(2))
@@ -159,9 +158,8 @@ def parse_diagram(text: str) -> DynkinDiagram:
     return parse_with_node_map(text)[0]
 
 
-# An integer entry: ASCII digits (``int`` would also read ``1_0`` and ``٣``), an optional sign and
-# surrounding whitespace, ``\s`` less U+001C-U+001F: ``\s`` matches those four, but ``int`` does not strip them.
-_INT_RE = re.compile(r"[^\S\x1c-\x1f]*[+-]?[0-9]+[^\S\x1c-\x1f]*")
+# An integer entry: ASCII digits (``int`` would also read ``1_0`` and ``٣``), an optional sign and ``SPACE``.
+_INT_RE = re.compile(rf"{SPACE}*[+-]?[0-9]+{SPACE}*")
 
 
 def parse_ints(text: str) -> tuple[int, ...] | None:

@@ -26,10 +26,10 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from functools import lru_cache
-from typing import NamedTuple
 
 from .dynkin import (
     MAX_RANK,
+    SPACE,
     DynkinDiagram,
     _NORMALIZED_RANKS,
     _bonds,
@@ -69,28 +69,25 @@ class MarkedDiagram(namedtuple("MarkedDiagram", "diagram marks")):
         return self.render()
 
 
-class ContractionFiber(NamedTuple):
+class ContractionFiber(namedtuple("ContractionFiber", "base_marks total_marks fiber node_map dropped")):
     """Fiber of the contraction forgetting the marks outside ``base_marks``.
 
     ``fiber`` lives on the subdiagram spanned by the components of the
     complement of ``base_marks`` that actually meet the remaining marks;
     components without marks contribute points and are recorded in
-    ``dropped``.  ``node_map`` sends original node indices to fiber indices.
+    ``dropped`` (None when there are none).  ``node_map`` sends original
+    node indices to fiber indices, as sorted (old, new) pairs.
     """
 
-    base_marks: tuple[int, ...]
-    total_marks: tuple[int, ...]
-    fiber: MarkedDiagram
-    node_map: tuple[tuple[int, int], ...]
-    dropped: DynkinDiagram | None
+    __slots__ = ()
 
 
-_MARKED_RE = re.compile(r"^(.*?)\{([0-9,\s]+)\}$")
+_MARKED_RE = re.compile(rf"(.*?)\{{((?:[0-9,]|{SPACE})+)\}}{SPACE}*")
 
 
 def parse_marked_with_node_map(text: str) -> tuple[MarkedDiagram, dict[int, int]]:
     """Parse a marked diagram; also map the typed diagram's node indices to normalized ones."""
-    m = _MARKED_RE.match(text.strip())
+    m = _MARKED_RE.fullmatch(text)
     if m is None:
         raise ParseError(f"cannot parse marked diagram {text!r}")
     diagram, node_map = parse_with_node_map(m.group(1))
@@ -270,15 +267,10 @@ def _fiber_table(d: DynkinDiagram, base: int) -> tuple[int, dict[int, int], list
     return (*_rank_ends(sum(_component_root_count(*comp) for comp in d.components), ends), ends)
 
 
-class TwoBundleEntry(NamedTuple):
+class TwoBundleEntry(namedtuple("TwoBundleEntry", "diagram i j r_minus r_plus dim")):
     """A marked diagram D{i,j} with two projective bundle structures, their ranks and its dimension."""
 
-    diagram: DynkinDiagram
-    i: int
-    j: int
-    r_minus: int
-    r_plus: int
-    dim: int
+    __slots__ = ()
 
     def marked(self) -> MarkedDiagram:
         return MarkedDiagram(self.diagram, (self.i, self.j))
@@ -291,6 +283,14 @@ def _scan_ranks(family: str, max_rank: int) -> range:
     """Normalized ranks of ``family`` from 2 to ``max_rank``, C2 left out: its marked varieties are B2's."""
     lowest, highest = _NORMALIZED_RANKS[family]
     return range(max(lowest, 3 if family == "C" else 2), min(highest or max_rank, max_rank) + 1)
+
+
+def _check_max_rank(max_rank) -> None:
+    """``DomainError`` unless ``max_rank`` is an ``int`` (not a ``bool``) at most ``dynkin.MAX_RANK``."""
+    if type(max_rank) is not int:
+        raise DomainError(f"max_rank must be an integer, got {max_rank!r}")
+    if max_rank > MAX_RANK:
+        raise DomainError(f"max_rank must be at most {MAX_RANK}")
 
 
 @lru_cache(maxsize=None)
@@ -312,12 +312,9 @@ def enumerate_two_bundles(max_rank: int) -> tuple[TwoBundleEntry, ...]:
     classification.  ``max_rank`` runs from 2 to ``dynkin.MAX_RANK``, the
     ceiling of every diagram, and must be an ``int``.
     """
-    if type(max_rank) is not int:
-        raise DomainError(f"max_rank must be an integer, got {max_rank!r}")
+    _check_max_rank(max_rank)
     if max_rank < 2:
         raise DomainError("max_rank must be at least 2")
-    if max_rank > MAX_RANK:
-        raise DomainError(f"max_rank must be at most {MAX_RANK}")
     entries = []
     for family in "ABCDEFG":
         for rank in _scan_ranks(family, max_rank):

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
-from typing import NamedTuple, Sequence
+from collections.abc import Sequence
 
-from .dynkin import DynkinDiagram, parse_diagram, parse_ints, parse_with_node_map, subdiagram
+from .dynkin import SPACE, DynkinDiagram, parse_diagram, parse_ints, parse_with_node_map, subdiagram
 from .errors import DomainError, ParseError
 
 FIRST_NODE_ONLY = "first_node_only"
@@ -44,34 +44,31 @@ class Tag(namedtuple("Tag", "diagram values")):
         return self.render()
 
 
-class ZeroData(NamedTuple):
+class ZeroData(namedtuple("ZeroData", "zeros support")):
     """Partition of the node set into the zero set of a tag and its support."""
 
-    zeros: tuple[int, ...]
-    support: tuple[int, ...]
+    __slots__ = ()
 
 
-class RestrictedTag(NamedTuple):
-    """A tag restricted to a subdiagram, with the map from kept nodes to its nodes."""
+class RestrictedTag(namedtuple("RestrictedTag", "tag node_map")):
+    """A tag restricted to a subdiagram, with the map from kept nodes to its nodes as sorted pairs."""
 
-    tag: Tag
-    node_map: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
 
-class TagShape(NamedTuple):
+class TagShape(namedtuple("TagShape", "kind d reduction", defaults=(None, None))):
     """Kind of a type A tag, its first value ``d`` unless other, and a symmetric-ends C reduction."""
 
-    kind: str
-    d: int | None = None
-    reduction: Tag | None = None
+    __slots__ = ()
 
 
-_TAG_RE = re.compile(r"^(.*?):([0-9,\s]+)$")
+# Unstripped: ``parse_with_node_map`` and ``parse_ints`` read the ``SPACE`` around the diagram and the values.
+_TAG_RE = re.compile(rf"(.*?):((?:[0-9,]|{SPACE})+)")
 
 
 def parse_tag_with_node_map(text: str) -> tuple[Tag, dict[int, int]]:
     """Parse a tag string; also map the typed diagram's node indices to normalized ones."""
-    m = _TAG_RE.match(text.strip())
+    m = _TAG_RE.fullmatch(text)
     if m is None:
         raise ParseError(f"cannot parse tag {text!r}")
     diagram, node_map = parse_with_node_map(m.group(1))

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from itertools import product
+
 import pytest
 
 from flagcalc.classifier import (
@@ -13,7 +15,14 @@ from flagcalc.classifier import (
 from flagcalc.dynkin import parse_diagram
 from flagcalc.errors import DomainError
 from flagcalc.homogeneous import enumerate_two_bundles
-from flagcalc.tags import FIRST_NODE_ONLY, OTHER, SYMMETRIC_ENDS, parse_tag, tag_from_splitting
+from flagcalc.tags import (
+    FIRST_NODE_ONLY,
+    OTHER,
+    SYMMETRIC_ENDS,
+    classify_tag_shape,
+    parse_tag,
+    tag_from_splitting,
+)
 
 from oracles import (
     adjacent_flag_degrees,
@@ -142,6 +151,36 @@ def test_check_shape_constraint_cases():
     v = check_shape_constraint(TwoBundleData.from_values(1, 3, (1,), (0, 1, 0)))
     assert not v.passed and v.shape.kind == OTHER
     assert v.reason is not None
+
+
+def test_relative_dimensions_must_be_positive_ints():
+    # True and 1.0 equal 1, so unchecked they would build the tags ATrue:1 and A1.0:1, which match G2{1,2}
+    tag_1 = parse_tag("A1:1")
+    for r in (True, 1.0, "1"):
+        for args in ((r, 1, (1,), (3,)), (1, r, (1,), (3,))):
+            with pytest.raises(DomainError, match="relative dimensions must be integers"):
+                TwoBundleData.from_values(*args)
+        with pytest.raises(DomainError, match="relative dimensions must be integers"):
+            TwoBundleData(r, 1, tag_1, tag_1)
+        with pytest.raises(DomainError, match="relative dimensions must be integers"):
+            TwoBundleData(1, 1, tag_1, tag_1)._replace(r_plus=r)
+    assert TwoBundleData(1, 1, tag_1, tag_1) == TwoBundleData.from_values(1, 1, (1,), (1,))
+
+
+def test_check_shape_constraint_agrees_with_the_tag_shape_on_every_small_tag():
+    # every tag on A1-A6 with values 0-2: it passes exactly when its shape is not OTHER, and a
+    # failing tag has a value past node 1, so its reason starts with the first-node clause
+    count = 0
+    for r in range(1, 7):
+        for values in product(range(3), repeat=r):
+            data = TwoBundleData.from_values(1, r, (0,), values)
+            verdict = check_shape_constraint(data)
+            assert verdict.shape == classify_tag_shape(data.delta_plus), values
+            assert verdict.passed == (verdict.shape.kind != OTHER) == (verdict.reason is None), values
+            if not verdict.passed:
+                assert verdict.reason.startswith("first-node clause: support extends past node 1; "), values
+            count += 1
+    assert count == 1092
 
 
 def test_check_shape_constraint_requires_line_fibers():

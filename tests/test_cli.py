@@ -184,16 +184,34 @@ def test_exit_codes(capsys):
         assert run_cli(*argv) == (1, ""), argv
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: "), argv
+    # U+001C-U+001F are not whitespace anywhere in a diagram, mark or tag argument
+    for argv in (
+        ("tag", "shape", "A1:1\x1c"),
+        ("tag", "shape", "A1:\x1c1"),
+        ("tag", "shape", "\x1fA1:1"),
+        ("gp", "dim", "B3{1,3}\x1d"),
+        ("gp", "dim", "B3\x1e{1,3}"),
+        ("roots", "A\x1c2"),
+        ("roots", "A2\x1f"),
+    ):
+        assert run_cli(*argv) == (1, ""), argv
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), argv
+    # other whitespace around a diagram, its ranks, marks and values is whitespace
+    assert run_cli("tag", "shape", " A1 :1\t") == run_cli("tag", "shape", "A1:1")
+    assert run_cli("gp", "dim", "\u3000B 3 {1, 3}\n") == (0, "B3{1,3}: dim 8, picard 2\n")
+    assert run_cli("roots", "A 2 ") == run_cli("roots", "A2")
     # a relative dimension <= 0 is named as such, not as a tag on A0 or A-1
     for r in ("0", "-1"):
         argv = ("classify", "--r-minus", r, "--r-plus", "1", "--tag-minus", "1", "--tag-plus", "3")
         assert run_cli(*argv) == (1, "")
         err = capsys.readouterr().err.splitlines()
         assert err == ["error: relative dimensions must be positive"], r
-    # enumeration stops at the documented rank ceiling of every diagram
+    # enumeration stops at the documented rank ceiling of every diagram, also for a product request
     for argv in (
         ("enumerate", "--max-rank", "101"),
         ("classify", "--r-minus", "1", "--r-plus", "1", "--tag-minus", "1", "--tag-plus", "3", "--max-rank", "101"),
+        ("classify", "--r-minus", "1", "--r-plus", "1", "--tag-minus", "0", "--tag-plus", "0", "--max-rank", "1000"),
     ):
         assert run_cli(*argv) == (1, ""), argv
         assert capsys.readouterr().err.splitlines() == ["error: max_rank must be at most 100"], argv

@@ -145,10 +145,10 @@ def test_parse_ints_agrees_with_the_readers_it_replaced():
         assert _outcome(lambda: parse_marked(f"A9{{{text}}}")) == _split_reader_outcome(
             text, lambda values: MarkedDiagram(a9, values)
         ), repr(text)
-        # a tag on A_k, k its entry count; parse_tag strips the whole string, so the reader sees the body rstripped
+        # a tag on A_k, k its entry count
         a_k = DynkinDiagram((("A", text.count(",") + 1),))
         assert _outcome(lambda: parse_tag(f"{a_k}:{text}")) == _split_reader_outcome(
-            text.rstrip(), lambda values: Tag(a_k, values)
+            text, lambda values: Tag(a_k, values)
         ), repr(text)
 
 

@@ -415,6 +415,19 @@ def test_max_rank_must_be_an_int():
                 match_model(request, max_rank)
 
 
+def test_max_rank_ceiling_holds_on_every_path():
+    # the product path of match_model reads no catalogue, so it must check the ceiling itself
+    data = TwoBundleData.from_values(1, 1, (1,), (3,))
+    product = TwoBundleData.from_values(1, 1, (0,), (0,))
+    assert match_model(product, MAX_RANK)[0].product
+    for max_rank in (MAX_RANK + 1, 1000):
+        with pytest.raises(DomainError, match=f"max_rank must be at most {MAX_RANK}"):
+            enumerate_two_bundles(max_rank)
+        for request in (data, product):
+            with pytest.raises(DomainError, match=f"max_rank must be at most {MAX_RANK}"):
+                match_model(request, max_rank)
+
+
 def test_enumerate_d4_triality_collapsed():
     entries = [e for e in enumerate_two_bundles(4) if e.diagram.render() == "D4"]
     assert [(e.i, e.j) for e in entries] == [(3, 4)]

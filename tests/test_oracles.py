@@ -103,6 +103,10 @@ RULE_CHECKS = {
 # The private functions of these modules that no oracle restates, each with the reason.
 RULE_EXEMPT = {
     ("homogeneous", "_marked_name"): "the spelling D{i,j}, pinned byte for byte by the golden fixtures",
+    ("homogeneous", "_check_max_rank"): "a domain check shared by enumerate_two_bundles and match_model, "
+    "pinned by test_max_rank_must_be_an_int and test_max_rank_ceiling_holds_on_every_path",
+    ("classifier", "_check_relative_dimensions"): "a domain check shared by TwoBundleData and its from_values, "
+    "pinned by test_relative_dimensions_must_be_positive_ints",
     ("classifier", "_product_entry"): "P^a x P^b marked at each first node: a definition, which "
     "test_match_model_product pins",
     ("drum", "_build_ledger"): "one table of the construction, the same for every drum, pinned entry by "

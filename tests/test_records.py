@@ -1,10 +1,9 @@
 """The value records' contract: repr, hash, equality, immutability and validation.
 
-Every public record is a tuple: ``DynkinDiagram`` and the plain records are
-``typing.NamedTuple``s, and the three that validate their fields
-(``MarkedDiagram``, ``Tag`` and ``TwoBundleData``) subclass a
-``collections.namedtuple`` and check in ``__new__``, which ``_make`` and
-``_replace`` also go through.  Each prints as ``Name(field=value, ...)``,
+Every public record is a tuple, declared one way: a subclass of a
+``collections.namedtuple`` with ``__slots__ = ()``.  The three that validate
+their fields (``MarkedDiagram``, ``Tag`` and ``TwoBundleData``) check in
+``__new__``, which ``_make`` and ``_replace`` also go through.  Each prints as ``Name(field=value, ...)``,
 hashes and compares as the tuple of its fields, and refuses assignment.  The
 ``repr`` strings below were pinned while some records were dataclasses.
 """

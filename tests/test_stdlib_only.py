@@ -5,15 +5,18 @@ names its shape-reading internals, other modules name only the listed
 ``dynkin`` privates (the classifier reads its tags off the bond table
 ``_bonds``, the one source of Cartan entries), root lists are built only
 where they are the answer, and no module uses a banned standard module or
-name: ``fractions``, as every value is an exact integer, and ``dataclasses``
-and ``cached_property``, as every record is a tuple; a record that validates
-does so in ``__new__``, with ``_make`` rebound to it.  A fresh interpreter
-importing ``flagcalc.cli`` loads none of ``dataclasses`` and the
-introspection modules it pulls in.
+name: ``fractions``, as every value is an exact integer, and ``dataclasses``,
+``cached_property`` and ``typing``, as every record is a tuple.  Every class
+other than an exception subclasses a ``namedtuple(...)`` call and sets
+``__slots__ = ()``; a record that validates does so in ``__new__``, with
+``_make`` rebound to it.  A fresh interpreter importing ``flagcalc.cli``
+loads none of ``dataclasses``, the introspection modules it pulls in and
+``typing``.
 """
 from __future__ import annotations
 
 import ast
+import builtins
 import subprocess
 import sys
 from pathlib import Path
@@ -31,6 +34,8 @@ DYNKIN_PRIVATES_NAMED = {
 BANNED = {
     "dataclasses": "every record is a tuple; importing it loads inspect, ast and dis",
     "cached_property": "records are tuples with no instance __dict__ to cache in",
+    "typing": "every record subclasses a collections.namedtuple; under postponed annotations typing's "
+    "names are only annotation strings, and importing it is about a quarter of the CLI's import",
 }
 # The root machinery and the modules that may name it, besides the package's
 # re-exports in ``__init__``: ``roots`` prints the root list and ``weyl_dim``
@@ -148,9 +153,9 @@ def _decorator_name(node: ast.expr) -> str | None:
 
 
 def test_every_dataclass_validates_or_caches():
-    # No record is a dataclass any more: a record that validates is a namedtuple
-    # subclass checking in ``__new__``, with ``_make`` (which ``_replace`` calls)
-    # rebound so that it checks too; every other record is a plain ``NamedTuple``.
+    # No record is a dataclass any more: a record that validates checks in
+    # ``__new__``, with ``_make`` (which ``_replace`` calls) rebound so that it
+    # checks too; the other records only name their fields.
     dataclasses, validating, unchecked = [], set(), []
     for name, tree in _trees():
         for node in ast.walk(tree):
@@ -175,17 +180,48 @@ def test_every_dataclass_validates_or_caches():
     assert not unchecked, f"_make and _replace skip __new__ in: {unchecked}"
 
 
+def _is_namedtuple_call(node: ast.expr) -> bool:
+    return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "namedtuple"
+
+
+def test_every_record_subclasses_a_namedtuple_with_empty_slots():
+    # One record idiom.  Without ``__slots__ = ()`` a subclass grows a ``__dict__`` and takes new attributes.
+    classes = [(name, node) for name, tree in _trees() for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+    exceptions = {name for name, obj in vars(builtins).items() if isinstance(obj, type) and issubclass(obj, BaseException)}
+    grown = True
+    while grown:  # a class with an exception among its bases is one
+        grown = {node.name for _, node in classes if any(getattr(b, "id", None) in exceptions for b in node.bases)}
+        grown -= exceptions
+        exceptions |= grown
+    records, odd = set(), []
+    for name, node in classes:
+        if node.name in exceptions:
+            continue
+        records.add(node.name)
+        slots = [
+            item.value
+            for item in node.body
+            if isinstance(item, ast.Assign) and [getattr(t, "id", None) for t in item.targets] == ["__slots__"]
+        ]
+        empty_slots = len(slots) == 1 and isinstance(slots[0], ast.Tuple) and not slots[0].elts
+        if not (len(node.bases) == 1 and _is_namedtuple_call(node.bases[0]) and empty_slots):
+            odd.append((name, node.name))
+    assert len(records) >= 16 and {"DynkinDiagram", "MarkedDiagram", "HorosphericalDrum"} <= records, records
+    assert not odd, f"not a namedtuple subclass with __slots__ = (): {odd}"
+
+
 # Imports ``flagcalc.cli`` with the source tree, argv[1], as the only addition to the path.
 _IMPORT_CLI = """
 import sys
 sys.path.insert(0, sys.argv[1])
 import flagcalc.cli
-print(sorted({"dataclasses", "inspect", "ast", "dis"} & sys.modules.keys()))
+print(sorted({"dataclasses", "inspect", "ast", "dis", "typing"} & sys.modules.keys()))
 """
 
 
 def test_cli_import_loads_no_dataclasses_or_introspection(tmp_path):
-    # ``dataclasses`` imports ``inspect``, which imports ``ast`` and ``dis``: about a fifth of the CLI's import
+    # ``dataclasses`` imports ``inspect``, which imports ``ast`` and ``dis``: about a fifth of the CLI's
+    # import; ``typing`` is about a quarter of what remains
     result = subprocess.run(
         [sys.executable, "-S", "-I", "-c", _IMPORT_CLI, str(PACKAGE.parent)],
         cwd=tmp_path,
