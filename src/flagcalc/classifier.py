@@ -2,23 +2,23 @@
 
 The two structures p+ and p- of a candidate variety restrict to tags
 delta_plus and delta_minus on lines of the opposite family.  This module
-computes those tags for the homogeneous models in closed form, off the
-end records of ``_fiber_table`` (the node b joined to the base node and its
-position p) and with no node or root list, checks the shape
-trichotomy that any configuration with one-dimensional minus-fibers must
-satisfy, and matches arbitrary data against the homogeneous models.
+builds those tags for the homogeneous models from the values that
+``homogeneous._side_tag`` reads in closed form off the fiber tables' end
+records, with no node or root list, checks the shape trichotomy that any
+configuration with one-dimensional minus-fibers must satisfy, and matches
+arbitrary data against the homogeneous models.
 """
 from __future__ import annotations
 
 from collections import namedtuple
 
-from .dynkin import DynkinDiagram, _bonds
+from .dynkin import DynkinDiagram
 from .errors import DomainError
 from .homogeneous import (
     TwoBundleEntry,
     MarkedDiagram,
     _check_max_rank,
-    _fiber_table,
+    _side_tag,
     enumerate_two_bundles,
     is_two_bundle_pair,
 )
@@ -37,37 +37,6 @@ class TagPair(namedtuple("TagPair", "plus minus")):
     __slots__ = ()
 
 
-def _side_tag(d: DynkinDiagram, base: int, other: int) -> Tag:
-    """Tag of the bundle contracted to D{base}, on lines of the opposite side, in closed form.
-
-    Its splitting type is, up to twist, {0} with -<beta, alpha_base^v> over
-    the positive roots beta with beta_base = 0 and beta_other > 0: the roots
-    of F, the component of D - {base} holding ``other``.  At most one node b
-    of F is joined to base, so each degree is c * beta_b, c = -C[b][base],
-    read off the bonds of base in ``dynkin._bonds``.
-    ``other`` is an end of F, and r is its rank in the end map of
-    ``_fiber_table``, whose record of F gives b and its position in F's
-    standard order.  Read from ``other``, F is A_r, or C_k with r = 2k - 1
-    (B2 read from node 2 is C2); let b sit at position p.  By the Bourbaki
-    plates the roots are alpha_1 + ... + alpha_m, m = 1..r, for A_r, so p
-    degrees are 0 and the rest c.  C_k adds alpha_1 + ... + alpha_{m-1} +
-    2(alpha_m + ... + alpha_{k-1}) + alpha_k, m < k, so for p < k the
-    degrees are p zeros, p 2c's and the rest c, and for p = k, k zeros and k
-    c's.  Differencing the sorted degrees, the tag is c at node p, and for C
-    also at node r + 1 - p.  It is zero when no node of F is joined to base,
-    as for a product.
-    """
-    _, ranks, ends = _fiber_table(d, base)
-    r = ranks[other]
-    family, k, first, _, b, p = next(end for end in ends if other in (end[2], end[3]))
-    values = [0] * r
-    if p:
-        if other != first:
-            p = k + 1 - p
-        values[p - 1] = values[p - 1 if family == "A" else r - p] = -_bonds(d)[base - 1][b]
-    return Tag(DynkinDiagram((("A", r),)), tuple(values))
-
-
 def homogeneous_tags(d: DynkinDiagram, i: int, j: int) -> TagPair:
     """The pair (delta_plus, delta_minus) of the homogeneous model D{i,j}.
 
@@ -77,7 +46,10 @@ def homogeneous_tags(d: DynkinDiagram, i: int, j: int) -> TagPair:
     """
     if is_two_bundle_pair(d, i, j) is None:
         raise DomainError(f"{MarkedDiagram(d, (i, j))} does not carry two projective bundle structures")
-    return TagPair(plus=_side_tag(d, i, j), minus=_side_tag(d, j, i))
+    plus, minus = (
+        Tag(DynkinDiagram((("A", len(values)),)), values) for values in (_side_tag(d, i, j), _side_tag(d, j, i))
+    )
+    return TagPair(plus, minus)
 
 
 def _check_relative_dimensions(*ranks) -> None:
@@ -170,12 +142,10 @@ def match_model(data: TwoBundleData, max_rank: int) -> tuple[HomogeneousModel, .
     model is drawn from the connected classification of rank <= max_rank,
     matched in both orientations: the rank bound limits only that catalogue,
     and an empty result means no homogeneous model exists within it.
-    ``max_rank`` is an ``int`` from max(r_minus, r_plus) + 1 to
-    ``dynkin.MAX_RANK`` on both paths.
+    ``max_rank`` is an ``int`` from 2 to ``dynkin.MAX_RANK`` on both paths,
+    whatever the relative dimensions: C_n{1,2} has r_plus = 2n - 3.
     """
     _check_max_rank(max_rank)
-    if max_rank < max(data.r_minus, data.r_plus) + 1:
-        raise DomainError("max_rank must be at least max(r_minus, r_plus) + 1")
     product = is_trivial(data.delta_minus) and is_trivial(data.delta_plus)
     entries = (_product_entry(data.r_minus, data.r_plus),) if product else enumerate_two_bundles(max_rank)
     request = (data.r_minus, data.r_plus, data.delta_minus.values, data.delta_plus.values)

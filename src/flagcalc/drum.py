@@ -85,10 +85,6 @@ class HorosphericalDrum(
 
     __slots__ = ()
 
-    @property
-    def fixed_components(self) -> tuple[FixedComponent, ...]:
-        return (self.sink, self.source)
-
 
 def build_drum(d: DynkinDiagram, i: int, j: int) -> HorosphericalDrum:
     """Drum over the two-bundle variety D{i,j}.
@@ -120,7 +116,7 @@ def build_drum(d: DynkinDiagram, i: int, j: int) -> HorosphericalDrum:
 
 
 def bandwidth(drum: HorosphericalDrum) -> int:
-    """Spread of the torus weight over the fixed components.
+    """Spread of the torus weight over the two fixed components, sink and source.
 
     Weight 0 on V_i and 1 on V_j is the construction of ``build_drum``, so a
     built drum has bandwidth 1 by definition; the spread is read off the
@@ -128,8 +124,7 @@ def bandwidth(drum: HorosphericalDrum) -> int:
     """
     if not isinstance(drum, HorosphericalDrum):
         raise TypeError(f"bandwidth needs a built drum, got {type(drum).__name__}")
-    mus = [c.mu for c in drum.fixed_components]
-    return max(mus) - min(mus)
+    return abs(drum.source.mu - drum.sink.mu)
 
 
 class IntersectionLedger(namedtuple("IntersectionLedger", "class_vectors table m_plus_nef m_minus_nef")):

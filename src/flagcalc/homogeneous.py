@@ -14,12 +14,12 @@ arithmetic on the standard numbering, with no node list, and
 ``_component_ends`` reads them off the ``dynkin._components`` node lists of
 any other diagram.  ``_rank_ends`` takes dim D{base} and the projective
 ranks at the component ends, the only marks a projective fiber can have,
-from the records.  The two-bundle test, drums and the classifier share the
-cached ``_fiber_table``: they take ranks and dimensions from it, with
-dim D{i,j} = dim D{i} + r_plus, and the classifier reads the tags off b and
-p of the same records.  The catalogue scan reads the tables of every base
-node of a diagram uncached, with no per-pair test, so it leaves no table
-behind and splits no classical diagram.
+from the records.  The two-bundle test, drums and ``_side_tag`` share the
+cached ``_fiber_table``: the first two take ranks and dimensions from it,
+with dim D{i,j} = dim D{i} + r_plus, and ``_side_tag`` reads the values of
+the classifier's tags off b and p of the same records.  The catalogue scan
+reads the tables of every base node of a diagram uncached, with no per-pair
+test, so it leaves no table behind and splits no classical diagram.
 """
 from __future__ import annotations
 
@@ -256,7 +256,7 @@ def _component_ends(d: DynkinDiagram, base: int) -> list[tuple[str, int, int, in
 
 @lru_cache(maxsize=None)
 def _fiber_table(d: DynkinDiagram, base: int) -> tuple[int, dict[int, int], list]:
-    """(dim D{base}, ranks, records) of D over ``base``, cached for the two-bundle test, drums and the classifier.
+    """(dim D{base}, ranks, records) of D over ``base``, cached for the two-bundle test, drums and ``_side_tag``.
 
     The records are ``_end_map``'s on a connected A, B, C or D diagram and
     ``_component_ends``' on any other, and ``_rank_ends`` reads them.  The
@@ -265,6 +265,37 @@ def _fiber_table(d: DynkinDiagram, base: int) -> tuple[int, dict[int, int], list
     (family, n), *rest = d.components
     ends = _component_ends(d, base) if rest or family not in "ABCD" else _end_map(family, n, base)
     return (*_rank_ends(sum(_component_root_count(*comp) for comp in d.components), ends), ends)
+
+
+def _side_tag(d: DynkinDiagram, base: int, other: int) -> tuple[int, ...]:
+    """Values of the tag of the bundle contracted to D{base}, on lines of the opposite side, in closed form.
+
+    Its splitting type is, up to twist, {0} with -<beta, alpha_base^v> over
+    the positive roots beta with beta_base = 0 and beta_other > 0: the roots
+    of F, the component of D - {base} holding ``other``.  At most one node b
+    of F is joined to base, so each degree is c * beta_b, c = -C[b][base],
+    read off the bonds of base in ``dynkin._bonds``.
+    ``other`` is an end of F, and r is its rank in the ranks of
+    ``_fiber_table``, whose record of F gives b and its position in F's
+    standard order.  Read from ``other``, F is A_r, or C_k with r = 2k - 1
+    (B2 read from node 2 is C2); let b sit at position p.  By the Bourbaki
+    plates the roots are alpha_1 + ... + alpha_m, m = 1..r, for A_r, so p
+    degrees are 0 and the rest c.  C_k adds alpha_1 + ... + alpha_{m-1} +
+    2(alpha_m + ... + alpha_{k-1}) + alpha_k, m < k, so for p < k the
+    degrees are p zeros, p 2c's and the rest c, and for p = k, k zeros and k
+    c's.  Differencing the sorted degrees, the r values are c at node p, and
+    for C also at node r + 1 - p.  They are zero when no node of F is joined
+    to base, as for a product.
+    """
+    _, ranks, ends = _fiber_table(d, base)
+    r = ranks[other]
+    family, k, first, _, b, p = next(end for end in ends if other in (end[2], end[3]))
+    values = [0] * r
+    if p:
+        if other != first:
+            p = k + 1 - p
+        values[p - 1] = values[p - 1 if family == "A" else r - p] = -_bonds(d)[base - 1][b]
+    return tuple(values)
 
 
 class TwoBundleEntry(namedtuple("TwoBundleEntry", "diagram i j r_minus r_plus dim")):
@@ -286,9 +317,11 @@ def _scan_ranks(family: str, max_rank: int) -> range:
 
 
 def _check_max_rank(max_rank) -> None:
-    """``DomainError`` unless ``max_rank`` is an ``int`` (not a ``bool``) at most ``dynkin.MAX_RANK``."""
+    """``DomainError`` unless ``max_rank`` is an ``int`` (not a ``bool``) from 2 to ``dynkin.MAX_RANK``."""
     if type(max_rank) is not int:
         raise DomainError(f"max_rank must be an integer, got {max_rank!r}")
+    if max_rank < 2:
+        raise DomainError("max_rank must be at least 2")
     if max_rank > MAX_RANK:
         raise DomainError(f"max_rank must be at most {MAX_RANK}")
 
@@ -313,8 +346,6 @@ def enumerate_two_bundles(max_rank: int) -> tuple[TwoBundleEntry, ...]:
     ceiling of every diagram, and must be an ``int``.
     """
     _check_max_rank(max_rank)
-    if max_rank < 2:
-        raise DomainError("max_rank must be at least 2")
     entries = []
     for family in "ABCDEFG":
         for rank in _scan_ranks(family, max_rank):

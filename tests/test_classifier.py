@@ -12,7 +12,7 @@ from flagcalc.classifier import (
     homogeneous_tags,
     match_model,
 )
-from flagcalc.dynkin import parse_diagram
+from flagcalc.dynkin import MAX_RANK, parse_diagram
 from flagcalc.errors import DomainError
 from flagcalc.homogeneous import enumerate_two_bundles
 from flagcalc.tags import (
@@ -239,9 +239,29 @@ def test_match_model_no_match():
 
 
 def test_match_model_rank_bound_validated():
+    # the bound limits the catalogue by rank alone: A5{1,2} lies past rank 4, and 1 is no bound
     data = TwoBundleData.from_values(1, 4, (1,), (1, 0, 0, 0))
-    with pytest.raises(DomainError):
-        match_model(data, 4)
+    assert match_model(data, 4) == ()
+    assert [(m.entry.render(), m.orientation) for m in match_model(data, 5)] == [
+        ("A5{1,2}", "direct"), ("A5{4,5}", "swapped")
+    ]
+    with pytest.raises(DomainError, match="max_rank must be at least 2"):
+        match_model(data, 1)
+
+
+def test_match_model_lists_every_model_at_its_own_rank():
+    # a relative dimension may exceed the rank (C_n{1,2} has r_plus = 2n - 3): 31
+    # models of rank <= 12 have max(r_minus, r_plus) >= max(2, rank), and C100{1,2}
+    # has r_plus = 197, above the rank ceiling
+    entries = enumerate_two_bundles(12)
+    assert sum(max(e.r_minus, e.r_plus) >= max(2, e.diagram.rank) for e in entries) == 31
+    c100 = next(e for e in enumerate_two_bundles(MAX_RANK) if e.render() == "C100{1,2}")
+    assert (c100.r_minus, c100.r_plus) == (1, 197)
+    for e in (*entries, c100):
+        tags = homogeneous_tags(e.diagram, e.i, e.j)
+        data = TwoBundleData(e.r_minus, e.r_plus, tags.minus, tags.plus)
+        matches = match_model(data, max(2, e.diagram.rank))
+        assert (e, "direct") in {(m.entry, m.orientation) for m in matches}, e.render()
 
 
 def test_match_model_deterministic():

@@ -143,6 +143,12 @@ def test_classify():
         "--tag-minus", "0,0,0,0,0", "--tag-plus", "0,0,0,0,0", "--max-rank", "6",
     )
     assert [(m["diagram"], m["rank"], m["product"]) for m in payload["matches"]] == [("A5+A5", 10, True)]
+    # and a relative dimension may exceed the rank: C4{1,2}, of rank 4, has r_plus = 5
+    code, text = run_cli(
+        "classify", "--r-minus", "1", "--r-plus", "5",
+        "--tag-minus", "1", "--tag-plus", "1,0,0,0,1", "--max-rank", "4",
+    )
+    assert code == 0 and text.splitlines()[-1] == "match: C4{1,2} (direct)", text
 
 
 def test_drum_build():
@@ -215,6 +221,11 @@ def test_exit_codes(capsys):
     ):
         assert run_cli(*argv) == (1, ""), argv
         assert capsys.readouterr().err.splitlines() == ["error: max_rank must be at most 100"], argv
+    # and below 2 on both paths, whatever the relative dimensions
+    for tags in (("1", "3"), ("0", "0")):
+        argv = ("classify", "--r-minus", "1", "--r-plus", "1", "--tag-minus", tags[0], "--tag-plus", tags[1])
+        assert run_cli(*argv, "--max-rank", "1") == (1, ""), argv
+        assert capsys.readouterr().err.splitlines() == ["error: max_rank must be at least 2"], argv
     # a malformed integer list is a usage error with a one-line message
     for argv in (
         ("gp", "fiber", "B3{1,3}", "--base", "x"),

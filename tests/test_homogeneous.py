@@ -416,15 +416,16 @@ def test_max_rank_must_be_an_int():
 
 
 def test_max_rank_ceiling_holds_on_every_path():
-    # the product path of match_model reads no catalogue, so it must check the ceiling itself
+    # the product path of match_model reads no catalogue, so it must check both bounds itself
     data = TwoBundleData.from_values(1, 1, (1,), (3,))
     product = TwoBundleData.from_values(1, 1, (0,), (0,))
-    assert match_model(product, MAX_RANK)[0].product
-    for max_rank in (MAX_RANK + 1, 1000):
-        with pytest.raises(DomainError, match=f"max_rank must be at most {MAX_RANK}"):
+    assert match_model(product, MAX_RANK)[0].product and match_model(product, 2)[0].product
+    for max_rank, message in ((MAX_RANK + 1, f"at most {MAX_RANK}"), (1000, f"at most {MAX_RANK}"),
+                              (1, "at least 2"), (0, "at least 2"), (-3, "at least 2")):
+        with pytest.raises(DomainError, match=f"max_rank must be {message}"):
             enumerate_two_bundles(max_rank)
         for request in (data, product):
-            with pytest.raises(DomainError, match=f"max_rank must be at most {MAX_RANK}"):
+            with pytest.raises(DomainError, match=f"max_rank must be {message}"):
                 match_model(request, max_rank)
 
 

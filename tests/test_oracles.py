@@ -44,12 +44,15 @@ def test_oracle_module_loads_by_path_without_flagcalc(tmp_path):
 # import.  A reference that imports the rule it checks passes that rule's
 # mutants, so: the split references check ``homogeneous._end_map`` and
 # ``_component_ends`` with only the walk and the bond table of ``dynkin``;
-# ``side_tag_by_roots`` checks ``classifier._side_tag`` with the public root
+# ``side_tag_by_roots`` checks ``homogeneous._side_tag`` with the public root
 # machinery; and the catalogue, root and drum references import no flagcalc
 # code.  These are the references that catch mutants of ``_side_tag``,
-# ``_rank_ends`` and ``homogeneous._projective_rank``.  The subdiagram search
-# imports only ``DomainError``, the rational Weyl dimension only the public
-# root machinery, and the two integer readers nothing.
+# ``_rank_ends`` and ``homogeneous._projective_rank``.  Of the references for
+# ``dynkin``, the subdiagram search (the walk) imports only ``DomainError``,
+# the root scan of the dimension (the root counts) only the public root
+# machinery, and the dense Cartan blocks (the bond table) and the isomorphism
+# search (the automorphisms) nothing.  The rational Weyl dimension imports
+# only the public root machinery, and the two integer readers nothing.
 SPLIT_IMPORTS = {("flagcalc.dynkin", "_components"), ("flagcalc.dynkin", "_bonds")}
 REFERENCE_IMPORTS = {
     "split_at": SPLIT_IMPORTS,
@@ -63,6 +66,9 @@ REFERENCE_IMPORTS = {
     "reflection_closure": set(),
     "drum_identification": set(),
     "subdiagram_by_search": {("flagcalc.errors", "DomainError")},
+    "dimension_by_roots": {("flagcalc.dynkin", "positive_roots")},
+    "cartan_matrix_by_blocks": set(),
+    "isomorphisms": set(),
     "symmetrizer_fraction": {("flagcalc.dynkin", "cartan_matrix")},
     "weyl_dim_fraction": {
         ("flagcalc.dynkin", "cartan_matrix"),
@@ -78,8 +84,10 @@ REFERENCE_IMPORTS = {
 # mutant of the rule cannot pass on a copy of itself.  The catalogue test runs
 # the whole scan: ``_scan_ranks``, ``_end_map`` (A-D), ``_component_ends`` (E,
 # F, G) and ``_rank_ends`` with ``_projective_rank``; the drum test reads
-# dim D{i} off ``_fiber_table``.
+# dim D{i} off ``_fiber_table``; and the subdiagram test runs the whole walk
+# of ``dynkin``: ``_components``, ``_walk``, ``_read_shape`` and ``_renumber``.
 CATALOGUE = ("test_homogeneous.py", "test_enumerate_matches_classification_list", "expected_two_bundle_keys")
+SUBDIAGRAM = ("test_dynkin.py", "test_subdiagram_matches_search_oracle_on_every_node_subset", "subdiagram_by_search")
 RULE_CHECKS = {
     ("homogeneous", "_projective_rank"): CATALOGUE,
     ("homogeneous", "_rank_ends"): CATALOGUE,
@@ -89,15 +97,25 @@ RULE_CHECKS = {
     ("homogeneous", "_fiber_table"): (
         "test_drum.py", "test_drums_match_their_identification_oracle", "drum_identification"
     ),
-    ("classifier", "_side_tag"): (
+    ("homogeneous", "_side_tag"): (
         "test_classifier.py", "test_homogeneous_tags_match_root_scan_oracle", "side_tag_by_roots"
     ),
     ("drum", "_weyl_dim"): ("test_drum.py", "test_weyl_dim_matches_fraction_oracle", "weyl_dim_fraction"),
     ("drum", "_symmetrizer"): (
         "test_drum.py", "test_symmetrizer_closed_form_matches_fraction_walk", "symmetrizer_fraction"
     ),
-    ("dynkin", "_read_shape"): (
-        "test_dynkin.py", "test_subdiagram_matches_search_oracle_on_every_node_subset", "subdiagram_by_search"
+    ("dynkin", "_components"): SUBDIAGRAM,
+    ("dynkin", "_walk"): SUBDIAGRAM,
+    ("dynkin", "_read_shape"): SUBDIAGRAM,
+    ("dynkin", "_renumber"): SUBDIAGRAM,
+    ("dynkin", "_bonds"): (
+        "test_dynkin.py", "test_cartan_matrix_matches_dense_block_oracle", "cartan_matrix_by_blocks"
+    ),
+    ("dynkin", "_component_root_count"): (
+        "test_homogeneous.py", "test_dimension_matches_root_scan_oracle", "dimension_by_roots"
+    ),
+    ("dynkin", "_component_automorphisms"): (
+        "test_dynkin.py", "test_automorphisms_match_search_oracle", "isomorphisms"
     ),
 }
 # The private functions of these modules that no oracle restates, each with the reason.
@@ -111,6 +129,12 @@ RULE_EXEMPT = {
     "test_match_model_product pins",
     ("drum", "_build_ledger"): "one table of the construction, the same for every drum, pinned entry by "
     "entry by the ledger tests of test_drum and the golden ledger fixture",
+    ("dynkin", "_in_table"): "a domain check of the normalized table, shared by the parser and _bonds, pinned by "
+    "test_parse_errors and test_cartan_matrix_rejects_components_outside_normalized_table",
+    ("tags", "_require_connected_a"): "a domain check shared by the type A operations, pinned by "
+    "test_symplectic_reduce_requires_connected_type_a and test_classify_tag_shape_requires_type_a",
+    ("tags", "_is_palindrome"): "values == values[::-1], which test_symplectic_reduce_exactly_on_odd_palindromes "
+    "restates on every tag of A1-A5 with values 0-3",
 }
 
 
@@ -149,7 +173,7 @@ def test_every_private_rule_has_a_test_whose_reference_does_not_import_it():
         calls = [node.func for node in ast.walk(_functions(TESTS / test_file)[test]) if isinstance(node, ast.Call)]
         assert reference in {call.id for call in calls if isinstance(call, ast.Name)}, (module, rule, test)
     assert not RULE_CHECKS.keys() & RULE_EXEMPT.keys()
-    for module in ("homogeneous", "classifier", "drum"):
+    for module in ("dynkin", "homogeneous", "tags", "classifier", "drum"):
         private = {(module, name) for name in _functions(src / f"{module}.py") if name.startswith("_")}
         exempt = {key for key in RULE_EXEMPT if key[0] == module}
         assert exempt <= private, exempt - private

@@ -1,10 +1,10 @@
 """flagcalc is stdlib-only: every import in the package is relative or names a standard module.
 
 Four layering rules are checked on the same syntax trees: only ``dynkin``
-names its shape-reading internals, other modules name only the listed
-``dynkin`` privates (the classifier reads its tags off the bond table
-``_bonds``, the one source of Cartan entries), root lists are built only
-where they are the answer, and no module uses a banned standard module or
+names its shape-reading internals, only ``homogeneous`` names other
+``dynkin`` privates, the listed ones (it reads the tag values off the bond
+table ``_bonds``, the one source of Cartan entries), root lists are built
+only where they are the answer, and no module uses a banned standard module or
 name: ``fractions``, as every value is an exact integer, and ``dataclasses``,
 ``cached_property`` and ``typing``, as every record is a tuple.  Every class
 other than an exception subclasses a ``namedtuple(...)`` call and sets
@@ -23,12 +23,11 @@ from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "flagcalc"
 SHAPE_INTERNALS = {"_read_shape", "_walk"}
-# The ``dynkin`` privates that other modules name: ``homogeneous`` splits,
-# renumbers, counts roots and finds the node of each component joined to a
-# base node, and the classifier reads Cartan entries.
+# The ``dynkin`` privates that other modules name: only ``homogeneous``, which
+# splits, renumbers, counts roots, finds the node of each component joined to a
+# base node and reads the Cartan entries of the tags.
 DYNKIN_PRIVATES_NAMED = {
     "homogeneous.py": {"_NORMALIZED_RANKS", "_bonds", "_component_root_count", "_components", "_renumber"},
-    "classifier.py": {"_bonds"},
 }
 # Banned standard modules and names, each with the reason (``fractions`` has its own test).
 BANNED = {
