@@ -5,12 +5,13 @@ the two fundamental representations attached to its marks produces a variety
 one dimension higher carrying a torus action whose fixed components are the
 two contraction targets.  This module computes, in exact arithmetic, the
 dimension data of that construction and the integer intersection ledger of
-the associated blowup, which is one table shared by every drum.
+the associated blowup, which is one table shared by every drum.  The two
+fundamental dimensions come from Weyl's formula on the positive coroots, the
+roots of the dual diagram, uncached; the module states no root lengths.
 """
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import lru_cache
 
 from .dynkin import DynkinDiagram, positive_roots
 from .errors import DomainError
@@ -21,51 +22,30 @@ DIVISOR_CLASSES = (*BASIS, "Y+", "Y-", "M+", "M-")
 CURVE_CLASSES = ("ell-", "ell+")
 
 
-def _symmetrizer(family: str, rank: int) -> tuple[int, ...]:
-    """d_i = (alpha_i, alpha_i) / 2, half the squared length of each simple root, short roots 1.
-
-    Closed forms per family (Humphreys §12.1; Bourbaki, ch. VI, plates): the
-    short root of B_n is node n, the long root of C_n is node n, the long
-    roots of F4 are nodes 1 and 2, and the long root of G2 is node 2, three
-    times as long squared; A, D and E are simply laced.  With the Cartan
-    convention of ``dynkin``, (alpha_i, alpha_j) = C[i][j] * d_j.
-    """
-    if family == "B":
-        return (2,) * (rank - 1) + (1,)
-    if family == "C":
-        return (1,) * (rank - 1) + (2,)
-    return {("F", 4): (2, 2, 1, 1), ("G", 2): (1, 3)}.get((family, rank), (1,) * rank)
-
-
 def weyl_dim(d: DynkinDiagram, node: int) -> int:
     """Dimension of the irreducible representation of the fundamental weight at ``node``.
 
-    Evaluates the product over positive roots beta of
-    (rho + omega, beta) / (rho, beta) in integer arithmetic.  With the
-    closed-form root lengths d_i = (alpha_i, alpha_i) / 2 of
-    ``_symmetrizer``, (rho, beta) is the sum of beta_i * d_i and
-    (omega, beta) is beta_node * d_node, both integers; the numerators and
-    the denominators are multiplied separately and divided once, exactly; a
-    nonzero remainder raises ``ArithmeticError``.  Roots with no ``node``
-    coefficient contribute a factor 1 and are skipped.  Results are cached
-    per (diagram, node).
+    Weyl's formula (Humphreys §24.3) on the positive coroots gamma, written
+    over the simple coroots: as (rho, alpha_i^v) = 1 and (omega_k, alpha_i^v) =
+    delta_ik, dim V(omega_k) is the product of (ht gamma + gamma_k) / ht gamma
+    over the gamma with gamma_k > 0.  The coroots are the roots of the dual
+    diagram, whose Cartan matrix is the transpose: B_n and C_n swap, F4 and G2
+    are self-dual with the node order reversed, and A, D and E are self-dual.
+    The product is divided once, exactly; a remainder raises ``ArithmeticError``.
     """
     d.check_nodes((node,))
     if not d.is_connected():
         raise DomainError("fundamental representation dimensions require a connected diagram")
-    return _weyl_dim(d, node)
-
-
-@lru_cache(maxsize=None)
-def _weyl_dim(d: DynkinDiagram, node: int) -> int:
-    sym = _symmetrizer(*d.components[0])
-    k = node - 1
+    ((family, rank),) = d.components
+    # the dual diagram, and the index in it of the coroot of ``node``
+    dual = DynkinDiagram((({"B": "C", "C": "B"}.get(family, family), rank),))
+    k = rank - node if family in "FG" else node - 1
     num = den = 1
-    for beta in positive_roots(d).roots:
-        if beta[k]:
-            rho_beta = sum(b * s for b, s in zip(beta, sym))
-            num *= rho_beta + beta[k] * sym[k]
-            den *= rho_beta
+    for gamma in positive_roots(dual).roots:
+        if gamma[k]:
+            height = sum(gamma)
+            num *= height + gamma[k]
+            den *= height
     dim, rest = divmod(num, den)
     if rest:
         raise ArithmeticError(f"non-integral representation dimension for {d} node {node}")

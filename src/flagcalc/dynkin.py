@@ -124,6 +124,21 @@ SPACE = r"[^\S\x1c-\x1f]"
 _COMPONENT_RE = re.compile(rf"{SPACE}*([A-G]){SPACE}*([0-9]+){SPACE}*")
 
 
+# An integer entry: ASCII digits (``int`` would also read ``1_0`` and ``٣``), an optional sign and ``SPACE``.
+_INT_RE = re.compile(rf"{SPACE}*[+-]?[0-9]+{SPACE}*")
+
+
+def parse_ints(text: str) -> tuple[int, ...] | None:
+    """The comma-separated ``_INT_RE`` entries of ``text``, or None when any entry is malformed."""
+    parts = text.split(",")
+    if not all(map(_INT_RE.fullmatch, parts)):
+        return None
+    try:
+        return tuple(map(int, parts))
+    except ValueError:  # more digits than the interpreter's int limit, which depends on its settings
+        return None
+
+
 def parse_with_node_map(text: str) -> tuple[DynkinDiagram, dict[int, int]]:
     """Parse a diagram string, normalize it, and map raw node indices to normalized ones.
 
@@ -136,9 +151,10 @@ def parse_with_node_map(text: str) -> tuple[DynkinDiagram, dict[int, int]]:
     node_map: dict[int, int] = {}
     for part in text.replace("⊔", "+").split("+"):
         m = _COMPONENT_RE.fullmatch(part.upper())
-        if m is None:
+        ranks = m and parse_ints(m.group(2))
+        if not ranks:
             raise ParseError(f"cannot parse diagram component {part!r}")
-        fam, rank = m.group(1), int(m.group(2))
+        fam, (rank,) = m.group(1), ranks
         if (fam, rank) in _COINCIDENCES:
             normal, images = _COINCIDENCES[(fam, rank)]
         elif _in_table(fam, rank):
@@ -156,18 +172,6 @@ def parse_with_node_map(text: str) -> tuple[DynkinDiagram, dict[int, int]]:
 def parse_diagram(text: str) -> DynkinDiagram:
     """Parse a diagram string such as ``A5``, ``B3`` or ``A2+A1`` and normalize it."""
     return parse_with_node_map(text)[0]
-
-
-# An integer entry: ASCII digits (``int`` would also read ``1_0`` and ``٣``), an optional sign and ``SPACE``.
-_INT_RE = re.compile(rf"{SPACE}*[+-]?[0-9]+{SPACE}*")
-
-
-def parse_ints(text: str) -> tuple[int, ...] | None:
-    """The comma-separated ``_INT_RE`` entries of ``text``, or None when any entry is malformed."""
-    parts = text.split(",")
-    if not all(_INT_RE.fullmatch(p) for p in parts):
-        return None
-    return tuple(int(p) for p in parts)
 
 
 def typed_nodes(nodes, node_map: dict[int, int], text: str) -> tuple[int, ...]:
@@ -220,7 +224,6 @@ def _bonds(d: DynkinDiagram) -> Bonds:
     return tuple(MappingProxyType(column) for column in columns)
 
 
-@lru_cache(maxsize=None)
 def cartan_matrix(d: DynkinDiagram) -> Matrix:
     """Block-diagonal Cartan matrix of a normalized diagram, rendered from ``_bonds``."""
     rows = [[0] * d.rank for _ in d.nodes]

@@ -259,6 +259,28 @@ def test_exit_codes(capsys):
         assert run_cli(*argv) == (2, ""), argv
         err = capsys.readouterr().err.splitlines()
         assert ERROR_LINE.match(err[-1]) and "invalid int value" in err[-1], argv
+    # an entry longer than int's limit on digits (4300 by default) is malformed:
+    # exit 1 in a diagram, mark set or tag, 2 in an integer list or argument
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        long = "1" * 5000
+        for argv, code in (
+            (("roots", f"A{long}"), 1),
+            (("gp", "dim", f"A3{{{long}1}}"), 1),
+            (("tag", "shape", f"A1:{long}"), 1),
+            (("classify", "--r-minus", "1", "--r-plus", "1", "--tag-minus", long, "--tag-plus", "3"), 2),
+            (("gp", "fiber", "B3{1,3}", "--base", long), 2),
+        ):
+            assert run_cli(*argv) == (code, ""), argv[:2]
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error: "), argv[:2]
+        for argv in (("enumerate", "--max-rank", long), ("drum", "build", "B3", long, "3")):
+            assert run_cli(*argv) == (2, ""), argv[:2]
+            err = capsys.readouterr().err.splitlines()
+            assert ERROR_LINE.match(err[-1]) and "invalid int value" in err[-1], argv[:2]
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_typed_node_outside_the_typed_diagram_has_one_message(capsys):

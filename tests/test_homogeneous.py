@@ -519,7 +519,6 @@ def test_enumerate_builds_no_subdiagrams(monkeypatch):
     for module in (dynkin, homogeneous):
         monkeypatch.setattr(module, "_renumber", counting_renumber)
     enumerate_two_bundles.cache_clear()
-    dynkin.cartan_matrix.cache_clear()
     dynkin._bonds.cache_clear()
     assert len(enumerate_two_bundles(12)) == 164
     assert calls == []
@@ -583,17 +582,24 @@ def test_cold_classify_keeps_end_records_and_little_memory():
     assert retained < 17_000_000
 
 
-def test_enumerate_builds_cartan_matrices_only_for_exceptional_diagrams():
+def test_enumerate_builds_cartan_matrices_only_for_exceptional_diagrams(monkeypatch):
     # A, B, C and D are split at each base in closed form, with no Cartan
     # entries; E6-8, F4 and G2 are walked on their bonds, and no scan builds
     # a dense Cartan matrix
+    calls = []
+    cartan_matrix = dynkin.cartan_matrix
+
+    def counting_cartan_matrix(d):
+        calls.append(d)
+        return cartan_matrix(d)
+
+    monkeypatch.setattr(dynkin, "cartan_matrix", counting_cartan_matrix)
     exceptional = [dynkin.DynkinDiagram((comp,)) for comp in (("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2))]
     for max_rank in (20, MAX_RANK):
-        for cached in (enumerate_two_bundles, homogeneous._fiber_table, dynkin.cartan_matrix, dynkin._bonds):
+        for cached in (enumerate_two_bundles, homogeneous._fiber_table, dynkin.positive_roots, dynkin._bonds):
             cached.cache_clear()
         enumerate_two_bundles(max_rank)
-        info = dynkin.cartan_matrix.cache_info()
-        assert (info.currsize, info.misses) == (0, 0), max_rank
+        assert calls == [], max_rank
         assert dynkin._bonds.cache_info().currsize == 5, max_rank
         for d in exceptional:
             dynkin._bonds(d)

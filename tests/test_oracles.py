@@ -69,7 +69,6 @@ REFERENCE_IMPORTS = {
     "dimension_by_roots": {("flagcalc.dynkin", "positive_roots")},
     "cartan_matrix_by_blocks": set(),
     "isomorphisms": set(),
-    "symmetrizer_fraction": {("flagcalc.dynkin", "cartan_matrix")},
     "weyl_dim_fraction": {
         ("flagcalc.dynkin", "cartan_matrix"),
         ("flagcalc.dynkin", "positive_roots"),
@@ -99,10 +98,6 @@ RULE_CHECKS = {
     ),
     ("homogeneous", "_side_tag"): (
         "test_classifier.py", "test_homogeneous_tags_match_root_scan_oracle", "side_tag_by_roots"
-    ),
-    ("drum", "_weyl_dim"): ("test_drum.py", "test_weyl_dim_matches_fraction_oracle", "weyl_dim_fraction"),
-    ("drum", "_symmetrizer"): (
-        "test_drum.py", "test_symmetrizer_closed_form_matches_fraction_walk", "symmetrizer_fraction"
     ),
     ("dynkin", "_components"): SUBDIAGRAM,
     ("dynkin", "_walk"): SUBDIAGRAM,
