@@ -17,7 +17,7 @@ from collections.abc import Callable
 
 from . import classifier, drum as drum_mod, homogeneous, tags as tags_mod
 from .dynkin import parse_diagram, parse_ints, parse_with_node_map, positive_roots, typed_nodes, weyl_order
-from .errors import DomainError
+from .errors import DomainError, quote
 from .homogeneous import _marked_name
 
 SCHEMA = 1
@@ -27,7 +27,7 @@ def _int(text: str) -> int:
     """An integer argument: one ``dynkin.parse_ints`` entry, or argparse's usage error."""
     values = parse_ints(text)
     if values is None or len(values) != 1:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        raise argparse.ArgumentTypeError(f"invalid int value: {quote(text)}")
     return values[0]
 
 
@@ -35,7 +35,7 @@ def _int_list(text: str, option: str) -> tuple[int, ...]:
     """The ``dynkin.parse_ints`` entries given to ``option``; a malformed list is a usage error."""
     values = parse_ints(text)
     if values is None:
-        raise argparse.ArgumentTypeError(f"{option} expects comma-separated integers, got {text!r}")
+        raise argparse.ArgumentTypeError(f"{option} expects comma-separated integers, got {quote(text)}")
     return values
 
 
@@ -114,7 +114,10 @@ def _cmd_enumerate(args) -> tuple[dict, Callable[[], list[str]]]:
     ] + [f"total: {len(entries)}"]
 
 
-def _zero_payload(t: tags_mod.Tag) -> dict:
+def _zero_payload(t: tags_mod.Tag, args) -> dict:
+    """The zeros and support of ``t``, printed by JSON only: empty, and not computed, for text."""
+    if args.format != "json":
+        return {}
     zero = tags_mod.zero_data(t)
     return {"zeros": list(zero.zeros), "support": list(zero.support)}
 
@@ -122,7 +125,7 @@ def _zero_payload(t: tags_mod.Tag) -> dict:
 def _cmd_tag_reduce(args) -> tuple[dict, Callable[[], list[str]]]:
     t = tags_mod.parse_tag(args.tag)
     reduced = tags_mod.symplectic_reduce(t)
-    payload = {"input": t.render(), "reduction": reduced.render() if reduced else None, **_zero_payload(t)}
+    payload = {"input": t.render(), "reduction": reduced.render() if reduced else None, **_zero_payload(t, args)}
     reason = "rank even" if t.diagram.rank % 2 == 0 else "tag is not palindromic"
     return payload, lambda: [payload["reduction"] or f"no reduction: {reason}"]
 
@@ -135,7 +138,7 @@ def _cmd_tag_restrict(args) -> tuple[dict, Callable[[], list[str]]]:
         "input": t.render(),
         "restricted": restricted.tag.render(),
         "node_map": {str(a): b for a, b in restricted.node_map},
-        **_zero_payload(restricted.tag),
+        **_zero_payload(restricted.tag, args),
     }
     return payload, lambda: [
         f"{payload['restricted']} (node map: {', '.join(f'{a}->{b}' for a, b in restricted.node_map)})"

@@ -39,7 +39,7 @@ from itertools import permutations
 from math import factorial
 from types import MappingProxyType
 
-from .errors import DomainError, ParseError
+from .errors import DomainError, ParseError, quote
 
 Matrix = tuple[tuple[int, ...], ...]
 Root = tuple[int, ...]
@@ -153,17 +153,17 @@ def parse_with_node_map(text: str) -> tuple[DynkinDiagram, dict[int, int]]:
         m = _COMPONENT_RE.fullmatch(part.upper())
         ranks = m and parse_ints(m.group(2))
         if not ranks:
-            raise ParseError(f"cannot parse diagram component {part!r}")
+            raise ParseError(f"cannot parse diagram component {quote(part)}")
         fam, (rank,) = m.group(1), ranks
         if (fam, rank) in _COINCIDENCES:
             normal, images = _COINCIDENCES[(fam, rank)]
         elif _in_table(fam, rank):
             normal, images = ((fam, rank),), range(1, rank + 1)
         else:
-            raise ParseError(f"rank {rank} out of range for family {fam}")
+            raise ParseError(f"rank {quote(rank)} out of range for family {fam}")
         offset = len(node_map)
         if offset + rank > MAX_RANK:
-            raise DomainError(f"diagram {text!r} has rank above the ceiling {MAX_RANK}")
+            raise DomainError(f"diagram {quote(text)} has rank above the ceiling {MAX_RANK}")
         node_map.update((offset + k, offset + image) for k, image in enumerate(images, 1))
         comps.extend(normal)
     return DynkinDiagram(tuple(comps)), node_map
@@ -177,7 +177,7 @@ def parse_diagram(text: str) -> DynkinDiagram:
 def typed_nodes(nodes, node_map: dict[int, int], text: str) -> tuple[int, ...]:
     """``nodes``, numbered as in the diagram typed in ``text``, in the normalized numbering of ``node_map``."""
     if any(k not in node_map for k in nodes):
-        raise DomainError(f"nodes {list(nodes)} not all in {text!r}")
+        raise DomainError(f"nodes {quote(list(nodes))} not all in {quote(text)}")
     return tuple(node_map[k] for k in nodes)
 
 

@@ -17,9 +17,11 @@ ranks at the component ends, the only marks a projective fiber can have,
 from the records.  The two-bundle test, drums and ``_side_tag`` share the
 cached ``_fiber_table``: the first two take ranks and dimensions from it,
 with dim D{i,j} = dim D{i} + r_plus, and ``_side_tag`` reads the values of
-the classifier's tags off b and p of the same records.  The catalogue scan
-reads the tables of every base node of a diagram uncached, with no per-pair
-test, so it leaves no table behind and splits no classical diagram.
+the classifier's tags off b and p of the same records.  The catalogue takes
+A, B, C and D from the closed forms of ``_classical_pairs`` (Humphreys
+§11.4, the Bourbaki plates) and scans only E6-8, F4 and G2, reading the
+table of every base node uncached, with no per-pair test, so it leaves no
+table behind and splits no classical diagram.
 """
 from __future__ import annotations
 
@@ -41,7 +43,7 @@ from .dynkin import (
     parse_with_node_map,
     typed_nodes,
 )
-from .errors import DomainError, ParseError
+from .errors import DomainError, ParseError, quote
 
 
 def _marked_name(diagram: str, marks) -> str:
@@ -89,11 +91,11 @@ def parse_marked_with_node_map(text: str) -> tuple[MarkedDiagram, dict[int, int]
     """Parse a marked diagram; also map the typed diagram's node indices to normalized ones."""
     m = _MARKED_RE.fullmatch(text)
     if m is None:
-        raise ParseError(f"cannot parse marked diagram {text!r}")
+        raise ParseError(f"cannot parse marked diagram {quote(text)}")
     diagram, node_map = parse_with_node_map(m.group(1))
     raw_marks = parse_ints(m.group(2))
     if raw_marks is None:
-        raise ParseError(f"bad mark list in {text!r}")
+        raise ParseError(f"bad mark list in {quote(text)}")
     return MarkedDiagram(diagram, typed_nodes(raw_marks, node_map, text)), node_map
 
 
@@ -319,48 +321,78 @@ def _scan_ranks(family: str, max_rank: int) -> range:
 def _check_max_rank(max_rank) -> None:
     """``DomainError`` unless ``max_rank`` is an ``int`` (not a ``bool``) from 2 to ``dynkin.MAX_RANK``."""
     if type(max_rank) is not int:
-        raise DomainError(f"max_rank must be an integer, got {max_rank!r}")
+        raise DomainError(f"max_rank must be an integer, got {quote(max_rank)}")
     if max_rank < 2:
         raise DomainError("max_rank must be at least 2")
     if max_rank > MAX_RANK:
         raise DomainError(f"max_rank must be at most {MAX_RANK}")
 
 
+def _classical_pairs(family: str, n: int) -> list[tuple[int, int, int, int, tuple[tuple[str, int], ...]]]:
+    """(i, j, r_minus, r_plus, Levi) of each two-bundle pair of the connected ``family``/``n``, in (i, j) order.
+
+    ``family`` is A, B, C (n >= 3) or D; Levi names the components of
+    D - {i, j} by shape, so that dim D{i,j} = |Φ⁺(D)| - Σ |Φ⁺(Levi)|.  On
+    the standard numbering (Humphreys §11.4, the Bourbaki plates) the fiber
+    over D{i} is the component of D - {i} holding j, projective when it is
+    A_r marked at an end (P^r) or C_k at its first node (P^(2k-1)), and the
+    fiber over D{j} likewise.  So (r_minus, r_plus) is (i, n - i) for
+    A_n{i,i+1}, (n - 1, n - 1) for A_n{1,n}, (i, 2(n - i) - 1) for
+    C_n{i,i+1}, (n - 1, 1) for B_n{n-1,n}, (2, 3) for B3{1,3}, whose fiber
+    over D{1} is B2 = C2, and (n - 1, n - 1) for D_n{n-1,n}.  Up to the
+    automorphisms of D_n these are all the pairs, the list that
+    ``tests/oracles.expected_two_bundle_keys`` writes out; type A keeps both
+    pairs of each flip orbit.
+    """
+    if family in "BD":
+        pair = (n - 1, n, n - 1, 1 if family == "B" else n - 1, (("A", n - 2),))
+        return [(1, 3, 2, 3, (("A", 1),)), pair] if (family, n) == ("B", 3) else [pair]
+    pairs = [
+        (i, i + 1, i, n - i if family == "A" else 2 * (n - i) - 1, (("A", i - 1), (family, n - i - 1)))
+        for i in range(1, n)
+    ]
+    if family == "A" and n > 2:
+        pairs.insert(1, (1, n, n - 1, n - 1, (("A", n - 2),)))
+    return pairs
+
+
 @lru_cache(maxsize=None)
 def enumerate_two_bundles(max_rank: int) -> tuple[TwoBundleEntry, ...]:
     """All connected diagrams of rank <= max_rank carrying two bundle structures.
 
-    Built in (family, rank, marks) order from the uncached table of every
-    node of each diagram: ``_rank_ends`` of ``_end_map`` on A, B, C and D,
-    with no split, and of ``_component_ends`` on E6-8, F4 and G2, with
-    |Φ⁺(D)| computed once per diagram.  For each end j > i in the table
-    over i, in ascending order, r_plus is its rank, r_minus is the rank of i
-    in the table over j, if any, and dim D{i,j} = dim D{i} + r_plus, as in
-    ``is_two_bundle_pair``, which is not called.  C2 is not scanned, as C2{1,2} is B2{1,2}.  Outside
-    type A a pair is kept only when it is the largest sorted image of itself
-    under the diagram automorphisms other than the identity, so each
-    automorphism orbit (such as the three D4 pairs, kept as {3,4}) is listed
-    once; type A pairs are all kept, so the flip-related pairs (r, r+1) and
-    (n-r, n-r+1) are both listed, matching the usual presentation of the
-    classification.  ``max_rank`` runs from 2 to ``dynkin.MAX_RANK``, the
-    ceiling of every diagram, and must be an ``int``.
+    Built in (family, rank, marks) order.  A, B, C and D take their pairs
+    from the closed forms of ``_classical_pairs`` (Humphreys §11.4, the
+    Bourbaki plates), with no fiber table.  E6-8, F4 and G2 are scanned:
+    the uncached ``_rank_ends`` of ``_component_ends`` at every node, with
+    |Φ⁺(D)| computed once per diagram.  For each end j > i in the table over
+    i, in ascending order, r_plus is its rank, r_minus is the rank of i in
+    the table over j, if any, and dim D{i,j} = dim D{i} + r_plus, as in
+    ``is_two_bundle_pair``, which is not called.  C2 is not listed, as
+    C2{1,2} is B2{1,2}.  Outside type A each automorphism orbit of pairs
+    (such as the three D4 pairs, kept as {3,4}) is listed once, by its
+    largest sorted image; type A pairs are all kept, so the flip-related
+    pairs (r, r+1) and (n-r, n-r+1) are both listed, matching the usual
+    presentation of the classification.  ``max_rank`` runs from 2 to
+    ``dynkin.MAX_RANK``, the ceiling of every diagram, and must be an ``int``.
     """
     _check_max_rank(max_rank)
     entries = []
     for family in "ABCDEFG":
         for rank in _scan_ranks(family, max_rank):
             d = DynkinDiagram(((family, rank),))
-            autos = () if family == "A" else automorphisms(d)[1:]  # the identity comes first
-            nodes = range(1, rank + 1)
             total = _component_root_count(family, rank)
             if family in "ABCD":
-                tables = [_rank_ends(total, _end_map(family, rank, base)) for base in nodes]
-            else:
-                tables = [_rank_ends(total, _component_ends(d, base)) for base in nodes]
+                entries += [
+                    TwoBundleEntry(d, i, j, r_minus, r_plus, total - sum(_component_root_count(*c) for c in levi))
+                    for i, j, r_minus, r_plus, levi in _classical_pairs(family, rank)
+                ]
+                continue
+            autos = automorphisms(d)[1:]  # the identity comes first
+            tables = [_rank_ends(total, _component_ends(d, base)) for base in range(1, rank + 1)]
             for i, (dim, ranks) in enumerate(tables, 1):
                 for j in sorted(ranks):
-                    if j > i and (r_minus := tables[j - 1][1].get(i)) is not None and (
-                        not autos or all((i, j) >= tuple(sorted((s[i - 1], s[j - 1]))) for s in autos)
+                    if j > i and (r_minus := tables[j - 1][1].get(i)) is not None and all(
+                        (i, j) >= tuple(sorted((s[i - 1], s[j - 1]))) for s in autos
                     ):
                         entries.append(TwoBundleEntry(d, i, j, r_minus, ranks[j], dim=dim + ranks[j]))
     return tuple(entries)

@@ -13,7 +13,7 @@ from collections import namedtuple
 from collections.abc import Sequence
 
 from .dynkin import SPACE, DynkinDiagram, parse_diagram, parse_ints, parse_with_node_map, subdiagram
-from .errors import DomainError, ParseError
+from .errors import DomainError, ParseError, quote
 
 FIRST_NODE_ONLY = "first_node_only"
 SYMMETRIC_ENDS = "symmetric_ends"
@@ -70,13 +70,13 @@ def parse_tag_with_node_map(text: str) -> tuple[Tag, dict[int, int]]:
     """Parse a tag string; also map the typed diagram's node indices to normalized ones."""
     m = _TAG_RE.fullmatch(text)
     if m is None:
-        raise ParseError(f"cannot parse tag {text!r}")
+        raise ParseError(f"cannot parse tag {quote(text)}")
     diagram, node_map = parse_with_node_map(m.group(1))
     raw_values = parse_ints(m.group(2))
     if raw_values is None:
-        raise ParseError(f"bad value list in {text!r}")
+        raise ParseError(f"bad value list in {quote(text)}")
     if len(raw_values) != diagram.rank:
-        raise DomainError(f"tag {text!r} has {len(raw_values)} values for a rank-{diagram.rank} diagram")
+        raise DomainError(f"tag {quote(text)} has {len(raw_values)} values for a rank-{diagram.rank} diagram")
     values = [0] * diagram.rank
     for old, new in node_map.items():
         values[new - 1] = raw_values[old - 1]

@@ -15,8 +15,8 @@ the dimension of a marked diagram, fibers built as renumbered subdiagrams
 instead of read off their shape for the two-bundle test, a two-bundle
 catalogue built by canonicalizing every pair, deduplicating and sorting
 instead of in one ordered pass, and one read off the ``split_at`` node
-lists of every base node instead of off closed-form end maps on A, B, C and
-D, contraction
+lists of every base node instead of listed from the closed forms of A, B, C
+and D, contraction
 fibers built by splitting the residual diagram three times instead of
 renumbering one split, homogeneous tags from Cartan pairings over the whole
 root list instead of read off the fiber's shape in closed form, fiber ranks
@@ -692,11 +692,13 @@ def enumerate_two_bundles_by_canonical_pairs(max_rank: int):
 def enumerate_two_bundles_by_fiber_reads(max_rank: int):
     """The two-bundle catalogue with every base node's table read off its split.
 
-    The scan of ``enumerate_two_bundles``, but each table of every diagram,
-    A-D included, is ``homogeneous._rank_ends`` of the records that
-    ``end_records_by_split`` reads off the ``split_at`` node lists, and the
-    pair loop runs over every end in the table, skipping j < i, and over
-    every automorphism, the identity included.
+    The differential check of the closed forms of ``enumerate_two_bundles``
+    (``homogeneous._classical_pairs``): every diagram, A-D included, is
+    scanned as the library scans E6-8, F4 and G2, with each table
+    ``homogeneous._rank_ends`` of the records that ``end_records_by_split``
+    reads off the ``split_at`` node lists.  The pair loop runs over every
+    end in the table, skipping j < i, and outside type A over every
+    automorphism, the identity included.
     """
     from flagcalc.dynkin import DynkinDiagram, _component_root_count, automorphisms
     from flagcalc.homogeneous import TwoBundleEntry, _rank_ends, _scan_ranks

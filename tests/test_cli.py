@@ -12,6 +12,7 @@ from pathlib import Path
 
 from flagcalc import cli
 from flagcalc.cli import main
+from flagcalc.errors import QUOTE_LIMIT, quote
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SRC = Path(__file__).parent.parent / "src"
@@ -111,6 +112,22 @@ def test_tag_restrict():
     assert code == 0 and text == "B2:3,2 (node map: 2->2, 3->1)\n"
     payload = run_json("tag", "restrict", "A5:1,2,3,4,5", "--marks", "1")
     assert payload["restricted"] == "A4:2,3,4,5"
+
+
+def test_tag_text_computes_no_zero_data(monkeypatch):
+    # only JSON prints zeros and support; text output is the same without them
+    calls = []
+    zero_data = cli.tags_mod.zero_data
+    monkeypatch.setattr(cli.tags_mod, "zero_data", lambda t: calls.append(t) or zero_data(t))
+    for argv, text in (
+        (("tag", "reduce", "A3:2,0,2"), "C2:2,0\n"),
+        (("tag", "restrict", "A3:1,0,2", "--marks", "2"), "A1+A1:1,2 (node map: 1->1, 3->2)\n"),
+    ):
+        calls.clear()
+        assert run_cli(*argv) == (0, text) and calls == [], argv
+        payload = run_json(*argv)
+        assert len(calls) == 1 and {"zeros", "support"} <= payload.keys(), argv
+    assert run_json("tag", "reduce", "A3:1,0,2")["zeros"] == [2]
 
 
 def test_tag_shape():
@@ -275,12 +292,24 @@ def test_exit_codes(capsys):
             assert run_cli(*argv) == (code, ""), argv[:2]
             err = capsys.readouterr().err.splitlines()
             assert len(err) == 1 and err[0].startswith("error: "), argv[:2]
+            # the input is echoed shortened, not digit by digit
+            assert len(err[0]) < 200 and "1..." in err[0], (argv[0], len(err[0]))
         for argv in (("enumerate", "--max-rank", long), ("drum", "build", "B3", long, "3")):
             assert run_cli(*argv) == (2, ""), argv[:2]
             err = capsys.readouterr().err.splitlines()
             assert ERROR_LINE.match(err[-1]) and "invalid int value" in err[-1], argv[:2]
+            assert len(err[-1]) < 200 and "1..." in err[-1], (argv[0], len(err[-1]))
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+def test_quote_echoes_short_input_whole_and_cuts_long_input():
+    for value in ("", "A3{1,,3}", "x" * (QUOTE_LIMIT - 2), 12.0, ["8"], list(range(10))):
+        assert quote(value) == repr(value), value
+    for value in ("x" * (QUOTE_LIMIT - 1), "A" + "1" * 5000, list(range(3000))):
+        text, cut = repr(value), quote(value)
+        assert len(cut) <= QUOTE_LIMIT and "..." in cut, cut
+        assert cut.startswith(text[:48]) and cut.endswith(text[-48:]), cut
 
 
 def test_typed_node_outside_the_typed_diagram_has_one_message(capsys):

@@ -38,6 +38,7 @@ from oracles import (
     side_tag_by_roots,
 )
 
+EXCEPTIONAL = (("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2))
 CONNECTED_UP_TO_RANK_8 = [
     f"{fam}{n}" for fam, lowest in (("A", 1), ("B", 2), ("C", 2), ("D", 4)) for n in range(lowest, 9)
 ] + ["E6", "E7", "E8", "F4", "G2"]
@@ -451,8 +452,9 @@ def test_enumerate_relative_dimensions():
 
 
 def test_enumerate_entry_dimensions_consistent():
-    # entries take dim D{i,j} = dim D{i} + r_plus from the fiber tables; at
-    # MAX_RANK the 30588 dimensions would take about 3 s
+    # A-D entries take dim D{i,j} from their Levi components in closed form,
+    # E-G entries dim D{i} + r_plus from the scanned tables; at MAX_RANK the
+    # 30588 dimensions would take about 3 s
     for e in enumerate_two_bundles(50):
         m = MarkedDiagram(e.diagram, (e.i, e.j))
         assert e.dim == dimension(m)
@@ -480,7 +482,8 @@ def test_enumerate_matches_canonical_pair_oracle(max_rank):
 
 
 def test_enumerate_matches_fiber_read_oracle_at_the_ceiling():
-    # whole tuples up to MAX_RANK, against the scan that splits every base node
+    # whole tuples up to MAX_RANK, against the scan that splits every base
+    # node: the differential check of the closed forms of A-D
     assert enumerate_two_bundles(MAX_RANK) == enumerate_two_bundles_by_fiber_reads(MAX_RANK)
 
 
@@ -525,8 +528,9 @@ def test_enumerate_builds_no_subdiagrams(monkeypatch):
 
 
 def test_enumerate_leaves_fiber_table_cache_empty():
-    # the scan reads each table once, uncached; the two-bundle test, drums
-    # and classify still share one cached table per (diagram, base)
+    # A-D need no table and the E-G scan reads each of its tables once,
+    # uncached; the two-bundle test, drums and classify still share one
+    # cached table per (diagram, base)
     for max_rank, entries in ((12, 164), (MAX_RANK, 10196)):
         enumerate_two_bundles.cache_clear()
         homogeneous._fiber_table.cache_clear()
@@ -583,9 +587,9 @@ def test_cold_classify_keeps_end_records_and_little_memory():
 
 
 def test_enumerate_builds_cartan_matrices_only_for_exceptional_diagrams(monkeypatch):
-    # A, B, C and D are split at each base in closed form, with no Cartan
-    # entries; E6-8, F4 and G2 are walked on their bonds, and no scan builds
-    # a dense Cartan matrix
+    # A, B, C and D are listed in closed form, with no Cartan entries; E6-8,
+    # F4 and G2 are walked on their bonds, and no scan builds a dense Cartan
+    # matrix
     calls = []
     cartan_matrix = dynkin.cartan_matrix
 
@@ -594,7 +598,7 @@ def test_enumerate_builds_cartan_matrices_only_for_exceptional_diagrams(monkeypa
         return cartan_matrix(d)
 
     monkeypatch.setattr(dynkin, "cartan_matrix", counting_cartan_matrix)
-    exceptional = [dynkin.DynkinDiagram((comp,)) for comp in (("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2))]
+    exceptional = [dynkin.DynkinDiagram((comp,)) for comp in EXCEPTIONAL]
     for max_rank in (20, MAX_RANK):
         for cached in (enumerate_two_bundles, homogeneous._fiber_table, dynkin.positive_roots, dynkin._bonds):
             cached.cache_clear()
@@ -608,8 +612,8 @@ def test_enumerate_builds_cartan_matrices_only_for_exceptional_diagrams(monkeypa
 
 
 def test_enumerate_splits_only_exceptional_diagrams(monkeypatch):
-    # A-D tables come from the closed-form end maps; only the 27 bases of
-    # E6, E7, E8, F4 and G2 are split
+    # A-D entries come from closed forms; only the 27 bases of E6, E7, E8,
+    # F4 and G2 are split, at every rank bound
     calls = []
     components = dynkin._components
 
@@ -619,15 +623,43 @@ def test_enumerate_splits_only_exceptional_diagrams(monkeypatch):
 
     for module in (dynkin, homogeneous):
         monkeypatch.setattr(module, "_components", counting_components)
-    enumerate_two_bundles.cache_clear()
-    homogeneous._fiber_table.cache_clear()
-    enumerate_two_bundles(20)
-    assert len(calls) == 27
-    assert Counter(calls) == {comp: comp[1] for comp in (("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2))}
+    for max_rank in (20, MAX_RANK):
+        calls.clear()
+        enumerate_two_bundles.cache_clear()
+        homogeneous._fiber_table.cache_clear()
+        enumerate_two_bundles(max_rank)
+        assert len(calls) == 27, max_rank
+        assert Counter(calls) == {comp: comp[1] for comp in EXCEPTIONAL}, max_rank
+
+
+def test_enumerate_reads_closed_forms_for_classical_diagrams(monkeypatch):
+    # no end map is read; ends are read at the 27 bases of E6-8, F4 and G2,
+    # and automorphisms only on those 5 diagrams
+    calls = Counter()
+
+    def counting(name, original):
+        def count(first, *rest):  # a diagram, or the family of an end map
+            calls[name, first] += 1
+            return original(first, *rest)
+
+        return count
+
+    for name in ("_end_map", "_component_ends", "automorphisms"):
+        monkeypatch.setattr(homogeneous, name, counting(name, getattr(homogeneous, name)))
+    exceptional = [dynkin.DynkinDiagram((comp,)) for comp in EXCEPTIONAL]
+    for max_rank in (20, MAX_RANK):
+        calls.clear()
+        enumerate_two_bundles.cache_clear()
+        homogeneous._fiber_table.cache_clear()
+        assert len(enumerate_two_bundles(max_rank)) == len(expected_two_bundle_keys(max_rank))
+        assert calls == {
+            **{("_component_ends", d): d.rank for d in exceptional},
+            **{("automorphisms", d): 1 for d in exceptional},
+        }, max_rank
 
 
 def test_enumerate_makes_no_per_pair_test(monkeypatch):
-    # the catalogue is read off the fiber tables, not pair by pair
+    # the catalogue is read off closed forms and the E-G tables, not pair by pair
     calls = []
     monkeypatch.setattr(homogeneous, "is_two_bundle_pair", lambda *args: calls.append(args))
     enumerate_two_bundles.cache_clear()
@@ -637,7 +669,8 @@ def test_enumerate_makes_no_per_pair_test(monkeypatch):
 
 
 def test_entry_drum_and_product_dimensions_call_no_dimension(monkeypatch):
-    # dim D{i,j} = dim D{i} + r_plus comes from the fiber tables; P^a x P^b has dim a + b
+    # entry dimensions come from Levi root counts or the scanned tables, drum
+    # dimensions from the fiber tables; P^a x P^b has dim a + b
     calls = []
     for module in (homogeneous, drum, classifier):
         monkeypatch.setattr(module, "dimension", calls.append, raising=False)

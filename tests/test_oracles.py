@@ -45,9 +45,11 @@ def test_oracle_module_loads_by_path_without_flagcalc(tmp_path):
 # mutants, so: the split references check ``homogeneous._end_map`` and
 # ``_component_ends`` with only the walk and the bond table of ``dynkin``;
 # ``side_tag_by_roots`` checks ``homogeneous._side_tag`` with the public root
-# machinery; and the catalogue, root and drum references import no flagcalc
-# code.  These are the references that catch mutants of ``_side_tag``,
-# ``_rank_ends`` and ``homogeneous._projective_rank``.  Of the references for
+# machinery; the fiber-read catalogue checks ``_classical_pairs`` with the
+# split references, ``_rank_ends`` and ``_scan_ranks``; and the catalogue,
+# root and drum references import no flagcalc code.  These are the
+# references that catch mutants of ``_side_tag``, ``_rank_ends`` and
+# ``homogeneous._projective_rank``.  Of the references for
 # ``dynkin``, the subdiagram search (the walk) imports only ``DomainError``,
 # the root scan of the dimension (the root counts) only the public root
 # machinery, and the dense Cartan blocks (the bond table) and the isomorphism
@@ -63,6 +65,14 @@ REFERENCE_IMPORTS = {
         ("flagcalc.tags", "tag_from_splitting"),
     },
     "expected_two_bundle_keys": set(),
+    "enumerate_two_bundles_by_fiber_reads": SPLIT_IMPORTS | {
+        ("flagcalc.dynkin", "DynkinDiagram"),
+        ("flagcalc.dynkin", "_component_root_count"),
+        ("flagcalc.dynkin", "automorphisms"),
+        ("flagcalc.homogeneous", "TwoBundleEntry"),
+        ("flagcalc.homogeneous", "_rank_ends"),
+        ("flagcalc.homogeneous", "_scan_ranks"),
+    },
     "reflection_closure": set(),
     "drum_identification": set(),
     "subdiagram_by_search": {("flagcalc.errors", "DomainError")},
@@ -81,21 +91,30 @@ REFERENCE_IMPORTS = {
 # Each private rule, and a test (file, function) that checks it against a
 # reference of ``REFERENCE_IMPORTS`` that does not import the rule, so that a
 # mutant of the rule cannot pass on a copy of itself.  The catalogue test runs
-# the whole scan: ``_scan_ranks``, ``_end_map`` (A-D), ``_component_ends`` (E,
-# F, G) and ``_rank_ends`` with ``_projective_rank``; the drum test reads
-# dim D{i} off ``_fiber_table``; and the subdiagram test runs the whole walk
-# of ``dynkin``: ``_components``, ``_walk``, ``_read_shape`` and ``_renumber``.
+# ``_scan_ranks`` and the scan of E, F and G through ``_component_ends``; the
+# fiber-read test checks the closed forms of ``_classical_pairs`` (A-D) up to
+# the ceiling; the end map test checks ``_end_map`` at every classical base;
+# the drum test reads dim D{i} and the ranks off ``_fiber_table``, so through
+# ``_rank_ends`` and ``_projective_rank`` on every family; and the subdiagram
+# test runs the whole walk of ``dynkin``: ``_components``, ``_walk``,
+# ``_read_shape`` and ``_renumber``.
 CATALOGUE = ("test_homogeneous.py", "test_enumerate_matches_classification_list", "expected_two_bundle_keys")
+DRUMS = ("test_drum.py", "test_drums_match_their_identification_oracle", "drum_identification")
 SUBDIAGRAM = ("test_dynkin.py", "test_subdiagram_matches_search_oracle_on_every_node_subset", "subdiagram_by_search")
 RULE_CHECKS = {
-    ("homogeneous", "_projective_rank"): CATALOGUE,
-    ("homogeneous", "_rank_ends"): CATALOGUE,
-    ("homogeneous", "_end_map"): CATALOGUE,
+    ("homogeneous", "_projective_rank"): DRUMS,
+    ("homogeneous", "_rank_ends"): DRUMS,
+    ("homogeneous", "_end_map"): (
+        "test_homogeneous.py", "test_end_map_matches_split_records_at_every_base", "end_records_by_split"
+    ),
     ("homogeneous", "_component_ends"): CATALOGUE,
     ("homogeneous", "_scan_ranks"): CATALOGUE,
-    ("homogeneous", "_fiber_table"): (
-        "test_drum.py", "test_drums_match_their_identification_oracle", "drum_identification"
+    ("homogeneous", "_classical_pairs"): (
+        "test_homogeneous.py",
+        "test_enumerate_matches_fiber_read_oracle_at_the_ceiling",
+        "enumerate_two_bundles_by_fiber_reads",
     ),
+    ("homogeneous", "_fiber_table"): DRUMS,
     ("homogeneous", "_side_tag"): (
         "test_classifier.py", "test_homogeneous_tags_match_root_scan_oracle", "side_tag_by_roots"
     ),
