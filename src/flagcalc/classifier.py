@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .dynkin import DynkinDiagram
-from .errors import DomainError
+from .errors import DomainError, quote
 from .homogeneous import (
     TwoBundleEntry,
     MarkedDiagram,
@@ -55,7 +55,7 @@ def homogeneous_tags(d: DynkinDiagram, i: int, j: int) -> TagPair:
 def _check_relative_dimensions(*ranks) -> None:
     """``DomainError`` unless each relative dimension is a positive ``int``, a ``bool`` not being one."""
     if any(type(r) is not int for r in ranks):
-        raise DomainError(f"relative dimensions must be integers, got {ranks}")
+        raise DomainError(f"relative dimensions must be integers, got {quote(ranks)}")
     if min(ranks) < 1:
         raise DomainError("relative dimensions must be positive")
 

@@ -95,11 +95,11 @@ class DynkinDiagram(namedtuple("DynkinDiagram", "components")):
         nodes = tuple(nodes)
         for a in nodes:
             if type(a) is not int:
-                raise DomainError(f"nodes must be integers, got {nodes}")
+                raise DomainError(f"nodes must be integers, got {quote(nodes)}")
         own = self.nodes
         for a in nodes:
             if a not in own:
-                raise DomainError(f"nodes {sorted(set(nodes))} not all in diagram {self}")
+                raise DomainError(f"nodes {quote(sorted(set(nodes)))} not all in diagram {self}")
         return nodes
 
     def is_connected(self) -> bool:

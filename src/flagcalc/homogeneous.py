@@ -9,19 +9,19 @@ bundle structures.
 The fibers over a base node are read off one split of the other nodes,
 kept as one end record per component: its family, rank, first and last
 node in standard order, the node b joined to base and b's position p.
-``_end_map`` gives the records of a connected A, B, C or D diagram by
-arithmetic on the standard numbering, with no node list, and
-``_component_ends`` reads them off the ``dynkin._components`` node lists of
-any other diagram.  ``_rank_ends`` takes dim D{base} and the projective
-ranks at the component ends, the only marks a projective fiber can have,
-from the records.  The two-bundle test, drums and ``_side_tag`` share the
-cached ``_fiber_table``: the first two take ranks and dimensions from it,
-with dim D{i,j} = dim D{i} + r_plus, and ``_side_tag`` reads the values of
-the classifier's tags off b and p of the same records.  The catalogue takes
-A, B, C and D from the closed forms of ``_classical_pairs`` (Humphreys
-§11.4, the Bourbaki plates) and scans only E6-8, F4 and G2, reading the
-table of every base node uncached, with no per-pair test, so it leaves no
-table behind and splits no classical diagram.
+``_end_map`` gives the records of every connected diagram by arithmetic
+on the standard numbering, with no node list, and ``_component_ends``
+reads them off the ``dynkin._components`` node lists of a union.
+``_rank_ends`` takes dim D{base} and the projective ranks at the component
+ends, the only marks a projective fiber can have, from the records.  The
+two-bundle test, drums and ``_side_tag`` share the cached ``_fiber_table``:
+the first two take ranks and dimensions from it, with
+dim D{i,j} = dim D{i} + r_plus, and ``_side_tag`` reads the values of the
+classifier's tags off b and p of the same records.  The catalogue takes
+A-D rows, dimensions included, from the closed forms of ``_classical_pairs``
+(Humphreys §11.4, the Bourbaki plates) and scans only E6-8, F4 and G2 on
+uncached ``_end_map`` tables, with no per-pair test, so it leaves no table
+behind, walks no diagram and reads no bond.
 """
 from __future__ import annotations
 
@@ -215,7 +215,7 @@ def _rank_ends(total: int, ends) -> tuple[int, dict[int, int]]:
 
 
 def _end_map(family: str, n: int, base: int) -> list[tuple[str, int, int, int, int, int]]:
-    """End records of D - {base} for D = ``family``/``n``, connected of type A, B, C or D.
+    """End records of D - {base} for the connected diagram D = ``family``/``n``.
 
     A record (family, k, first, last, b, p) is one component of rank k,
     named by its shape, with the first and last node of its standard order,
@@ -223,13 +223,25 @@ def _end_map(family: str, n: int, base: int) -> list[tuple[str, int, int, int, i
     are 0 when no node is joined.  The records are read by arithmetic on the
     standard numbering (Humphreys §11.4), in the order of their smallest
     nodes: nodes 1..base-1 form A_{base-1}, joined at its last node, and the
-    tail base+1..n of rank k = n - base is of the same family, joined at its
-    first node.  D_n falls apart at its last three nodes and has D3 (= A3)
-    and D4 tails of its own, and a C2 tail is a reversed B2.
+    tail base+1..n of rank k = n - base is of the same family, or A in F4,
+    joined at its first node.  D_n falls apart at its last three nodes and
+    has D3 (= A3) and D4 tails of its own, and a C2 tail is a reversed B2.
+    E_n, the path 1, 3, 4, ..., n with node 2 joined to node 4, has type A
+    tails past node 4; F4 less an end node is C3, read from node 4, or B3.
     """
     k = n - base
     if family == "D" and k < 2:  # a spin node: the path 1..n-2 and the other spin node
         return [("A", n - 1, 1, n - 1 + k, n - 2, n - 2)]
+    if family == "E":
+        ends = [  # by base; from base 4 on, nodes 1..base-1 form A2 + A1, A4, D5, E6 or E7
+            [("D", n - 1, n, 3, 3, n - 1)], [("A", n - 1, 1, n, 4, 3)],
+            [("A", 1, 1, 1, 1, 1), ("A", n - 2, 2, n, 4, 2)],
+            [("A", 2, 1, 3, 3, 2), ("A", 1, 2, 2, 2, 1)], [("A", 4, 1, 2, 4, 3)],
+            [("D", 5, 1, 5, 5, 5)], [("E", 6, 1, 6, 6, 6)], [("E", 7, 1, 7, 7, 7)],
+        ][base - 1]
+        return ends + [("A", k, base + 1, n, base + 1, 1)] if 3 < base < n else ends
+    if family == "F" and base in (1, 4):
+        return [("C", 3, 4, 2, 2, 3) if base == 1 else ("B", 3, 1, 3, 3, 3)]
     ends = [("A", base - 1, 1, base - 1, base - 1, base - 1)] if base > 1 else []
     if family == "D" and k == 2:  # the branch node
         ends += [("A", 1, n - 1, n - 1, n - 1, 1), ("A", 1, n, n, n, 1)]
@@ -238,7 +250,7 @@ def _end_map(family: str, n: int, base: int) -> list[tuple[str, int, int, int, i
     elif (family, k) == ("C", 2):  # a rank-2 double bond is named B2
         ends.append(("B", 2, n, n - 1, n - 1, 2))
     elif k:
-        ends.append(("A" if k == 1 else family, k, base + 1, n, base + 1, 1))
+        ends.append(("A" if k == 1 or family == "F" else family, k, base + 1, n, base + 1, 1))
     return ends
 
 
@@ -260,12 +272,12 @@ def _component_ends(d: DynkinDiagram, base: int) -> list[tuple[str, int, int, in
 def _fiber_table(d: DynkinDiagram, base: int) -> tuple[int, dict[int, int], list]:
     """(dim D{base}, ranks, records) of D over ``base``, cached for the two-bundle test, drums and ``_side_tag``.
 
-    The records are ``_end_map``'s on a connected A, B, C or D diagram and
-    ``_component_ends``' on any other, and ``_rank_ends`` reads them.  The
+    The records are ``_end_map``'s on a connected diagram and
+    ``_component_ends``' on a union, and ``_rank_ends`` reads them.  The
     ranks and records are shared by every caller and must not be mutated.
     """
     (family, n), *rest = d.components
-    ends = _component_ends(d, base) if rest or family not in "ABCD" else _end_map(family, n, base)
+    ends = _component_ends(d, base) if rest else _end_map(family, n, base)
     return (*_rank_ends(sum(_component_root_count(*comp) for comp in d.components), ends), ends)
 
 
@@ -328,43 +340,48 @@ def _check_max_rank(max_rank) -> None:
         raise DomainError(f"max_rank must be at most {MAX_RANK}")
 
 
-def _classical_pairs(family: str, n: int) -> list[tuple[int, int, int, int, tuple[tuple[str, int], ...]]]:
-    """(i, j, r_minus, r_plus, Levi) of each two-bundle pair of the connected ``family``/``n``, in (i, j) order.
+def _classical_pairs(family: str, n: int) -> list[tuple[int, int, int, int, int]]:
+    """(i, j, r_minus, r_plus, dim) of each two-bundle pair of the connected ``family``/``n``, in (i, j) order.
 
-    ``family`` is A, B, C (n >= 3) or D; Levi names the components of
-    D - {i, j} by shape, so that dim D{i,j} = |Φ⁺(D)| - Σ |Φ⁺(Levi)|.  On
-    the standard numbering (Humphreys §11.4, the Bourbaki plates) the fiber
-    over D{i} is the component of D - {i} holding j, projective when it is
-    A_r marked at an end (P^r) or C_k at its first node (P^(2k-1)), and the
-    fiber over D{j} likewise.  So (r_minus, r_plus) is (i, n - i) for
-    A_n{i,i+1}, (n - 1, n - 1) for A_n{1,n}, (i, 2(n - i) - 1) for
-    C_n{i,i+1}, (n - 1, 1) for B_n{n-1,n}, (2, 3) for B3{1,3}, whose fiber
-    over D{1} is B2 = C2, and (n - 1, n - 1) for D_n{n-1,n}.  Up to the
+    ``family`` is A, B, C (n >= 3) or D.  On the standard numbering
+    (Humphreys §11.4, the Bourbaki plates) the fiber over D{i} is the
+    component of D - {i} holding j, projective when it is A_r marked at an
+    end (P^r) or C_k at its first node (P^(2k-1)), and the fiber over D{j}
+    likewise.  So (r_minus, r_plus) is (i, n - i) for A_n{i,i+1},
+    (n - 1, n - 1) for A_n{1,n}, (i, 2(n - i) - 1) for C_n{i,i+1},
+    (n - 1, 1) for B_n{n-1,n}, (2, 3) for B3{1,3}, whose fiber over D{1} is
+    B2 = C2, and (n - 1, n - 1) for D_n{n-1,n}.  dim D{i,j} is
+    dim D{i} + r_plus, or dim D{j} + r_minus, with the dimension
+    i(n + 1 - i) of the Grassmannian A_n{i}, 2i(n - i) + i(i + 1)/2 of the
+    isotropic Grassmannian C_n{i}, n(n + 1)/2 and n(n - 1)/2 of the spinor
+    varieties B_n{n} and D_n{n}, and 5 of the quadric B3{1}.  Up to the
     automorphisms of D_n these are all the pairs, the list that
     ``tests/oracles.expected_two_bundle_keys`` writes out; type A keeps both
     pairs of each flip orbit.
     """
-    if family in "BD":
-        pair = (n - 1, n, n - 1, 1 if family == "B" else n - 1, (("A", n - 2),))
-        return [(1, 3, 2, 3, (("A", 1),)), pair] if (family, n) == ("B", 3) else [pair]
-    pairs = [
-        (i, i + 1, i, n - i if family == "A" else 2 * (n - i) - 1, (("A", i - 1), (family, n - i - 1)))
-        for i in range(1, n)
-    ]
-    if family == "A" and n > 2:
-        pairs.insert(1, (1, n, n - 1, n - 1, (("A", n - 2),)))
-    return pairs
+    if family == "D":
+        return [(n - 1, n, n - 1, n - 1, (n - 1) * (n + 2) // 2)]
+    if family == "B":
+        pair = (n - 1, n, n - 1, 1, n * (n + 1) // 2 + n - 1)
+        return [(1, 3, 2, 3, 8), pair] if n == 3 else [pair]
+    if family == "C":
+        return [
+            (i, i + 1, i, 2 * (n - i) - 1, 2 * i * (n - i) + i * (i + 1) // 2 + 2 * (n - i) - 1) for i in range(1, n)
+        ]
+    pairs = [(i, i + 1, i, n - i, i * (n + 1 - i) + n - i) for i in range(1, n)]
+    return pairs[:1] + [(1, n, n - 1, n - 1, 2 * n - 1)] + pairs[1:] if n > 2 else pairs
 
 
 @lru_cache(maxsize=None)
 def enumerate_two_bundles(max_rank: int) -> tuple[TwoBundleEntry, ...]:
     """All connected diagrams of rank <= max_rank carrying two bundle structures.
 
-    Built in (family, rank, marks) order.  A, B, C and D take their pairs
-    from the closed forms of ``_classical_pairs`` (Humphreys §11.4, the
-    Bourbaki plates), with no fiber table.  E6-8, F4 and G2 are scanned:
-    the uncached ``_rank_ends`` of ``_component_ends`` at every node, with
-    |Φ⁺(D)| computed once per diagram.  For each end j > i in the table over
+    Built in (family, rank, marks) order.  A, B, C and D take their rows,
+    dimensions included, from the closed forms of ``_classical_pairs``
+    (Humphreys §11.4, the Bourbaki plates), with no fiber table.  E6-8, F4
+    and G2 are scanned: the uncached ``_rank_ends`` of ``_end_map`` at every
+    node, with |Φ⁺(D)| computed once per diagram, so no diagram is split by
+    a walk.  For each end j > i in the table over
     i, in ascending order, r_plus is its rank, r_minus is the rank of i in
     the table over j, if any, and dim D{i,j} = dim D{i} + r_plus, as in
     ``is_two_bundle_pair``, which is not called.  C2 is not listed, as
@@ -380,15 +397,12 @@ def enumerate_two_bundles(max_rank: int) -> tuple[TwoBundleEntry, ...]:
     for family in "ABCDEFG":
         for rank in _scan_ranks(family, max_rank):
             d = DynkinDiagram(((family, rank),))
-            total = _component_root_count(family, rank)
             if family in "ABCD":
-                entries += [
-                    TwoBundleEntry(d, i, j, r_minus, r_plus, total - sum(_component_root_count(*c) for c in levi))
-                    for i, j, r_minus, r_plus, levi in _classical_pairs(family, rank)
-                ]
+                entries += [TwoBundleEntry(d, *row) for row in _classical_pairs(family, rank)]
                 continue
             autos = automorphisms(d)[1:]  # the identity comes first
-            tables = [_rank_ends(total, _component_ends(d, base)) for base in range(1, rank + 1)]
+            total = _component_root_count(family, rank)
+            tables = [_rank_ends(total, _end_map(family, rank, base)) for base in range(1, rank + 1)]
             for i, (dim, ranks) in enumerate(tables, 1):
                 for j in sorted(ranks):
                     if j > i and (r_minus := tables[j - 1][1].get(i)) is not None and all(

@@ -30,11 +30,11 @@ class Tag(namedtuple("Tag", "diagram values")):
     def __new__(cls, diagram: DynkinDiagram, values) -> Tag:
         values = tuple(values)
         if not all(type(v) is int for v in values):
-            raise DomainError(f"tag values must be integers, got {values}")
+            raise DomainError(f"tag values must be integers, got {quote(values)}")
         if len(values) != diagram.rank:
             raise DomainError(f"tag has {len(values)} values but diagram {diagram} has rank {diagram.rank}")
         if any(v < 0 for v in values):
-            raise DomainError(f"tag values must be nonnegative, got {values}")
+            raise DomainError(f"tag values must be nonnegative, got {quote(values)}")
         return super().__new__(cls, diagram, values)
 
     def render(self) -> str:
@@ -99,7 +99,7 @@ def tag_from_splitting(degrees: Sequence[int]) -> Tag:
     if len(degs) < 2:
         raise DomainError("a splitting type needs at least two degrees")
     if any(a > b for a, b in zip(degs, degs[1:])):
-        raise DomainError(f"splitting type {degs} is not nondecreasing")
+        raise DomainError(f"splitting type {quote(degs)} is not nondecreasing")
     diffs = tuple(b - a for a, b in zip(degs, degs[1:]))
     return Tag(DynkinDiagram((("A", len(diffs)),)), diffs)
 
@@ -164,7 +164,7 @@ def nesting_admissible(t: Tag, marks_i, marks_j) -> bool:
     if not set_i or not set_j:
         raise DomainError("mark sets must be nonempty")
     if set_i & set_j:
-        raise DomainError(f"mark sets overlap: {sorted(set_i & set_j)}")
+        raise DomainError(f"mark sets overlap: {quote(sorted(set_i & set_j))}")
     return r % 2 == 1 and set_i | set_j == {1, r} and _is_palindrome(t.values)
 
 

@@ -16,7 +16,7 @@ instead of read off their shape for the two-bundle test, a two-bundle
 catalogue built by canonicalizing every pair, deduplicating and sorting
 instead of in one ordered pass, and one read off the ``split_at`` node
 lists of every base node instead of listed from the closed forms of A, B, C
-and D, contraction
+and D and split by arithmetic on E, F and G, contraction
 fibers built by splitting the residual diagram three times instead of
 renumbering one split, homogeneous tags from Cartan pairings over the whole
 root list instead of read off the fiber's shape in closed form, fiber ranks
@@ -692,11 +692,13 @@ def enumerate_two_bundles_by_canonical_pairs(max_rank: int):
 def enumerate_two_bundles_by_fiber_reads(max_rank: int):
     """The two-bundle catalogue with every base node's table read off its split.
 
-    The differential check of the closed forms of ``enumerate_two_bundles``
-    (``homogeneous._classical_pairs``): every diagram, A-D included, is
-    scanned as the library scans E6-8, F4 and G2, with each table
+    The differential check of the closed forms of ``enumerate_two_bundles``:
+    the rows of ``homogeneous._classical_pairs`` (A-D) and the E6-8, F4 and
+    G2 splits of ``homogeneous._end_map``.  Every diagram, A-D included, is
+    scanned as the library scans E6-8, F4 and G2, but with each table
     ``homogeneous._rank_ends`` of the records that ``end_records_by_split``
-    reads off the ``split_at`` node lists.  The pair loop runs over every
+    reads off the ``split_at`` node lists, which walk the bonds of E, F and
+    G with ``dynkin._components``.  The pair loop runs over every
     end in the table, skipping j < i, and outside type A over every
     automorphism, the identity included.
     """

@@ -233,16 +233,16 @@ def test_fiber_table_ranks_match_every_position_oracle():
 def test_end_map_matches_split_records_at_every_base():
     # the closed-form records must give the split's families, ranks, ends,
     # joined nodes and their positions exactly, at every base of every
-    # classical diagram up to the ceiling; other diagrams walk their bonds
+    # connected diagram up to the ceiling; unions walk their bonds
     bases = 0
-    for fam, lowest in (("A", 1), ("B", 2), ("C", 2), ("D", 4)):
-        for n in range(lowest, MAX_RANK + 1):
+    for fam, lowest in (("A", 1), ("B", 2), ("C", 2), ("D", 4), *EXCEPTIONAL):
+        for n in range(lowest, (lowest if fam in "EFG" else MAX_RANK) + 1):
             d = dynkin.DynkinDiagram(((fam, n),))
             for base in d.nodes:
                 assert homogeneous._end_map(fam, n, base) == end_records_by_split(d, base), (d, base)
                 bases += 1
-    assert bases == 20192
-    for text in ("E6", "E7", "E8", "F4", "G2", "A1+A1", "D4+C2", "B3+A2", "G2+E6+C3"):
+    assert bases == 20219
+    for text in ("A1+A1", "D4+C2", "B3+A2", "G2+E6+C3", "E8+F4", "A3+E7+D5"):
         d = parse_diagram(text)
         for base in d.nodes:
             assert homogeneous._component_ends(d, base) == end_records_by_split(d, base), (d, base)
@@ -483,8 +483,19 @@ def test_enumerate_matches_canonical_pair_oracle(max_rank):
 
 def test_enumerate_matches_fiber_read_oracle_at_the_ceiling():
     # whole tuples up to MAX_RANK, against the scan that splits every base
-    # node: the differential check of the closed forms of A-D
+    # node: the differential check of the closed-form rows of A-D and of the
+    # closed-form E-G splits
     assert enumerate_two_bundles(MAX_RANK) == enumerate_two_bundles_by_fiber_reads(MAX_RANK)
+
+
+def test_enumerate_at_every_rank_is_the_ceiling_catalogue_cut_at_that_rank():
+    # each bound lists the same entries, in the same order, as the ceiling's
+    # catalogue keeps of rank <= r; the ceiling itself is checked above
+    ceiling = enumerate_two_bundles(MAX_RANK)
+    for max_rank in range(2, MAX_RANK + 1):
+        enumerate_two_bundles.cache_clear()
+        cut = tuple(e for e in ceiling if e.diagram.rank <= max_rank)
+        assert enumerate_two_bundles(max_rank) == cut, max_rank
 
 
 def test_enumerate_swapping_marks_is_harmless():
@@ -528,7 +539,7 @@ def test_enumerate_builds_no_subdiagrams(monkeypatch):
 
 
 def test_enumerate_leaves_fiber_table_cache_empty():
-    # A-D need no table and the E-G scan reads each of its tables once,
+    # A-D need no table and the E-G scan reads each of its end maps once,
     # uncached; the two-bundle test, drums and classify still share one
     # cached table per (diagram, base)
     for max_rank, entries in ((12, 164), (MAX_RANK, 10196)):
@@ -586,10 +597,9 @@ def test_cold_classify_keeps_end_records_and_little_memory():
     assert retained < 17_000_000
 
 
-def test_enumerate_builds_cartan_matrices_only_for_exceptional_diagrams(monkeypatch):
-    # A, B, C and D are listed in closed form, with no Cartan entries; E6-8,
-    # F4 and G2 are walked on their bonds, and no scan builds a dense Cartan
-    # matrix
+def test_enumerate_builds_no_cartan_entries(monkeypatch):
+    # every diagram is split in closed form, with no Cartan entries: no scan
+    # builds a dense Cartan matrix or fills the bond table
     calls = []
     cartan_matrix = dynkin.cartan_matrix
 
@@ -598,22 +608,19 @@ def test_enumerate_builds_cartan_matrices_only_for_exceptional_diagrams(monkeypa
         return cartan_matrix(d)
 
     monkeypatch.setattr(dynkin, "cartan_matrix", counting_cartan_matrix)
-    exceptional = [dynkin.DynkinDiagram((comp,)) for comp in EXCEPTIONAL]
     for max_rank in (20, MAX_RANK):
         for cached in (enumerate_two_bundles, homogeneous._fiber_table, dynkin.positive_roots, dynkin._bonds):
             cached.cache_clear()
         enumerate_two_bundles(max_rank)
         assert calls == [], max_rank
-        assert dynkin._bonds.cache_info().currsize == 5, max_rank
-        for d in exceptional:
-            dynkin._bonds(d)
         info = dynkin._bonds.cache_info()
-        assert (info.currsize, info.misses) == (5, 5), max_rank
+        assert (info.currsize, info.misses) == (0, 0), max_rank
 
 
-def test_enumerate_splits_only_exceptional_diagrams(monkeypatch):
-    # A-D entries come from closed forms; only the 27 bases of E6, E7, E8,
-    # F4 and G2 are split, at every rank bound
+def test_enumerate_splits_no_diagram(monkeypatch):
+    # A-D entries come from closed forms and the 27 bases of E6, E7, E8, F4
+    # and G2 from the closed-form splits of the end map: no node set is
+    # split by a walk, at every rank bound
     calls = []
     components = dynkin._components
 
@@ -627,20 +634,20 @@ def test_enumerate_splits_only_exceptional_diagrams(monkeypatch):
         calls.clear()
         enumerate_two_bundles.cache_clear()
         homogeneous._fiber_table.cache_clear()
-        enumerate_two_bundles(max_rank)
-        assert len(calls) == 27, max_rank
-        assert Counter(calls) == {comp: comp[1] for comp in EXCEPTIONAL}, max_rank
+        assert len(enumerate_two_bundles(max_rank)) == len(expected_two_bundle_keys(max_rank))
+        assert calls == [], max_rank
 
 
 def test_enumerate_reads_closed_forms_for_classical_diagrams(monkeypatch):
-    # no end map is read; ends are read at the 27 bases of E6-8, F4 and G2,
-    # and automorphisms only on those 5 diagrams
+    # no end map is read on A-D and no diagram's ends are walked; the end
+    # map is read at the 27 bases of E6-8, F4 and G2, and automorphisms only
+    # on those 5 diagrams
     calls = Counter()
 
     def counting(name, original):
-        def count(first, *rest):  # a diagram, or the family of an end map
-            calls[name, first] += 1
-            return original(first, *rest)
+        def count(*args):  # a diagram, or the family, rank and base of an end map
+            calls[(name, *args[:2])] += 1
+            return original(*args)
 
         return count
 
@@ -653,7 +660,7 @@ def test_enumerate_reads_closed_forms_for_classical_diagrams(monkeypatch):
         homogeneous._fiber_table.cache_clear()
         assert len(enumerate_two_bundles(max_rank)) == len(expected_two_bundle_keys(max_rank))
         assert calls == {
-            **{("_component_ends", d): d.rank for d in exceptional},
+            **{("_end_map", *comp): comp[1] for comp in EXCEPTIONAL},
             **{("automorphisms", d): 1 for d in exceptional},
         }, max_rank
 
@@ -669,7 +676,7 @@ def test_enumerate_makes_no_per_pair_test(monkeypatch):
 
 
 def test_entry_drum_and_product_dimensions_call_no_dimension(monkeypatch):
-    # entry dimensions come from Levi root counts or the scanned tables, drum
+    # entry dimensions come from closed forms or the scanned tables, drum
     # dimensions from the fiber tables; P^a x P^b has dim a + b
     calls = []
     for module in (homogeneous, drum, classifier):

@@ -42,11 +42,12 @@ def test_oracle_module_loads_by_path_without_flagcalc(tmp_path):
 
 # Each reference, and the flagcalc names that it and the oracles it calls may
 # import.  A reference that imports the rule it checks passes that rule's
-# mutants, so: the split references check ``homogeneous._end_map`` and
-# ``_component_ends`` with only the walk and the bond table of ``dynkin``;
-# ``side_tag_by_roots`` checks ``homogeneous._side_tag`` with the public root
-# machinery; the fiber-read catalogue checks ``_classical_pairs`` with the
-# split references, ``_rank_ends`` and ``_scan_ranks``; and the catalogue,
+# mutants, so: the split references check ``homogeneous._end_map`` (every
+# connected diagram) and ``_component_ends`` (unions) with only the walk and
+# the bond table of ``dynkin``; ``side_tag_by_roots`` checks
+# ``homogeneous._side_tag`` with the public root machinery; the fiber-read
+# catalogue checks ``_classical_pairs`` and the E-G scan with the split
+# references, ``_rank_ends`` and ``_scan_ranks``; and the catalogue,
 # root and drum references import no flagcalc code.  These are the
 # references that catch mutants of ``_side_tag``, ``_rank_ends`` and
 # ``homogeneous._projective_rank``.  Of the references for
@@ -91,23 +92,23 @@ REFERENCE_IMPORTS = {
 # Each private rule, and a test (file, function) that checks it against a
 # reference of ``REFERENCE_IMPORTS`` that does not import the rule, so that a
 # mutant of the rule cannot pass on a copy of itself.  The catalogue test runs
-# ``_scan_ranks`` and the scan of E, F and G through ``_component_ends``; the
-# fiber-read test checks the closed forms of ``_classical_pairs`` (A-D) up to
-# the ceiling; the end map test checks ``_end_map`` at every classical base;
+# ``_scan_ranks``; the fiber-read test checks the closed-form rows of
+# ``_classical_pairs`` (A-D) up to the ceiling; the end map test checks
+# ``_end_map`` at every base of every connected diagram and
+# ``_component_ends`` on its unions, the only diagrams that reach it;
 # the drum test reads dim D{i} and the ranks off ``_fiber_table``, so through
 # ``_rank_ends`` and ``_projective_rank`` on every family; and the subdiagram
 # test runs the whole walk of ``dynkin``: ``_components``, ``_walk``,
 # ``_read_shape`` and ``_renumber``.
 CATALOGUE = ("test_homogeneous.py", "test_enumerate_matches_classification_list", "expected_two_bundle_keys")
+END_MAP = ("test_homogeneous.py", "test_end_map_matches_split_records_at_every_base", "end_records_by_split")
 DRUMS = ("test_drum.py", "test_drums_match_their_identification_oracle", "drum_identification")
 SUBDIAGRAM = ("test_dynkin.py", "test_subdiagram_matches_search_oracle_on_every_node_subset", "subdiagram_by_search")
 RULE_CHECKS = {
     ("homogeneous", "_projective_rank"): DRUMS,
     ("homogeneous", "_rank_ends"): DRUMS,
-    ("homogeneous", "_end_map"): (
-        "test_homogeneous.py", "test_end_map_matches_split_records_at_every_base", "end_records_by_split"
-    ),
-    ("homogeneous", "_component_ends"): CATALOGUE,
+    ("homogeneous", "_end_map"): END_MAP,
+    ("homogeneous", "_component_ends"): END_MAP,
     ("homogeneous", "_scan_ranks"): CATALOGUE,
     ("homogeneous", "_classical_pairs"): (
         "test_homogeneous.py",

@@ -78,7 +78,7 @@ def test_package_imports_only_the_standard_library():
 
 def test_only_dynkin_names_its_shape_internals():
     # Other modules split node sets through ``dynkin._components``; ``homogeneous._end_map``
-    # splits a connected A, B, C or D diagram at one node by arithmetic on its numbering.
+    # splits a connected diagram at one node by arithmetic on its numbering.
     trees = dict(_trees())
     defined = {node.name for node in trees["dynkin.py"].body if isinstance(node, ast.FunctionDef)}
     assert SHAPE_INTERNALS <= defined, SHAPE_INTERNALS - defined

@@ -5,8 +5,10 @@ import random
 
 import pytest
 
+from flagcalc.classifier import TwoBundleData
 from flagcalc.dynkin import DynkinDiagram, parse_diagram
 from flagcalc.errors import DomainError, ParseError
+from flagcalc.homogeneous import MarkedDiagram
 from flagcalc.tags import (
     FIRST_NODE_ONLY,
     OTHER,
@@ -229,3 +231,22 @@ def test_classify_tag_shape():
 def test_classify_tag_shape_requires_type_a():
     with pytest.raises(DomainError):
         classify_tag_shape(Tag(parse_diagram("C3"), (1, 0, 1)))
+
+
+def test_library_checks_quote_long_input():
+    # each check echoes its input through quote: a 5000-element input, or
+    # the longest a rank-100 diagram admits, keeps the message short
+    a2, a100 = parse_diagram("A2"), parse_diagram("A100")
+    for check, start in (
+        (lambda: MarkedDiagram(a2, range(1, 5000)), "nodes [1, 2, 3"),
+        (lambda: MarkedDiagram(a2, [1.5] * 5000), "nodes must be integers, got (1.5, "),
+        (lambda: Tag(a2, [1.5] * 5000), "tag values must be integers, got (1.5, "),
+        (lambda: Tag(a100, [-1] * 100), "tag values must be nonnegative, got (-1, "),
+        (lambda: tag_from_splitting(range(5000, 0, -1)), "splitting type [5000, 4999, "),
+        (lambda: nesting_admissible(Tag(a100, [0] * 100), a100.nodes, a100.nodes), "mark sets overlap: [1, 2, "),
+        (lambda: TwoBundleData.from_values([1] * 5000, 1, (), ()), "relative dimensions must be integers, got ([1, "),
+    ):
+        with pytest.raises(DomainError) as caught:
+            check()
+        message = str(caught.value)
+        assert message.startswith(start) and "..." in message and len(message) < 200, message
