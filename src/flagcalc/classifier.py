@@ -71,7 +71,7 @@ class TwoBundleData(namedtuple("TwoBundleData", "r_minus r_plus delta_minus delt
         _check_relative_dimensions(r_minus, r_plus)
         for r, tag, name in ((r_minus, delta_minus, "delta_minus"), (r_plus, delta_plus, "delta_plus")):
             if not (tag.diagram.is_connected() and tag.diagram.components[0] == ("A", r)):
-                raise DomainError(f"{name} must live on A{r}, got {tag.diagram}")
+                raise DomainError(f"{name} must live on A{quote(r)}, got {quote(tag.diagram, str)}")
         return super().__new__(cls, r_minus, r_plus, delta_minus, delta_plus)
 
     @classmethod

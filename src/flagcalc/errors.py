@@ -12,13 +12,18 @@ class ParseError(DomainError):
     """A diagram, mark-set, or tag string does not match the grammar."""
 
 
-def quote(value) -> str:
-    """``repr(value)`` for an error message, with its middle cut to ``...`` when longer than ``QUOTE_LIMIT``.
+def quote(value, show=repr) -> str:
+    """``show(value)`` for an error message, with its middle cut to ``...`` when longer than ``QUOTE_LIMIT``.
 
     An over-long input then keeps its one ``error:`` line short; any other
-    is echoed exactly as ``{value!r}`` echoes it.
+    is echoed exactly as ``{value!r}``, or ``show`` when given, echoes it.
+    An integer past Python's int-to-str digit limit cannot be shown: ``show``
+    raises ``ValueError``, and a short stand-in naming the type is echoed.
     """
-    text = repr(value)
+    try:
+        text = show(value)
+    except ValueError:
+        return f"<{type(value).__name__} too long to print>"
     if len(text) <= QUOTE_LIMIT:
         return text
     keep = (QUOTE_LIMIT - 3) // 2

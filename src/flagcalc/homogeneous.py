@@ -17,10 +17,10 @@ ends, the only marks a projective fiber can have, from the records.  The
 two-bundle test, drums and ``_side_tag`` share the cached ``_fiber_table``:
 the first two take ranks and dimensions from it, with
 dim D{i,j} = dim D{i} + r_plus, and ``_side_tag`` reads the values of the
-classifier's tags off b and p of the same records.  The catalogue takes
-A-D rows, dimensions included, from the closed forms of ``_classical_pairs``
-(Humphreys §11.4, the Bourbaki plates) and scans only E6-8, F4 and G2 on
-uncached ``_end_map`` tables, with no per-pair test, so it leaves no table
+classifier's tags off b and p of the same records.  The catalogue builds
+each record once, A-D straight from the closed forms of ``_classical_pairs``
+(Humphreys §11.4, the Bourbaki plates), E6-8, F4 and G2 from a scan of
+uncached ``_end_map`` tables with no per-pair test, so it leaves no table
 behind, walks no diagram and reads no bond.
 """
 from __future__ import annotations
@@ -340,50 +340,57 @@ def _check_max_rank(max_rank) -> None:
         raise DomainError(f"max_rank must be at most {MAX_RANK}")
 
 
-def _classical_pairs(family: str, n: int) -> list[tuple[int, int, int, int, int]]:
-    """(i, j, r_minus, r_plus, dim) of each two-bundle pair of the connected ``family``/``n``, in (i, j) order.
+def _classical_pairs(d: DynkinDiagram) -> list[TwoBundleEntry]:
+    """The ``TwoBundleEntry`` records of the connected A_n, B_n, C_n (n >= 3) or D_n ``d``, in (i, j) order.
 
-    ``family`` is A, B, C (n >= 3) or D.  On the standard numbering
-    (Humphreys §11.4, the Bourbaki plates) the fiber over D{i} is the
-    component of D - {i} holding j, projective when it is A_r marked at an
-    end (P^r) or C_k at its first node (P^(2k-1)), and the fiber over D{j}
-    likewise.  So (r_minus, r_plus) is (i, n - i) for A_n{i,i+1},
-    (n - 1, n - 1) for A_n{1,n}, (i, 2(n - i) - 1) for C_n{i,i+1},
-    (n - 1, 1) for B_n{n-1,n}, (2, 3) for B3{1,3}, whose fiber over D{1} is
-    B2 = C2, and (n - 1, n - 1) for D_n{n-1,n}.  dim D{i,j} is
-    dim D{i} + r_plus, or dim D{j} + r_minus, with the dimension
-    i(n + 1 - i) of the Grassmannian A_n{i}, 2i(n - i) + i(i + 1)/2 of the
-    isotropic Grassmannian C_n{i}, n(n + 1)/2 and n(n - 1)/2 of the spinor
-    varieties B_n{n} and D_n{n}, and 5 of the quadric B3{1}.  Up to the
-    automorphisms of D_n these are all the pairs, the list that
-    ``tests/oracles.expected_two_bundle_keys`` writes out; type A keeps both
-    pairs of each flip orbit.
+    Each is built once, by ``tuple.__new__`` on the fields its closed form
+    computes.  On the standard numbering (Humphreys §11.4, the Bourbaki
+    plates) the fiber over D{i} is the component of D - {i} holding j,
+    projective when it is A_r marked at an end (P^r) or C_k at its first
+    node (P^(2k-1)), and the fiber over D{j} likewise.  So (r_minus, r_plus)
+    is (i, n - i) for A_n{i,i+1}, (n - 1, n - 1) for A_n{1,n},
+    (i, 2(n - i) - 1) for C_n{i,i+1}, (n - 1, 1) for B_n{n-1,n}, (2, 3) for
+    B3{1,3}, whose fiber over D{1} is B2 = C2, and (n - 1, n - 1) for
+    D_n{n-1,n}.  dim D{i,j} is dim D{i} + r_plus, or dim D{j} + r_minus,
+    with the dimension i(n + 1 - i) of the Grassmannian A_n{i},
+    2i(n - i) + i(i + 1)/2 of the isotropic Grassmannian C_n{i}, n(n + 1)/2
+    and n(n - 1)/2 of the spinor varieties B_n{n} and D_n{n}, and 5 of the
+    quadric B3{1}.  Up to the automorphisms of D_n these are all the pairs,
+    the list that ``tests/oracles.expected_two_bundle_keys`` writes out;
+    type A keeps both pairs of each flip orbit.
     """
+    (family, n), = d.components
     if family == "D":
-        return [(n - 1, n, n - 1, n - 1, (n - 1) * (n + 2) // 2)]
+        return [tuple.__new__(TwoBundleEntry, (d, n - 1, n, n - 1, n - 1, (n - 1) * (n + 2) // 2))]
     if family == "B":
-        pair = (n - 1, n, n - 1, 1, n * (n + 1) // 2 + n - 1)
-        return [(1, 3, 2, 3, 8), pair] if n == 3 else [pair]
+        pair = tuple.__new__(TwoBundleEntry, (d, n - 1, n, n - 1, 1, n * (n + 1) // 2 + n - 1))
+        return [tuple.__new__(TwoBundleEntry, (d, 1, 3, 2, 3, 8)), pair] if n == 3 else [pair]
     if family == "C":
         return [
-            (i, i + 1, i, 2 * (n - i) - 1, 2 * i * (n - i) + i * (i + 1) // 2 + 2 * (n - i) - 1) for i in range(1, n)
+            tuple.__new__(
+                TwoBundleEntry, (d, i, i + 1, i, (r := 2 * (n - i) - 1), 2 * i * (n - i) + i * (i + 1) // 2 + r)
+            )
+            for i in range(1, n)
         ]
-    pairs = [(i, i + 1, i, n - i, i * (n + 1 - i) + n - i) for i in range(1, n)]
-    return pairs[:1] + [(1, n, n - 1, n - 1, 2 * n - 1)] + pairs[1:] if n > 2 else pairs
+    pairs = [tuple.__new__(TwoBundleEntry, (d, i, i + 1, i, n - i, i * (n + 1 - i) + n - i)) for i in range(1, n)]
+    if n > 2:
+        pairs.insert(1, tuple.__new__(TwoBundleEntry, (d, 1, n, n - 1, n - 1, 2 * n - 1)))
+    return pairs
 
 
 @lru_cache(maxsize=None)
 def enumerate_two_bundles(max_rank: int) -> tuple[TwoBundleEntry, ...]:
     """All connected diagrams of rank <= max_rank carrying two bundle structures.
 
-    Built in (family, rank, marks) order.  A, B, C and D take their rows,
-    dimensions included, from the closed forms of ``_classical_pairs``
-    (Humphreys §11.4, the Bourbaki plates), with no fiber table.  E6-8, F4
-    and G2 are scanned: the uncached ``_rank_ends`` of ``_end_map`` at every
-    node, with |Φ⁺(D)| computed once per diagram, so no diagram is split by
-    a walk.  For each end j > i in the table over
-    i, in ascending order, r_plus is its rank, r_minus is the rank of i in
-    the table over j, if any, and dim D{i,j} = dim D{i} + r_plus, as in
+    Built in (family, rank, marks) order, each record once, by
+    ``tuple.__new__`` on its fields.  A, B, C and D take theirs, dimensions
+    included, from the closed forms of ``_classical_pairs`` (Humphreys
+    §11.4, the Bourbaki plates), with no fiber table.  E6-8, F4 and G2 are
+    scanned: the uncached ``_rank_ends`` of ``_end_map`` at every node, with
+    |Φ⁺(D)| computed once per diagram, so no diagram is split by a walk.
+    For each end j > i in the table over i, in ascending order, r_plus is
+    its rank, r_minus is the rank of i in the table over j, if any, and
+    dim D{i,j} = dim D{i} + r_plus, as in
     ``is_two_bundle_pair``, which is not called.  C2 is not listed, as
     C2{1,2} is B2{1,2}.  Outside type A each automorphism orbit of pairs
     (such as the three D4 pairs, kept as {3,4}) is listed once, by its
@@ -398,7 +405,7 @@ def enumerate_two_bundles(max_rank: int) -> tuple[TwoBundleEntry, ...]:
         for rank in _scan_ranks(family, max_rank):
             d = DynkinDiagram(((family, rank),))
             if family in "ABCD":
-                entries += [TwoBundleEntry(d, *row) for row in _classical_pairs(family, rank)]
+                entries += _classical_pairs(d)
                 continue
             autos = automorphisms(d)[1:]  # the identity comes first
             total = _component_root_count(family, rank)
@@ -408,5 +415,5 @@ def enumerate_two_bundles(max_rank: int) -> tuple[TwoBundleEntry, ...]:
                     if j > i and (r_minus := tables[j - 1][1].get(i)) is not None and all(
                         (i, j) >= tuple(sorted((s[i - 1], s[j - 1]))) for s in autos
                     ):
-                        entries.append(TwoBundleEntry(d, i, j, r_minus, ranks[j], dim=dim + ranks[j]))
+                        entries.append(tuple.__new__(TwoBundleEntry, (d, i, j, r_minus, ranks[j], dim + ranks[j])))
     return tuple(entries)

@@ -32,7 +32,9 @@ class Tag(namedtuple("Tag", "diagram values")):
         if not all(type(v) is int for v in values):
             raise DomainError(f"tag values must be integers, got {quote(values)}")
         if len(values) != diagram.rank:
-            raise DomainError(f"tag has {len(values)} values but diagram {diagram} has rank {diagram.rank}")
+            raise DomainError(
+                f"tag has {len(values)} values but diagram {quote(diagram, str)} has rank {quote(diagram.rank)}"
+            )
         if any(v < 0 for v in values):
             raise DomainError(f"tag values must be nonnegative, got {quote(values)}")
         return super().__new__(cls, diagram, values)

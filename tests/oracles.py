@@ -693,7 +693,7 @@ def enumerate_two_bundles_by_fiber_reads(max_rank: int):
     """The two-bundle catalogue with every base node's table read off its split.
 
     The differential check of the closed forms of ``enumerate_two_bundles``:
-    the rows of ``homogeneous._classical_pairs`` (A-D) and the E6-8, F4 and
+    the records of ``homogeneous._classical_pairs`` (A-D) and the E6-8, F4 and
     G2 splits of ``homogeneous._end_map``.  Every diagram, A-D included, is
     scanned as the library scans E6-8, F4 and G2, but with each table
     ``homogeneous._rank_ends`` of the records that ``end_records_by_split``

@@ -12,6 +12,7 @@ from pathlib import Path
 
 from flagcalc import cli
 from flagcalc.cli import main
+from flagcalc.dynkin import DynkinDiagram
 from flagcalc.errors import QUOTE_LIMIT, quote
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -310,6 +311,10 @@ def test_quote_echoes_short_input_whole_and_cuts_long_input():
         text, cut = repr(value), quote(value)
         assert len(cut) <= QUOTE_LIMIT and "..." in cut, cut
         assert cut.startswith(text[:48]) and cut.endswith(text[-48:]), cut
+    # show replaces repr; an int past the int-to-str digit limit gets a stand-in, as repr and str raise on it
+    assert quote(DynkinDiagram((("A", 3),)), str) == "A3"
+    for value, show in ((10**5000, repr), ((1, -(10**5000)), repr), (DynkinDiagram((("A", 10**5000),)), str)):
+        assert quote(value, show) == f"<{type(value).__name__} too long to print>"
 
 
 def test_typed_node_outside_the_typed_diagram_has_one_message(capsys):

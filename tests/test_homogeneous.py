@@ -483,9 +483,17 @@ def test_enumerate_matches_canonical_pair_oracle(max_rank):
 
 def test_enumerate_matches_fiber_read_oracle_at_the_ceiling():
     # whole tuples up to MAX_RANK, against the scan that splits every base
-    # node: the differential check of the closed-form rows of A-D and of the
+    # node: the differential check of the closed-form records of A-D and of the
     # closed-form E-G splits
     assert enumerate_two_bundles(MAX_RANK) == enumerate_two_bundles_by_fiber_reads(MAX_RANK)
+
+
+def test_enumerate_builds_exact_record_types():
+    # == on namedtuples ignores the class, so the check above would pass on
+    # plain tuples; the records are built by tuple.__new__, so check each type
+    for entry in enumerate_two_bundles(MAX_RANK):
+        assert type(entry) is homogeneous.TwoBundleEntry and type(entry.diagram) is dynkin.DynkinDiagram, entry
+        assert all(type(value) is int for value in entry[1:]), entry
 
 
 def test_enumerate_at_every_rank_is_the_ceiling_catalogue_cut_at_that_rank():

@@ -92,8 +92,10 @@ REFERENCE_IMPORTS = {
 # Each private rule, and a test (file, function) that checks it against a
 # reference of ``REFERENCE_IMPORTS`` that does not import the rule, so that a
 # mutant of the rule cannot pass on a copy of itself.  The catalogue test runs
-# ``_scan_ranks``; the fiber-read test checks the closed-form rows of
-# ``_classical_pairs`` (A-D) up to the ceiling; the end map test checks
+# ``_scan_ranks``; the fiber-read test checks the closed-form records of
+# ``_classical_pairs`` (A-D) up to the ceiling, field by field, since ``==``
+# ignores their class (``test_enumerate_builds_exact_record_types`` checks
+# that); the end map test checks
 # ``_end_map`` at every base of every connected diagram and
 # ``_component_ends`` on its unions, the only diagrams that reach it;
 # the drum test reads dim D{i} and the ranks off ``_fiber_table``, so through

@@ -9,9 +9,10 @@ name: ``fractions``, as every value is an exact integer, and ``dataclasses``,
 ``cached_property`` and ``typing``, as every record is a tuple.  Every class
 other than an exception subclasses a ``namedtuple(...)`` call and sets
 ``__slots__ = ()``; a record that validates does so in ``__new__``, with
-``_make`` rebound to it.  A fresh interpreter importing ``flagcalc.cli``
-loads none of ``dataclasses``, the introspection modules it pulls in and
-``typing``.
+``_make`` rebound to it, and ``tuple.__new__``, which skips it, builds only
+records that define no ``__new__``.  A fresh interpreter importing
+``flagcalc.cli`` loads none of ``dataclasses``, the introspection modules it
+pulls in and ``typing``.
 """
 from __future__ import annotations
 
@@ -177,6 +178,38 @@ def test_every_dataclass_validates_or_caches():
     assert not dataclasses, f"records should be tuples: {dataclasses}"
     assert {"MarkedDiagram", "Tag", "TwoBundleData"} <= validating, validating
     assert not unchecked, f"_make and _replace skip __new__ in: {unchecked}"
+
+
+def _is_tuple_new(node: ast.AST) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr == "__new__" and getattr(node.value, "id", None) == "tuple"
+
+
+def test_tuple_new_builds_only_records_without_a_new():
+    # ``tuple.__new__(Cls, fields)`` skips ``Cls.__new__``, so it may only name,
+    # as its first argument, a record class that defines none; a record that
+    # gains validation in ``__new__`` then fails here instead of being built
+    # around it.  Every use must be such a call, not an alias.
+    trees = _trees()
+    methods = {
+        node.name: {item.name for item in node.body if isinstance(item, ast.FunctionDef)}
+        for _, tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+    }
+    built, bypassed = set(), []
+    for name, tree in trees:
+        calls = {id(node.func): node for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        for node in ast.walk(tree):
+            if not _is_tuple_new(node):
+                continue
+            call = calls.get(id(node))
+            record = getattr(call.args[0], "id", None) if call and call.args else None
+            if record in methods and "__new__" not in methods[record]:
+                built.add(record)
+            else:
+                bypassed.append((name, node.lineno, record))
+    assert "TwoBundleEntry" in built, built
+    assert not bypassed, f"tuple.__new__ used other than on a record class without __new__: {bypassed}"
 
 
 def _is_namedtuple_call(node: ast.expr) -> bool:

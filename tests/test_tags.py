@@ -250,3 +250,18 @@ def test_library_checks_quote_long_input():
             check()
         message = str(caught.value)
         assert message.startswith(start) and "..." in message and len(message) < 200, message
+
+
+def test_library_checks_stand_in_for_unprintable_integers():
+    # an int of more than 4300 digits makes repr and str raise ValueError; each check still
+    # raises DomainError, with a short stand-in for the integer, the diagram or the values
+    huge, line = 10**5000, Tag(parse_diagram("A1"), (0,))
+    for check, start in (
+        (lambda: Tag(parse_diagram("A1"), (-huge,)), "tag values must be nonnegative, got <tuple "),
+        (lambda: TwoBundleData(huge, 1, line, line), "delta_minus must live on A<int "),
+        (lambda: TwoBundleData.from_values(huge, 1, (0,), (0,)), "tag has 1 values but diagram <DynkinDiagram "),
+    ):
+        with pytest.raises(DomainError) as caught:
+            check()
+        message = str(caught.value)
+        assert message.startswith(start) and len(message) < 200, message
