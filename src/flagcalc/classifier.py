@@ -3,10 +3,10 @@
 The two structures p+ and p- of a candidate variety restrict to tags
 delta_plus and delta_minus on lines of the opposite family.  This module
 builds those tags for the homogeneous models from the values that
-``homogeneous._side_tag`` reads in closed form off the fiber tables' end
-records, with no node or root list, checks the shape trichotomy that any
-configuration with one-dimensional minus-fibers must satisfy, and matches
-arbitrary data against the homogeneous models.
+``homogeneous._side_tag`` reads in closed form off the end records of one
+``homogeneous._pair_tables`` read, with no node or root list, checks the
+shape trichotomy that any configuration with one-dimensional minus-fibers
+must satisfy, and matches arbitrary data against the homogeneous models.
 """
 from __future__ import annotations
 
@@ -18,9 +18,9 @@ from .homogeneous import (
     TwoBundleEntry,
     MarkedDiagram,
     _check_max_rank,
+    _pair_tables,
     _side_tag,
     enumerate_two_bundles,
-    is_two_bundle_pair,
 )
 from .tags import (
     FIRST_NODE_ONLY,
@@ -42,12 +42,14 @@ def homogeneous_tags(d: DynkinDiagram, i: int, j: int) -> TagPair:
 
     delta_plus lives on the type A diagram of the fiber over D{i},
     delta_minus on the one of the fiber over D{j}.  The pair (d, i, j) must
-    carry two projective bundle structures.
+    carry two projective bundle structures, tested on the ``_pair_tables``
+    read whose tables over i and j ``_side_tag`` reads the values off.
     """
-    if is_two_bundle_pair(d, i, j) is None:
+    if (tables := _pair_tables(d, i, j)) is None:
         raise DomainError(f"{MarkedDiagram(d, (i, j))} does not carry two projective bundle structures")
     plus, minus = (
-        Tag(DynkinDiagram((("A", len(values)),)), values) for values in (_side_tag(d, i, j), _side_tag(d, j, i))
+        Tag(DynkinDiagram((("A", len(values)),)), values)
+        for values in (_side_tag(d, i, j, tables[0]), _side_tag(d, j, i, tables[1]))
     )
     return TagPair(plus, minus)
 

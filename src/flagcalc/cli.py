@@ -93,12 +93,16 @@ def _cmd_gp_fiber(args) -> tuple[dict, Callable[[], list[str]]]:
     ]
 
 
-def _entry_payload(e: homogeneous.TwoBundleEntry) -> dict:
+def _entry_payload(e: homogeneous.TwoBundleEntry, shown: dict) -> dict:
+    """``e``'s payload; ``shown``, one map per request, gives each diagram's name, family and rank, read once."""
     diagram, i, j, r_minus, r_plus, dim = e
+    if diagram not in shown:
+        shown[diagram] = diagram.render(), diagram.components[0][0], diagram.rank
+    name, family, rank = shown[diagram]
     return {
-        "diagram": diagram.render(),
-        "family": diagram.components[0][0],
-        "rank": diagram.rank,
+        "diagram": name,
+        "family": family,
+        "rank": rank,
         "marks": [i, j],
         "r_minus": r_minus,
         "r_plus": r_plus,
@@ -107,7 +111,8 @@ def _entry_payload(e: homogeneous.TwoBundleEntry) -> dict:
 
 
 def _cmd_enumerate(args) -> tuple[dict, Callable[[], list[str]]]:
-    entries = [_entry_payload(e) for e in homogeneous.enumerate_two_bundles(args.max_rank)]
+    shown: dict = {}
+    entries = [_entry_payload(e, shown) for e in homogeneous.enumerate_two_bundles(args.max_rank)]
     return {"max_rank": args.max_rank, "count": len(entries), "entries": entries}, lambda: [
         f"{_marked_name(e['diagram'], e['marks'])}  r-={e['r_minus']} r+={e['r_plus']} dim={e['dim']}"
         for e in entries
@@ -164,6 +169,7 @@ def _cmd_classify(args) -> tuple[dict, Callable[[], list[str]]]:
     tags = _int_list(args.tag_minus, "--tag-minus"), _int_list(args.tag_plus, "--tag-plus")
     data = classifier.TwoBundleData.from_values(args.r_minus, args.r_plus, *tags)
     check = classifier.check_shape_constraint(data) if data.r_minus == 1 else None
+    shown: dict = {}
     payload = {
         "r_minus": data.r_minus,
         "r_plus": data.r_plus,
@@ -174,7 +180,7 @@ def _cmd_classify(args) -> tuple[dict, Callable[[], list[str]]]:
         },
         "matches": [
             {
-                **_entry_payload(m.entry),
+                **_entry_payload(m.entry, shown),
                 "orientation": m.orientation,
                 "product": m.product,
                 "tag_plus": list(m.tag_plus.values),

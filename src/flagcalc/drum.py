@@ -15,7 +15,7 @@ from collections import namedtuple
 
 from .dynkin import DynkinDiagram, positive_roots
 from .errors import DomainError
-from .homogeneous import MarkedDiagram, _fiber_table, is_two_bundle_pair
+from .homogeneous import MarkedDiagram, _pair_tables
 
 BASIS = ("alpha*L", "pi*L-", "pi*L+")
 DIVISOR_CLASSES = (*BASIS, "Y+", "Y-", "M+", "M-")
@@ -72,13 +72,12 @@ def build_drum(d: DynkinDiagram, i: int, j: int) -> HorosphericalDrum:
     The ambient projective space of the orbit closure has dimension
     dim V_i + dim V_j - 1; the drum itself gains one dimension over the base
     variety.  The torus weight is normalized to 0 on the sink D{i} and 1 on
-    the source D{j}.  dim D{i,j} = dim D{i} + r_plus, from the fiber tables.
+    the source D{j}.  dim D{i,j} = dim D{i} + r_plus, from the ``_pair_tables`` read.
     """
-    ranks = is_two_bundle_pair(d, i, j)
-    if ranks is None:
+    if (tables := _pair_tables(d, i, j)) is None:
         raise DomainError(f"{MarkedDiagram(d, (i, j))} is not a two-bundle model")
-    dim_i, dim_j = _fiber_table(d, i)[0], _fiber_table(d, j)[0]
-    dim_y = dim_i + ranks[1]
+    (dim_i, ranks_i, _), (dim_j, _, _) = tables
+    dim_y = dim_i + ranks_i[j]
     dim_v_i = weyl_dim(d, i)
     dim_v_j = weyl_dim(d, j)
     return HorosphericalDrum(

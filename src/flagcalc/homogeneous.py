@@ -6,22 +6,22 @@ computes dimensions, Picard numbers, fibers of the forgetful contractions
 between marked diagrams, and the search for diagrams carrying two projective
 bundle structures.
 
-The fibers over a base node are read off one split of the other nodes,
-kept as one end record per component: its family, rank, first and last
-node in standard order, the node b joined to base and b's position p.
-``_end_map`` gives the records of every connected diagram by arithmetic
-on the standard numbering, with no node list, and ``_component_ends``
-reads them off the ``dynkin._components`` node lists of a union.
-``_rank_ends`` takes dim D{base} and the projective ranks at the component
-ends, the only marks a projective fiber can have, from the records.  The
-two-bundle test, drums and ``_side_tag`` share the cached ``_fiber_table``:
-the first two take ranks and dimensions from it, with
-dim D{i,j} = dim D{i} + r_plus, and ``_side_tag`` reads the values of the
-classifier's tags off b and p of the same records.  The catalogue builds
-each record once, A-D straight from the closed forms of ``_classical_pairs``
-(Humphreys §11.4, the Bourbaki plates), E6-8, F4 and G2 from a scan of
-uncached ``_end_map`` tables with no per-pair test, so it leaves no table
-behind, walks no diagram and reads no bond.
+The fibers over a base node are read off one split of the other nodes, kept
+as one end record per component: its family, rank, first and last node in
+standard order, the node b joined to base and b's position p.  ``_end_map``
+gives the records of every connected diagram by arithmetic on the standard
+numbering, with no node list, and ``_component_ends`` reads them off the
+``dynkin._components`` node lists of a union.  ``_rank_ends`` takes
+dim D{base} and the projective ranks at the component ends, the only marks
+a projective fiber can have, from the records.  One ``_pair_tables`` read of
+the cached ``_fiber_table`` over i and over j serves the pair test, the
+tags and the drum of D{i,j}: the pair test and the drum take ranks and
+dimensions, dim D{i,j} = dim D{i} + r_plus, and ``_side_tag`` reads the
+tags' values off b and p.  The catalogue builds each record once, A-D
+straight from the closed forms of ``_classical_pairs`` (Humphreys §11.4,
+the Bourbaki plates), E6-8, F4 and G2 from a scan of uncached ``_end_map``
+tables with no per-pair test, so it leaves no table behind, walks no
+diagram and reads no bond.
 """
 from __future__ import annotations
 
@@ -180,18 +180,24 @@ def is_projective_space(m: MarkedDiagram) -> int | None:
 def is_two_bundle_pair(d: DynkinDiagram, i: int, j: int) -> tuple[int, int] | None:
     """(r_minus, r_plus) when both contractions of D{i,j} are projective bundles.
 
-    r_plus is the fiber dimension over D{i} and r_minus the one over D{j}.
-    Each is one lookup in the end map of ``_fiber_table``, which reads
-    D - {base} once for every second mark over that base node; a mark
-    missing from the map has no projective fiber.
+    r_plus is the fiber dimension over D{i} and r_minus the one over D{j},
+    each one lookup in a table of the ``_pair_tables`` read.
+    """
+    return None if (tables := _pair_tables(d, i, j)) is None else (tables[1][1][i], tables[0][1][j])
+
+
+def _pair_tables(d: DynkinDiagram, i: int, j: int) -> tuple[tuple, tuple] | None:
+    """The ``_fiber_table``s over i and j when D{i,j} carries two projective bundles, else None.
+
+    One read serves the pair test, ``classifier.homogeneous_tags`` and
+    ``drum.build_drum``: j has a rank over i when the fiber over D{i} is
+    projective, and i over j likewise.
     """
     d.check_nodes((i, j))
     if i == j:
         raise DomainError(f"{(i, j)} is not a pair of distinct nodes of {d}")
-    r_plus, r_minus = _fiber_table(d, i)[1].get(j), _fiber_table(d, j)[1].get(i)
-    if r_plus is None or r_minus is None:
-        return None
-    return (r_minus, r_plus)
+    over_i, over_j = _fiber_table(d, i), _fiber_table(d, j)
+    return (over_i, over_j) if j in over_i[1] and i in over_j[1] else None
 
 
 def _rank_ends(total: int, ends) -> tuple[int, dict[int, int]]:
@@ -270,7 +276,7 @@ def _component_ends(d: DynkinDiagram, base: int) -> list[tuple[str, int, int, in
 
 @lru_cache(maxsize=None)
 def _fiber_table(d: DynkinDiagram, base: int) -> tuple[int, dict[int, int], list]:
-    """(dim D{base}, ranks, records) of D over ``base``, cached for the two-bundle test, drums and ``_side_tag``.
+    """(dim D{base}, ranks, records) of D over ``base``, cached and read through ``_pair_tables``.
 
     The records are ``_end_map``'s on a connected diagram and
     ``_component_ends``' on a union, and ``_rank_ends`` reads them.  The
@@ -281,16 +287,16 @@ def _fiber_table(d: DynkinDiagram, base: int) -> tuple[int, dict[int, int], list
     return (*_rank_ends(sum(_component_root_count(*comp) for comp in d.components), ends), ends)
 
 
-def _side_tag(d: DynkinDiagram, base: int, other: int) -> tuple[int, ...]:
+def _side_tag(d: DynkinDiagram, base: int, other: int, table: tuple) -> tuple[int, ...]:
     """Values of the tag of the bundle contracted to D{base}, on lines of the opposite side, in closed form.
 
     Its splitting type is, up to twist, {0} with -<beta, alpha_base^v> over
     the positive roots beta with beta_base = 0 and beta_other > 0: the roots
     of F, the component of D - {base} holding ``other``.  At most one node b
     of F is joined to base, so each degree is c * beta_b, c = -C[b][base],
-    read off the bonds of base in ``dynkin._bonds``.
-    ``other`` is an end of F, and r is its rank in the ranks of
-    ``_fiber_table``, whose record of F gives b and its position in F's
+    read off the bonds of base in ``dynkin._bonds``.  ``other`` is an end of
+    F, and r is its rank in ``table``, the ``_fiber_table`` over base of the
+    ``_pair_tables`` read, whose record of F gives b and its position in F's
     standard order.  Read from ``other``, F is A_r, or C_k with r = 2k - 1
     (B2 read from node 2 is C2); let b sit at position p.  By the Bourbaki
     plates the roots are alpha_1 + ... + alpha_m, m = 1..r, for A_r, so p
@@ -301,7 +307,7 @@ def _side_tag(d: DynkinDiagram, base: int, other: int) -> tuple[int, ...]:
     for C also at node r + 1 - p.  They are zero when no node of F is joined
     to base, as for a product.
     """
-    _, ranks, ends = _fiber_table(d, base)
+    _, ranks, ends = table
     r = ranks[other]
     family, k, first, _, b, p = next(end for end in ends if other in (end[2], end[3]))
     values = [0] * r

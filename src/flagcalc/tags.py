@@ -29,13 +29,14 @@ class Tag(namedtuple("Tag", "diagram values")):
 
     def __new__(cls, diagram: DynkinDiagram, values) -> Tag:
         values = tuple(values)
-        if not all(type(v) is int for v in values):
-            raise DomainError(f"tag values must be integers, got {quote(values)}")
+        for v in values:  # a loop, not ``all``: a tag is built per model and side in every classify request
+            if type(v) is not int:
+                raise DomainError(f"tag values must be integers, got {quote(values)}")
         if len(values) != diagram.rank:
             raise DomainError(
                 f"tag has {len(values)} values but diagram {quote(diagram, str)} has rank {quote(diagram.rank)}"
             )
-        if any(v < 0 for v in values):
+        if values and min(values) < 0:
             raise DomainError(f"tag values must be nonnegative, got {quote(values)}")
         return super().__new__(cls, diagram, values)
 

@@ -88,10 +88,18 @@ def test_symplectic_models_have_symmetric_end_tags():
 
 
 def test_homogeneous_tags_rejects_non_models():
-    with pytest.raises(DomainError):
-        homogeneous_tags(parse_diagram("A4"), 1, 3)
-    with pytest.raises(DomainError):
-        homogeneous_tags(parse_diagram("B3"), 1, 2)
+    # the node check, the distinct-node check and the pair test, each with its exact message
+    for text, i, j, message in [
+        ("A4", True, 2, "nodes must be integers, got (True, 2)"),
+        ("A4", 1.0, 2, "nodes must be integers, got (1.0, 2)"),
+        ("A4", 1, 5, "nodes [1, 5] not all in diagram A4"),
+        ("A4", 2, 2, "(2, 2) is not a pair of distinct nodes of A4"),
+        ("A4", 1, 3, "A4{1,3} does not carry two projective bundle structures"),
+        ("B3", 1, 2, "B3{1,2} does not carry two projective bundle structures"),
+    ]:
+        with pytest.raises(DomainError) as raised:
+            homogeneous_tags(parse_diagram(text), i, j)
+        assert str(raised.value) == message, (text, i, j)
 
 
 def test_homogeneous_tags_accepts_coincidence_forms():

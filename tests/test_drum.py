@@ -123,10 +123,18 @@ def test_build_drum_g2():
 
 
 def test_build_drum_rejects_non_models():
-    with pytest.raises(DomainError):
-        build_drum(parse_diagram("A4"), 1, 3)
-    with pytest.raises(DomainError):
-        build_drum(parse_diagram("B3"), 1, 2)
+    # the node check, the distinct-node check and the pair test, each with its exact message
+    for text, i, j, message in [
+        ("A4", True, 2, "nodes must be integers, got (True, 2)"),
+        ("A4", 1.0, 2, "nodes must be integers, got (1.0, 2)"),
+        ("A4", 1, 5, "nodes [1, 5] not all in diagram A4"),
+        ("A4", 2, 2, "(2, 2) is not a pair of distinct nodes of A4"),
+        ("A4", 1, 3, "A4{1,3} is not a two-bundle model"),
+        ("B3", 1, 2, "B3{1,2} is not a two-bundle model"),
+    ]:
+        with pytest.raises(DomainError) as raised:
+            build_drum(parse_diagram(text), i, j)
+        assert str(raised.value) == message, (text, i, j)
 
 
 def test_build_drum_domain_equals_two_bundle_pairs():

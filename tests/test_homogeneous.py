@@ -511,6 +511,18 @@ def test_enumerate_swapping_marks_is_harmless():
     assert is_two_bundle_pair(d, 1, 3) == (2, 3)
     with pytest.raises(DomainError, match="not a pair of distinct nodes"):
         is_two_bundle_pair(d, 2, 2)
+    # the checks before the pair test, each with its exact message; a non-model is no error
+    a4 = parse_diagram("A4")
+    for i, j, message in [
+        (True, 2, "nodes must be integers, got (True, 2)"),
+        (1.0, 2, "nodes must be integers, got (1.0, 2)"),
+        (1, 5, "nodes [1, 5] not all in diagram A4"),
+        (2, 2, "(2, 2) is not a pair of distinct nodes of A4"),
+    ]:
+        with pytest.raises(DomainError) as raised:
+            is_two_bundle_pair(a4, i, j)
+        assert str(raised.value) == message, (i, j)
+    assert is_two_bundle_pair(a4, 1, 3) is None
     # the unordered pair is what the enumeration stores
     entries = [e for e in enumerate_two_bundles(3) if e.diagram.render() == "B3"]
     assert all(e.i < e.j for e in entries)

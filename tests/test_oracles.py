@@ -31,7 +31,7 @@ print("ok")
 
 def test_oracle_module_loads_by_path_without_flagcalc(tmp_path):
     result = subprocess.run(
-        [sys.executable, "-I", "-c", _LOAD_BY_PATH, str(TESTS / "oracles.py"), str(TESTS.parent / "src")],
+        [sys.executable, "-B", "-I", "-c", _LOAD_BY_PATH, str(TESTS / "oracles.py"), str(TESTS.parent / "src")],
         cwd=tmp_path,
         capture_output=True,
         text=True,
@@ -98,8 +98,10 @@ REFERENCE_IMPORTS = {
 # that); the end map test checks
 # ``_end_map`` at every base of every connected diagram and
 # ``_component_ends`` on its unions, the only diagrams that reach it;
-# the drum test reads dim D{i} and the ranks off ``_fiber_table``, so through
-# ``_rank_ends`` and ``_projective_rank`` on every family; and the subdiagram
+# the drum test reads dim D{i} and the ranks off the two ``_fiber_table``s of
+# ``_pair_tables``, and so through ``_rank_ends`` and ``_projective_rank`` on
+# every family, and needs ``_pair_tables`` to accept every catalogue pair
+# and hand over the tables of the right bases; and the subdiagram
 # test runs the whole walk of ``dynkin``: ``_components``, ``_walk``,
 # ``_read_shape`` and ``_renumber``.
 CATALOGUE = ("test_homogeneous.py", "test_enumerate_matches_classification_list", "expected_two_bundle_keys")
@@ -118,6 +120,7 @@ RULE_CHECKS = {
         "enumerate_two_bundles_by_fiber_reads",
     ),
     ("homogeneous", "_fiber_table"): DRUMS,
+    ("homogeneous", "_pair_tables"): DRUMS,
     ("homogeneous", "_side_tag"): (
         "test_classifier.py", "test_homogeneous_tags_match_root_scan_oracle", "side_tag_by_roots"
     ),

@@ -27,7 +27,7 @@ print(json.dumps(batches))
 
 def test_one_full_batch_of_each_workload_has_no_failed_op(tmp_path):
     result = subprocess.run(
-        [sys.executable, "-I", "-c", _ONE_BATCH_EACH, str(ROOT / "perfbench"), str(ROOT / "src")],
+        [sys.executable, "-B", "-I", "-c", _ONE_BATCH_EACH, str(ROOT / "perfbench"), str(ROOT / "src")],
         cwd=tmp_path,
         capture_output=True,
         text=True,

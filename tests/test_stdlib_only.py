@@ -255,7 +255,7 @@ def test_cli_import_loads_no_dataclasses_or_introspection(tmp_path):
     # ``dataclasses`` imports ``inspect``, which imports ``ast`` and ``dis``: about a fifth of the CLI's
     # import; ``typing`` is about a quarter of what remains
     result = subprocess.run(
-        [sys.executable, "-S", "-I", "-c", _IMPORT_CLI, str(PACKAGE.parent)],
+        [sys.executable, "-B", "-S", "-I", "-c", _IMPORT_CLI, str(PACKAGE.parent)],
         cwd=tmp_path,
         capture_output=True,
         text=True,

@@ -62,6 +62,15 @@ def test_tag_rank_checked():
 def test_tag_rejects_non_integer_values():
     with pytest.raises(DomainError):
         Tag(parse_diagram("A1"), (1.5,))
+    # the checks run in order: the type of each value, the length, the sign
+    for text, values, message in [
+        ("A2", (1.5, -1), "tag values must be integers, got (1.5, -1)"),
+        ("A1", (1, -1), "tag has 2 values but diagram A1 has rank 1"),
+    ]:
+        with pytest.raises(DomainError) as raised:
+            Tag(parse_diagram(text), values)
+        assert str(raised.value) == message, (text, values)
+    assert Tag(DynkinDiagram(()), ()).values == ()
 
 
 def test_tag_from_splitting_example():
