@@ -22,10 +22,11 @@ Parsing rejects a total rank above ``MAX_RANK`` before mapping its nodes,
 keeps the components of the normalized table ``_NORMALIZED_RANKS``
 and replaces the low-rank coincidences listed in ``_COINCIDENCES`` (B1, C1,
 D2, D3).  Subdiagram types and diagram automorphisms are closed forms read
-off the diagram's shape: ``_components`` is the generic reader that splits
-a node subset into named components, walked on the bonds.  Every node
-subset of a diagram of finite type is of finite type, so the shape read is
-the type.  ``_renumber``, the one renumbering path, gives each component
+off the diagram's shape: ``_components`` splits a node subset into named
+components, each component of the diagram by ``_split``, arithmetic on its
+standard numbering with no walk on the bonds.  Every node subset of a
+diagram of finite type is of finite type, so the shape read is the type.
+``_renumber``, the one renumbering path, gives each component
 its lexicographically smallest isomorphism onto the standard numbering, and
 a rank-2 double bond is always named ``B2`` (a ``C2`` piece of ``C_n`` has
 its nodes swapped).
@@ -35,7 +36,7 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from functools import lru_cache
-from itertools import permutations
+from itertools import groupby, permutations
 from math import factorial
 from types import MappingProxyType
 
@@ -328,78 +329,51 @@ def automorphisms(d: DynkinDiagram) -> tuple[tuple[int, ...], ...]:
 def _components(d: DynkinDiagram, nodes) -> list[tuple[str, list[int]]]:
     """(family, nodes in standard order) for each component of the subdiagram on ``nodes``.
 
-    Components are ordered by their smallest node, and each is named by its
-    shape alone: every node subset of a diagram of finite type is of finite
-    type.  ``_read_shape`` must be given a whole component: every neighbour
-    in ``nodes`` of one of its nodes lies in it.  The components are walked
-    on one neighbour dict, ``_bonds`` restricted to ``nodes``, and each shape
-    is read on that same dict, which keeps the rule here.
+    Components are ordered by their smallest node.  Each component of ``d``
+    is split by ``_split`` on its own numbering, shifted by its node offset.
     """
-    bonds = _bonds(d)
     members = set(nodes)
-    neighbours = {a: [b for b in bonds[a - 1] if b in members] for a in sorted(members)}
-    comps = []
-    for start in neighbours:
-        if start not in members:
-            continue
-        members.remove(start)
-        comp = [start]
-        for a in comp:  # comp grows while it is read: a breadth-first walk
-            for b in neighbours[a]:
-                if b in members:
-                    members.remove(b)
-                    comp.append(b)
-        comps.append(_read_shape(bonds, neighbours, comp))
+    comps, offset = [], 0
+    for family, n in d.components:
+        kept = {a - offset for a in range(offset + 1, offset + n + 1) if a in members}
+        comps += [(name, [offset + a for a in order]) for name, order in _split(family, n, kept)]
+        offset += n
     return comps
 
 
-def _walk(neighbours: dict[int, list[int]], start: int, prev: int | None) -> list[int]:
-    """Nodes met going from ``start`` away from ``prev`` until the path ends or branches.
+def _split(family: str, n: int, kept) -> list[tuple[str, list[int]]]:
+    """(family, nodes in standard order) for each component of ``family``/``n`` on the nodes ``kept``.
 
-    ``prev`` is None or a neighbour of ``start``, so the path goes on exactly
-    while the node reached has one neighbour besides the one it came from.
+    Arithmetic on the standard numbering (Humphreys §11.4), by smallest node.
+    The kept nodes of the spine, 1..n less the leaf (node n of D_n, joined at
+    its hub n - 2, or node 2 of E_n, joined at 4), fall into runs.  The leaf
+    joins the run holding its hub: at an end of the run they form a path,
+    read from its smaller end; between two arms, D when two of the three arms
+    have length 1, else E.  A run holding the multiple bond (nodes 2, 3 of F4,
+    else n - 1, n) is of the diagram's family, F4 less an end is B3 on 1..3
+    or C3 on 4..2, and a rank-2 double bond is named B2.  Any other run is A.
     """
-    path, a = [start], start
-    while len(ahead := neighbours[a]) == (1 if prev is None else 2):
-        prev, a = a, ahead[0] if ahead[-1] == prev else ahead[-1]
-        path.append(a)
-    return path
-
-
-def _read_shape(bonds: Bonds, neighbours: dict[int, list[int]], comp: list[int]) -> tuple[str, list[int]]:
-    """Family of the connected node set ``comp`` and its nodes in standard order, read off its shape.
-
-    ``bonds`` is the diagram's ``_bonds``, which gives each bond's product
-    C[a][b] C[b][a] and direction C[a][b]; ``neighbours`` maps each node of
-    ``comp`` to its neighbours in ``comp``.  A connected diagram of finite
-    type is a path with at most one multiple bond, or a tree with one branch
-    node whose arms have lengths (1, 1, k) (type D) or (1, 2, 2|3|4) (type
-    E); see Humphreys §11.4.
-    """
-    hubs = [a for a in comp if len(neighbours[a]) > 2]
-    if hubs:
-        hub = hubs[0]
-        short, mid, long = sorted((_walk(neighbours, b, hub) for b in neighbours[hub]), key=len)
-        if len(mid) == 1:
-            return "D", long[::-1] + [hub] + short + mid
-        return "E", [mid[-1], short[0], mid[0], hub] + long
-    path = _walk(neighbours, min(a for a in comp if len(neighbours[a]) < 2), None)
-    products = [bonds[b - 1][a] * bonds[a - 1][b] for a, b in zip(path, path[1:])]
-    heavy = max(products, default=1)
-    if heavy == 1:
-        return "A", path
-    k, t = len(path), products.index(heavy)
-    # Put the multiple bond past the middle of the path.  On the middle (G2,
-    # B2, F4) it must read -1 for G2 and -2 otherwise, so that a rank-2
-    # double bond is named B2: B is the first family that fits it.
-    middle_reads = -1 if heavy == 3 else -2
-    if 2 * t < k - 2 or 2 * t == k - 2 and bonds[path[t + 1] - 1][path[t]] != middle_reads:
-        path, t = path[::-1], k - 2 - t
-    if heavy == 3:
-        return "G", path
-    if (k, t) == (4, 1):
-        return "F", path
-    return "B" if bonds[path[t + 1] - 1][path[t]] == -2 else "C", path
+    leaf, hub = {"D": (n, n - 2), "E": (2, 4)}.get(family, (0, 0))
+    leaf_kept = leaf in kept
+    comps = [("A", [leaf])] if leaf_kept and hub not in kept else []
+    spine = (a for a in range(1, n + 1) if a != leaf)
+    for run in (list(nodes) for held, nodes in groupby(spine, kept.__contains__) if held):
+        first, last = run[0], run[-1]
+        if leaf_kept and hub in (first, last):
+            path = (run if last == hub else run[::-1]) + [leaf]
+            comps.append(("A", path if path[0] < leaf else path[::-1]))
+        elif leaf_kept and first < hub < last:
+            cut = run.index(hub)
+            short, mid, long = sorted(([leaf], run[cut - 1 :: -1], run[cut + 1 :]), key=lambda arm: (len(arm), arm[0]))
+            comps.append(("D", long[::-1] + [hub] + short + mid) if len(mid) == 1 else ("E", sorted(run + [leaf])))
+        elif family in "BCFG" and first <= (2 if family == "F" else n - 1) < last:
+            if family == "F" and len(run) < 4:
+                comps.append(("B", run) if last == 3 else ("C", run[::-1]))
+            else:
+                comps.append(("B", run[::-1]) if (family, len(run)) == ("C", 2) else (family, run))
+        else:
+            comps.append(("A", run))
+    return sorted(comps, key=lambda comp: min(comp[1]))
 
 
 def subdiagram(d: DynkinDiagram, nodes) -> tuple[DynkinDiagram, dict[int, int]]:
@@ -413,8 +387,8 @@ def subdiagram(d: DynkinDiagram, nodes) -> tuple[DynkinDiagram, dict[int, int]]:
 def _renumber(comps: list[tuple[str, list[int]]]) -> tuple[DynkinDiagram, dict[int, int]]:
     """Diagram of the ``_components`` output ``comps``, in order, and the map from its nodes to new indices.
 
-    Each component takes its lexicographically smallest isomorphism onto its
-    standard numbering.
+    Each component, given in the standard order that ``_split`` reads, takes
+    its lexicographically smallest isomorphism onto its standard numbering.
     """
     parts: list[tuple[str, int]] = []
     mapping: dict[int, int] = {}

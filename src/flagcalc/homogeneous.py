@@ -10,8 +10,9 @@ The fibers over a base node are read off one split of the other nodes, kept
 as one end record per component: its family, rank, first and last node in
 standard order, the node b joined to base and b's position p.  ``_end_map``
 gives the records of every connected diagram by arithmetic on the standard
-numbering, with no node list, and ``_component_ends`` reads them off the
-``dynkin._components`` node lists of a union.  ``_rank_ends`` takes
+numbering, with no node list; a union takes those of the component holding
+base, shifted, and the ends of each other component whole, read off
+``dynkin._split``.  ``_rank_ends`` takes
 dim D{base} and the projective ranks at the component ends, the only marks
 a projective fiber can have, from the records.  One ``_pair_tables`` read of
 the cached ``_fiber_table`` over i and over j serves the pair test, the
@@ -20,8 +21,8 @@ dimensions, dim D{i,j} = dim D{i} + r_plus, and ``_side_tag`` reads the
 tags' values off b and p.  The catalogue builds each record once, A-D
 straight from the closed forms of ``_classical_pairs`` (Humphreys §11.4,
 the Bourbaki plates), E6-8, F4 and G2 from a scan of uncached ``_end_map``
-tables with no per-pair test, so it leaves no table behind, walks no
-diagram and reads no bond.
+tables with no per-pair test, so it leaves no table behind, splits no
+node set and reads no bond.
 """
 from __future__ import annotations
 
@@ -38,6 +39,7 @@ from .dynkin import (
     _component_root_count,
     _components,
     _renumber,
+    _split,
     automorphisms,
     parse_ints,
     parse_with_node_map,
@@ -260,30 +262,30 @@ def _end_map(family: str, n: int, base: int) -> list[tuple[str, int, int, int, i
     return ends
 
 
-def _component_ends(d: DynkinDiagram, base: int) -> list[tuple[str, int, int, int, int, int]]:
-    """``_end_map``'s records of D - {base} for any diagram, read off the ``_components`` node lists.
-
-    b is the one node of the component among the neighbours of base,
-    ``_bonds(d)[base - 1]``: a diagram of finite type is a forest.
-    """
-    joined = _bonds(d)[base - 1]
-    ends = []
-    for family, order in _components(d, [a for a in d.nodes if a != base]):
-        p = next((p for p, a in enumerate(order, 1) if a in joined), 0)
-        ends.append((family, len(order), order[0], order[-1], order[p - 1] if p else 0, p))
-    return ends
-
-
 @lru_cache(maxsize=None)
 def _fiber_table(d: DynkinDiagram, base: int) -> tuple[int, dict[int, int], list]:
     """(dim D{base}, ranks, records) of D over ``base``, cached and read through ``_pair_tables``.
 
-    The records are ``_end_map``'s on a connected diagram and
-    ``_component_ends``' on a union, and ``_rank_ends`` reads them.  The
-    ranks and records are shared by every caller and must not be mutated.
+    The records are ``_end_map``'s of the component holding base, shifted
+    by its node offset, and one record per other component, joined to no
+    node (b = p = 0), with the ends of its ``dynkin._split`` order; so a
+    union's records are ordered by smallest node too.  ``_rank_ends`` reads
+    them.  The ranks and records are shared by every caller and must not be
+    mutated.
     """
-    (family, n), *rest = d.components
-    ends = _component_ends(d, base) if rest else _end_map(family, n, base)
+    ends, offset = [], 0
+    for family, n in d.components:
+        if not offset < base <= offset + n:
+            (name, order), = _split(family, n, range(1, n + 1))
+            ends.append((name, n, offset + order[0], offset + order[-1], 0, 0))
+        elif offset:
+            ends += [
+                (name, k, offset + first, offset + last, offset + b, p)
+                for name, k, first, last, b, p in _end_map(family, n, base - offset)
+            ]
+        else:
+            ends += _end_map(family, n, base)
+        offset += n
     return (*_rank_ends(sum(_component_root_count(*comp) for comp in d.components), ends), ends)
 
 
@@ -393,7 +395,7 @@ def enumerate_two_bundles(max_rank: int) -> tuple[TwoBundleEntry, ...]:
     included, from the closed forms of ``_classical_pairs`` (Humphreys
     §11.4, the Bourbaki plates), with no fiber table.  E6-8, F4 and G2 are
     scanned: the uncached ``_rank_ends`` of ``_end_map`` at every node, with
-    |Φ⁺(D)| computed once per diagram, so no diagram is split by a walk.
+    |Φ⁺(D)| computed once per diagram, so ``_components`` splits no node set.
     For each end j > i in the table over i, in ascending order, r_plus is
     its rank, r_minus is the rank of i in the table over j, if any, and
     dim D{i,j} = dim D{i} + r_plus, as in

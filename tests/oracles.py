@@ -23,8 +23,10 @@ root list instead of read off the fiber's shape in closed form, fiber ranks
 tested at every position of each component instead of written at its two
 ends, the split of a diagram less one node as node lists read off the
 standard numbering of A, B, C and D, or walked on its bonds, instead of as
-end records by arithmetic, each drum identified with a known variety from the geometry of its orbit
-closure instead of measured by the dimension formulas of ``build_drum``, and
+end records by arithmetic, the components of every node set walked on the
+bonds instead of split by arithmetic on the standard numbering, each drum
+identified with a known variety from the geometry of its orbit closure
+instead of measured by the dimension formulas of ``build_drum``, and
 typed integers read as the CLI and the mark and tag parsers read them
 before ``dynkin.parse_ints``: by a regex per entry, or by ``int`` on each
 entry, instead of by one grammar.
@@ -541,11 +543,10 @@ def fiber_ranks_by_positions(d, base: int) -> tuple[int | None, ...]:
     ``homogeneous._fiber_table`` is this row with the None entries left out,
     keyed by ``mark``: ``{a: r for a, r in enumerate(row, 1) if r is not None}``.
     """
-    from flagcalc.dynkin import _components
     from flagcalc.homogeneous import _projective_rank
 
     ranks = [None] * d.rank
-    for family, order in _components(d, [a for a in d.nodes if a != base]):
+    for family, order in components_by_walk(d, [a for a in d.nodes if a != base]):
         for position, mark in enumerate(order, 1):
             ranks[mark - 1] = _projective_rank(family, len(order), position)
     return tuple(ranks)
@@ -555,10 +556,10 @@ def contraction_fiber_by_subdiagrams(d, total_marks, base_marks):
     """Fiber of ``D{total_marks} -> D{base_marks}``, splitting the residual diagram three times.
 
     The components of D - base that meet the extra marks are picked with
-    ``_components``, then the kept and the dropped nodes are each built
-    again with ``subdiagram``.
+    ``components_by_walk``, then the kept and the dropped nodes are each
+    built again with ``subdiagram``.
     """
-    from flagcalc.dynkin import _components, subdiagram
+    from flagcalc.dynkin import subdiagram
     from flagcalc.errors import DomainError
     from flagcalc.homogeneous import ContractionFiber, MarkedDiagram
 
@@ -572,7 +573,7 @@ def contraction_fiber_by_subdiagrams(d, total_marks, base_marks):
         raise DomainError(f"base marks {sorted(base)} not contained in {sorted(total)}")
     extra = total - base
     residual = [i for i in d.nodes if i not in base]
-    kept = [a for _, order in _components(d, residual) if extra & set(order) for a in order]
+    kept = [a for _, order in components_by_walk(d, residual) if extra & set(order) for a in order]
     fiber_diag, node_map = subdiagram(d, kept)
     dropped_nodes = [i for i in residual if i not in node_map]
     return ContractionFiber(
@@ -584,20 +585,96 @@ def contraction_fiber_by_subdiagrams(d, total_marks, base_marks):
     )
 
 
+def components_by_walk(d, nodes) -> list[tuple[str, list[int]]]:
+    """(family, nodes in standard order) for each component of the subdiagram on ``nodes``, walked on the bonds.
+
+    The differential reference of ``dynkin._components``, which reads the
+    same split by arithmetic on the standard numbering.  Components are
+    found by a breadth-first walk on ``dynkin._bonds`` restricted to
+    ``nodes``, ordered by their smallest node, and each is named and ordered
+    by ``read_shape`` on that same neighbour dict.
+    """
+    from flagcalc.dynkin import _bonds
+
+    bonds = _bonds(d)
+    members = set(nodes)
+    neighbours = {a: [b for b in bonds[a - 1] if b in members] for a in sorted(members)}
+    comps = []
+    for start in neighbours:
+        if start not in members:
+            continue
+        members.remove(start)
+        comp = [start]
+        for a in comp:  # comp grows while it is read: a breadth-first walk
+            for b in neighbours[a]:
+                if b in members:
+                    members.remove(b)
+                    comp.append(b)
+        comps.append(read_shape(bonds, neighbours, comp))
+    return comps
+
+
+def walk_path(neighbours: dict[int, list[int]], start: int, prev: int | None) -> list[int]:
+    """Nodes met going from ``start`` away from ``prev`` until the path ends or branches.
+
+    ``prev`` is None or a neighbour of ``start``, so the path goes on exactly
+    while the node reached has one neighbour besides the one it came from.
+    """
+    path, a = [start], start
+    while len(ahead := neighbours[a]) == (1 if prev is None else 2):
+        prev, a = a, ahead[0] if ahead[-1] == prev else ahead[-1]
+        path.append(a)
+    return path
+
+
+def read_shape(bonds, neighbours: dict[int, list[int]], comp: list[int]) -> tuple[str, list[int]]:
+    """Family of the connected node set ``comp`` and its nodes in standard order, read off its shape.
+
+    ``bonds`` is the diagram's ``dynkin._bonds``, which gives each bond's
+    product C[a][b] C[b][a] and direction C[a][b]; ``neighbours`` maps each
+    node of ``comp`` to its neighbours in ``comp``.  A connected diagram of
+    finite type is a path with at most one multiple bond, or a tree with one
+    branch node whose arms have lengths (1, 1, k) (type D) or (1, 2, 2|3|4)
+    (type E); see Humphreys §11.4.
+    """
+    hubs = [a for a in comp if len(neighbours[a]) > 2]
+    if hubs:
+        hub = hubs[0]
+        short, mid, long = sorted((walk_path(neighbours, b, hub) for b in neighbours[hub]), key=len)
+        if len(mid) == 1:
+            return "D", long[::-1] + [hub] + short + mid
+        return "E", [mid[-1], short[0], mid[0], hub] + long
+    path = walk_path(neighbours, min(a for a in comp if len(neighbours[a]) < 2), None)
+    products = [bonds[b - 1][a] * bonds[a - 1][b] for a, b in zip(path, path[1:])]
+    heavy = max(products, default=1)
+    if heavy == 1:
+        return "A", path
+    k, t = len(path), products.index(heavy)
+    # Put the multiple bond past the middle of the path.  On the middle (G2,
+    # B2, F4) it must read -1 for G2 and -2 otherwise, so that a rank-2
+    # double bond is named B2: B is the first family that fits it.
+    middle_reads = -1 if heavy == 3 else -2
+    if 2 * t < k - 2 or 2 * t == k - 2 and bonds[path[t + 1] - 1][path[t]] != middle_reads:
+        path, t = path[::-1], k - 2 - t
+    if heavy == 3:
+        return "G", path
+    if (k, t) == (4, 1):
+        return "F", path
+    return "B" if bonds[path[t + 1] - 1][path[t]] == -2 else "C", path
+
+
 def split_at(d, base: int) -> list[tuple[str, list[int]]]:
-    """``_components`` of the nodes of ``d`` other than ``base``, in closed form on A, B, C and D.
+    """``components_by_walk`` of the nodes of ``d`` other than ``base``, in closed form on A, B, C and D.
 
     In the standard numbering (Humphreys §11.4), nodes 1..base-1 form
     A_{base-1} and nodes base+1..n a tail of the same family, named and
-    ordered as ``_read_shape`` reads it; D_n falls apart at its last three
+    ordered as ``read_shape`` reads it; D_n falls apart at its last three
     nodes and has D3 (= A3) and D4 tails of its own.  Other diagrams are
-    split by ``_components``.
+    split by ``components_by_walk``.
     """
-    from flagcalc.dynkin import _components
-
     (family, n), *rest = d.components
     if rest or family not in "ABCD":
-        return _components(d, [a for a in d.nodes if a != base])
+        return components_by_walk(d, [a for a in d.nodes if a != base])
     k = n - base
     if family == "D" and k < 2:  # a spin node: the other nodes form a path
         return [("A", [a for a in d.nodes if a != base])]
@@ -698,7 +775,7 @@ def enumerate_two_bundles_by_fiber_reads(max_rank: int):
     scanned as the library scans E6-8, F4 and G2, but with each table
     ``homogeneous._rank_ends`` of the records that ``end_records_by_split``
     reads off the ``split_at`` node lists, which walk the bonds of E, F and
-    G with ``dynkin._components``.  The pair loop runs over every
+    G with ``components_by_walk``.  The pair loop runs over every
     end in the table, skipping j < i, and outside type A over every
     automorphism, the identity included.
     """

@@ -27,6 +27,7 @@ from flagcalc.homogeneous import (
 from flagcalc.tags import nesting_admissible, parse_tag, restrict_tag
 
 from oracles import (
+    components_by_walk,
     contraction_fiber_by_subdiagrams,
     dimension_by_roots,
     end_records_by_split,
@@ -233,7 +234,8 @@ def test_fiber_table_ranks_match_every_position_oracle():
 def test_end_map_matches_split_records_at_every_base():
     # the closed-form records must give the split's families, ranks, ends,
     # joined nodes and their positions exactly, at every base of every
-    # connected diagram up to the ceiling; unions walk their bonds
+    # connected diagram up to the ceiling, and on unions, where the fiber
+    # table shifts the end map of the component holding base
     bases = 0
     for fam, lowest in (("A", 1), ("B", 2), ("C", 2), ("D", 4), *EXCEPTIONAL):
         for n in range(lowest, (lowest if fam in "EFG" else MAX_RANK) + 1):
@@ -245,7 +247,7 @@ def test_end_map_matches_split_records_at_every_base():
     for text in ("A1+A1", "D4+C2", "B3+A2", "G2+E6+C3", "E8+F4", "A3+E7+D5"):
         d = parse_diagram(text)
         for base in d.nodes:
-            assert homogeneous._component_ends(d, base) == end_records_by_split(d, base), (d, base)
+            assert homogeneous._fiber_table(d, base)[2] == end_records_by_split(d, base), (d, base)
 
 
 # every component of the normalized table up to the rank ceiling
@@ -266,9 +268,9 @@ def _random_union(rng, cap):
 
 
 def test_random_unions_match_oracles():
-    # unions take the walked records of ``_component_ends``, where every
-    # component outside the one holding base is joined to no node (b = p = 0);
-    # half the unions are small enough for the root scan of the tags
+    # on unions every component outside the one holding base is joined to no
+    # node (b = p = 0); half the unions are small enough for the root scan of
+    # the tags
     rng = random.Random(21)
     joined = unjoined = pairs = tagged = 0
     for case in range(60):
@@ -297,6 +299,29 @@ def test_random_unions_match_oracles():
                         got = contraction_fiber(d, total, marks)
                         assert got == contraction_fiber_by_subdiagrams(d, total, marks), (d, total, marks)
     assert min(joined, unjoined, pairs, tagged) > 20, (joined, unjoined, pairs, tagged)
+
+
+def test_components_match_walk_oracle_on_every_node_subset():
+    # the arithmetic split must give the walk's families, node orders and
+    # component order exactly: on every node subset, the empty one included,
+    # of every connected diagram of rank <= 9 and of E6-E8, F4 and G2, and on
+    # seeded node subsets, in shuffled order, of unions up to the ceiling
+    subsets = 0
+    for fam, lowest in (("A", 1), ("B", 2), ("C", 2), ("D", 4), *EXCEPTIONAL):
+        for n in range(lowest, (lowest if fam in "EFG" else 9) + 1):
+            d = dynkin.DynkinDiagram(((fam, n),))
+            for mask in range(2**n):
+                nodes = [a for a in d.nodes if mask >> (a - 1) & 1]
+                assert dynkin._components(d, nodes) == components_by_walk(d, nodes), (d, nodes)
+                subsets += 1
+    assert subsets == 4538
+    rng = random.Random(31)
+    for _ in range(2000):
+        d = _random_union(rng, MAX_RANK)
+        share = rng.random()
+        nodes = [a for a in d.nodes if rng.random() < share]
+        rng.shuffle(nodes)
+        assert dynkin._components(d, nodes) == components_by_walk(d, nodes), (d, nodes)
 
 
 def test_projective_rank_is_none_inside_every_component():
@@ -640,7 +665,7 @@ def test_enumerate_builds_no_cartan_entries(monkeypatch):
 def test_enumerate_splits_no_diagram(monkeypatch):
     # A-D entries come from closed forms and the 27 bases of E6, E7, E8, F4
     # and G2 from the closed-form splits of the end map: no node set is
-    # split by a walk, at every rank bound
+    # split by ``_components``, at every rank bound
     calls = []
     components = dynkin._components
 
@@ -659,9 +684,8 @@ def test_enumerate_splits_no_diagram(monkeypatch):
 
 
 def test_enumerate_reads_closed_forms_for_classical_diagrams(monkeypatch):
-    # no end map is read on A-D and no diagram's ends are walked; the end
-    # map is read at the 27 bases of E6-8, F4 and G2, and automorphisms only
-    # on those 5 diagrams
+    # no end map is read on A-D; the end map is read at the 27 bases of
+    # E6-8, F4 and G2, and automorphisms only on those 5 diagrams
     calls = Counter()
 
     def counting(name, original):
@@ -671,7 +695,7 @@ def test_enumerate_reads_closed_forms_for_classical_diagrams(monkeypatch):
 
         return count
 
-    for name in ("_end_map", "_component_ends", "automorphisms"):
+    for name in ("_end_map", "automorphisms"):
         monkeypatch.setattr(homogeneous, name, counting(name, getattr(homogeneous, name)))
     exceptional = [dynkin.DynkinDiagram((comp,)) for comp in EXCEPTIONAL]
     for max_rank in (20, MAX_RANK):

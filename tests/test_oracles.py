@@ -43,8 +43,9 @@ def test_oracle_module_loads_by_path_without_flagcalc(tmp_path):
 # Each reference, and the flagcalc names that it and the oracles it calls may
 # import.  A reference that imports the rule it checks passes that rule's
 # mutants, so: the split references check ``homogeneous._end_map`` (every
-# connected diagram) and ``_component_ends`` (unions) with only the walk and
-# the bond table of ``dynkin``; ``side_tag_by_roots`` checks
+# connected diagram, and shifted on unions) and ``dynkin._split`` (every node
+# set) with only the bond table of ``dynkin``, on which they walk;
+# ``side_tag_by_roots`` checks
 # ``homogeneous._side_tag`` with the public root machinery; the fiber-read
 # catalogue checks ``_classical_pairs`` and the E-G scan with the split
 # references, ``_rank_ends`` and ``_scan_ranks``; and the catalogue,
@@ -56,8 +57,9 @@ def test_oracle_module_loads_by_path_without_flagcalc(tmp_path):
 # machinery, and the dense Cartan blocks (the bond table) and the isomorphism
 # search (the automorphisms) nothing.  The rational Weyl dimension imports
 # only the public root machinery, and the two integer readers nothing.
-SPLIT_IMPORTS = {("flagcalc.dynkin", "_components"), ("flagcalc.dynkin", "_bonds")}
+SPLIT_IMPORTS = {("flagcalc.dynkin", "_bonds")}
 REFERENCE_IMPORTS = {
+    "components_by_walk": SPLIT_IMPORTS,
     "split_at": SPLIT_IMPORTS,
     "end_records_by_split": SPLIT_IMPORTS,
     "side_tag_by_roots": {
@@ -96,23 +98,24 @@ REFERENCE_IMPORTS = {
 # ``_classical_pairs`` (A-D) up to the ceiling, field by field, since ``==``
 # ignores their class (``test_enumerate_builds_exact_record_types`` checks
 # that); the end map test checks
-# ``_end_map`` at every base of every connected diagram and
-# ``_component_ends`` on its unions, the only diagrams that reach it;
+# ``_end_map`` at every base of every connected diagram, and the records of
+# ``_fiber_table`` on unions; the walk test checks ``_split`` on every node
+# subset of every connected diagram of rank <= 9 and on seeded subsets of
+# unions up to the ceiling;
 # the drum test reads dim D{i} and the ranks off the two ``_fiber_table``s of
 # ``_pair_tables``, and so through ``_rank_ends`` and ``_projective_rank`` on
 # every family, and needs ``_pair_tables`` to accept every catalogue pair
-# and hand over the tables of the right bases; and the subdiagram
-# test runs the whole walk of ``dynkin``: ``_components``, ``_walk``,
-# ``_read_shape`` and ``_renumber``.
+# and hand over the tables of the right bases; and the subdiagram test runs
+# ``_components`` and ``_renumber``.
 CATALOGUE = ("test_homogeneous.py", "test_enumerate_matches_classification_list", "expected_two_bundle_keys")
 END_MAP = ("test_homogeneous.py", "test_end_map_matches_split_records_at_every_base", "end_records_by_split")
 DRUMS = ("test_drum.py", "test_drums_match_their_identification_oracle", "drum_identification")
 SUBDIAGRAM = ("test_dynkin.py", "test_subdiagram_matches_search_oracle_on_every_node_subset", "subdiagram_by_search")
+WALK = ("test_homogeneous.py", "test_components_match_walk_oracle_on_every_node_subset", "components_by_walk")
 RULE_CHECKS = {
     ("homogeneous", "_projective_rank"): DRUMS,
     ("homogeneous", "_rank_ends"): DRUMS,
     ("homogeneous", "_end_map"): END_MAP,
-    ("homogeneous", "_component_ends"): END_MAP,
     ("homogeneous", "_scan_ranks"): CATALOGUE,
     ("homogeneous", "_classical_pairs"): (
         "test_homogeneous.py",
@@ -125,8 +128,7 @@ RULE_CHECKS = {
         "test_classifier.py", "test_homogeneous_tags_match_root_scan_oracle", "side_tag_by_roots"
     ),
     ("dynkin", "_components"): SUBDIAGRAM,
-    ("dynkin", "_walk"): SUBDIAGRAM,
-    ("dynkin", "_read_shape"): SUBDIAGRAM,
+    ("dynkin", "_split"): WALK,
     ("dynkin", "_renumber"): SUBDIAGRAM,
     ("dynkin", "_bonds"): (
         "test_dynkin.py", "test_cartan_matrix_matches_dense_block_oracle", "cartan_matrix_by_blocks"

@@ -1,7 +1,7 @@
 """flagcalc is stdlib-only: every import in the package is relative or names a standard module.
 
-Four layering rules are checked on the same syntax trees: only ``dynkin``
-names its shape-reading internals, only ``homogeneous`` names other
+Four layering rules are checked on the same syntax trees: only the listed
+modules name the two split rules, only ``homogeneous`` names other
 ``dynkin`` privates, the listed ones (it reads the tag values off the bond
 table ``_bonds``, the one source of Cartan entries), root lists are built
 only where they are the answer, and no module uses a banned standard module or
@@ -23,12 +23,17 @@ import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "flagcalc"
-SHAPE_INTERNALS = {"_read_shape", "_walk"}
+# The two split rules of the standard numbering, each with its module and the
+# other modules that may name it: ``dynkin._split`` splits any node set of a
+# connected diagram, and ``homogeneous`` reads the ends of a union's whole
+# components off it; ``homogeneous._end_map`` splits a connected diagram at one
+# node.  Other modules split node sets through ``dynkin._components``.
+SPLIT_RULES = {"_split": ("dynkin.py", {"homogeneous.py"}), "_end_map": ("homogeneous.py", set())}
 # The ``dynkin`` privates that other modules name: only ``homogeneous``, which
-# splits, renumbers, counts roots, finds the node of each component joined to a
-# base node and reads the Cartan entries of the tags.
+# splits, renumbers, counts roots, reads the ends of whole components and the
+# Cartan entries of the tags.
 DYNKIN_PRIVATES_NAMED = {
-    "homogeneous.py": {"_NORMALIZED_RANKS", "_bonds", "_component_root_count", "_components", "_renumber"},
+    "homogeneous.py": {"_NORMALIZED_RANKS", "_bonds", "_component_root_count", "_components", "_renumber", "_split"},
 }
 # Banned standard modules and names, each with the reason (``fractions`` has its own test).
 BANNED = {
@@ -77,20 +82,13 @@ def test_package_imports_only_the_standard_library():
     assert not outside, outside
 
 
-def test_only_dynkin_names_its_shape_internals():
-    # Other modules split node sets through ``dynkin._components``; ``homogeneous._end_map``
-    # splits a connected diagram at one node by arithmetic on its numbering.
+def test_only_the_listed_modules_name_the_split_rules():
     trees = dict(_trees())
-    defined = {node.name for node in trees["dynkin.py"].body if isinstance(node, ast.FunctionDef)}
-    assert SHAPE_INTERNALS <= defined, SHAPE_INTERNALS - defined
-    named = [
-        (name, internal)
-        for name, tree in trees.items()
-        if name != "dynkin.py"
-        for internal in _names(tree)
-        if internal in SHAPE_INTERNALS
-    ]
-    assert not named, named
+    for rule, (home, others) in SPLIT_RULES.items():
+        defined = {node.name for node in trees[home].body if isinstance(node, ast.FunctionDef)}
+        assert rule in defined, (home, rule)
+        named = {name for name, tree in trees.items() if name != home and rule in set(_names(tree))}
+        assert named == others, (rule, named)
 
 
 def _top_level_names(tree: ast.Module):
@@ -104,7 +102,7 @@ def _top_level_names(tree: ast.Module):
 def test_other_modules_name_only_the_listed_dynkin_privates():
     trees = dict(_trees())
     private = {name for name in _top_level_names(trees["dynkin.py"]) if name.startswith("_")}
-    assert {"_bonds"} | SHAPE_INTERNALS <= private, private
+    assert {"_bonds", "_split"} <= private, private
     named = {name: set(_names(tree)) & private for name, tree in trees.items() if name != "dynkin.py"}
     assert {name: found for name, found in named.items() if found} == DYNKIN_PRIVATES_NAMED
 
