@@ -278,13 +278,11 @@ def _fiber_table(d: DynkinDiagram, base: int) -> tuple[int, dict[int, int], list
         if not offset < base <= offset + n:
             (name, order), = _split(family, n, range(1, n + 1))
             ends.append((name, n, offset + order[0], offset + order[-1], 0, 0))
-        elif offset:
+        else:
             ends += [
                 (name, k, offset + first, offset + last, offset + b, p)
                 for name, k, first, last, b, p in _end_map(family, n, base - offset)
             ]
-        else:
-            ends += _end_map(family, n, base)
         offset += n
     return (*_rank_ends(sum(_component_root_count(*comp) for comp in d.components), ends), ends)
 
