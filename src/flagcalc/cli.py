@@ -4,7 +4,9 @@ Subcommands: roots, gp (dim | fiber | enumerate), tag (reduce | restrict |
 shape), classify, drum (build | ledger), and enumerate, an alias of gp
 enumerate.  ``dynkin.parse_ints`` reads every integer, ``dynkin.typed_nodes``
 every typed node.  Each ``_cmd_*`` handler returns its JSON payload and a
-callable giving its text lines; ``main`` prints the one asked for.  Identical
+callable giving its text lines; ``main`` prints the one asked for.  ``main``
+parses a request on the leaf its command words name; the full parser takes
+every other argv, and any holding ``--``, with unchanged messages.  Identical
 inputs give byte-identical output.  Exit codes: 0 success, 1 domain error,
 2 usage error.
 """
@@ -251,6 +253,11 @@ def _cmd_drum_ledger(args) -> tuple[dict, Callable[[], list[str]]]:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    return _parser_and_leaves()[0]
+
+
+def _parser_and_leaves() -> tuple[argparse.ArgumentParser, dict[tuple[str, ...], argparse.ArgumentParser]]:
+    """A fresh full parser and its leaves, each keyed by the command words of its ``prog``."""
     parser = argparse.ArgumentParser(
         prog="flagcalc",
         description="Exact calculus of Dynkin diagrams, two-bundle varieties, tags, and drums.",
@@ -290,29 +297,42 @@ def build_parser() -> argparse.ArgumentParser:
         p = leaf(drum, name, func, "diagram")  # no help=: argparse lists one given help=None in "drum -h"
         p.add_argument("i", type=_int)
         p.add_argument("j", type=_int)
+    leaves = [q for g in (sub, gp, tag, drum) for q in g.choices.values() if q.get_default("func")]
     # every leaf takes --format last, so that usage and help list its own options first
-    for p in [q for g in (sub, gp, tag, drum) for q in g.choices.values() if q.get_default("func")]:
+    for p in leaves:
         p.add_argument("--format", choices=("text", "json"), default="text")
-    return parser
+    return parser, {tuple(p.prog.split()[1:]): p for p in leaves}
 
 
-# main's parser: built on the first call, not at import, and reused.  Two
-# threads racing on the first call may each build one; either parser serves.
-_parser: argparse.ArgumentParser | None = None
+# main's full parser and its leaf table: one tuple, built on the first call, not at
+# import, and reused.  Threads racing on that call may each build one; each is whole.
+_parsers: tuple[argparse.ArgumentParser, dict[tuple[str, ...], argparse.ArgumentParser]] | None = None
 
 
 def main(argv: list[str] | None = None, out=None) -> int:
     """Run one request, printing its output to ``out`` (stdout by default); return its exit code.
 
-    The parser is built once per process, on the first call, and reused:
-    ``parse_args`` does not change it, so every request is independent of
-    the ones before it.  ``build_parser()`` still returns a fresh parser.
+    The parsers are built once per process, on the first call, and reused:
+    parsing does not change them, so every request is independent of the
+    ones before it.  ``build_parser()`` still returns a fresh parser.
+
+    A request whose first one or two words name a leaf ("roots", "gp dim")
+    is parsed on that leaf, to which the full parser would pass the same
+    arguments.  The full parser reports every other argv, with unchanged
+    messages: one naming no leaf, one with arguments the leaf does not know,
+    and any holding ``--``, whose path through nested subparsers has changed
+    between Python versions.
     """
-    global _parser
-    if _parser is None:
-        _parser = build_parser()
+    global _parsers
+    if _parsers is None:
+        _parsers = _parser_and_leaves()
+    parser, leaves = _parsers
+    argv = sys.argv[1:] if argv is None else list(argv)
+    words = 0 if "--" in argv else next((n for n in (1, 2) if tuple(argv[:n]) in leaves), 0)
     try:
-        args = _parser.parse_args(argv)
+        args, extras = leaves[tuple(argv[:words])].parse_known_args(argv[words:]) if words else (None, None)
+        if args is None or extras:
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import io
 import json
 import os
@@ -371,9 +372,48 @@ def test_output_is_deterministic(capsys):
         capsys.readouterr()
 
 
+# One valid argument list per leaf, keyed by the leaf's command words.
+LEAF_EXAMPLES = {
+    ("roots",): ["A2"],
+    ("gp", "dim"): ["B3{1,3}"],
+    ("gp", "fiber"): ["B3{1,3}", "--base", "1"],
+    ("gp", "enumerate"): ["--max-rank", "3"],
+    ("enumerate",): ["--max-rank", "3"],
+    ("tag", "reduce"): ["A3:2,0,2"],
+    ("tag", "restrict"): ["A3:1,0,2", "--marks", "1"],
+    ("tag", "shape"): ["A3:2,0,2"],
+    ("classify",): ["--r-minus", "1", "--r-plus", "2", "--tag-minus", "1", "--tag-plus", "1,0"],
+    ("drum", "build"): ["B3", "1", "3"],
+    ("drum", "ledger"): ["B3", "1", "3"],
+}
+
+
+def _edge_argvs() -> list[list[str]]:
+    """Argvs at the edges of main's leaf dispatch, for every leaf and group."""
+    argvs = [[], ["--format", "json", "roots", "A2"], ["roots", "A2", "x"], ["roots", "A2", "--nope"]]
+    argvs += [["gp"], ["tag", "dim", "A3"], ["roots", "A2", "--format=json"], ["roots", "A2", "--form", "json"]]
+    argvs += [["enumerate", "--max", "3"], ["classify", *LEAF_EXAMPLES[("classify",)], "--max", "8"]]
+    for level in ([], ["gp"], ["tag"], ["drum"], *map(list, LEAF_EXAMPLES)):
+        argvs += [[*level, flag] for flag in ("-h", "--help", "--he")]
+    for path, rest in LEAF_EXAMPLES.items():
+        argv = [*path, *rest]
+        # "--" before, between and after the command words, and last
+        argvs += [[*argv[:k], "--", *argv[k:]] for k in (*range(len(path) + 1), len(argv))]
+    return argvs
+
+
+def _leaves_by_walk(parser, path=()) -> dict:
+    """The parsers with no subcommands below ``parser``, keyed by the choices that reach them."""
+    subs = [action for action in parser._actions if isinstance(action, argparse._SubParsersAction)]
+    if not subs:
+        return {path: parser}
+    return {key: leaf for name, p in subs[0].choices.items() for key, leaf in _leaves_by_walk(p, (*path, name)).items()}
+
+
 def test_main_builds_the_parser_once(monkeypatch):
     probe = (
-        "import argparse\n"
+        "import argparse, io, json, sys\n"
+        "from contextlib import redirect_stderr, redirect_stdout\n"
         "built = []\n"
         "init = argparse.ArgumentParser.__init__\n"
         "def counting(self, *a, **k):\n"
@@ -382,24 +422,41 @@ def test_main_builds_the_parser_once(monkeypatch):
         "argparse.ArgumentParser.__init__ = counting\n"
         "import flagcalc.cli\n"
         "print(len(built))\n"
+        "with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):\n"
+        "    for argv in json.loads(sys.argv[1]):\n"
+        "        flagcalc.cli.main(argv)\n"
+        "served = len(built)\n"
+        "flagcalc.cli.build_parser()\n"
+        "print(served, len(built) - served)\n"
     )
-    done = _python("-c", probe)
-    assert done.returncode == 0 and done.stdout == b"0\n", "importing flagcalc.cli built a parser"
+    argvs = [[*path, *rest] for path, rest in LEAF_EXAMPLES.items()] + _edge_argvs()
+    done = _python("-c", probe, json.dumps(argvs))
+    assert done.returncode == 0, done.stderr
+    imported, served = done.stdout.decode().split("\n", 1)
+    assert imported == "0", "importing flagcalc.cli built a parser"
+    # serving every leaf and every edge builds exactly as many parsers as one build_parser() call
+    count, fresh = served.split()
+    assert count == fresh and int(count) >= 15, served
+
+    # main's leaf table is exactly the leaves of its full parser, each with a handler
+    parser, leaves = cli._parser_and_leaves()
+    assert leaves == _leaves_by_walk(parser) and leaves.keys() == LEAF_EXAMPLES.keys()
+    assert all(leaf.get_default("func") for leaf in leaves.values())
 
     calls = []
-    build = cli.build_parser
+    build = cli._parser_and_leaves
 
     def counting_build():
         calls.append(1)
         return build()
 
-    monkeypatch.setattr(cli, "_parser", None)
-    monkeypatch.setattr(cli, "build_parser", counting_build)
+    monkeypatch.setattr(cli, "_parsers", None)
+    monkeypatch.setattr(cli, "_parser_and_leaves", counting_build)
     with redirect_stderr(io.StringIO()):
         for argv in (("roots", "G2"), ("nonsense",), ("roots", "Z9"), ("tag", "shape", "A3:0,1,0")) * 5:
             run_cli(*argv)
     assert len(calls) == 1
-    assert build() is not build()
+    assert cli.build_parser() is not cli.build_parser()
 
 
 def _fuzz_argvs(seed: int, count: int) -> list[list[str]]:
@@ -467,6 +524,24 @@ def test_cli_fuzz_exit_codes_and_replay():
     # the same requests in reverse order through the same parser give the same answers
     for argv, expected in zip(reversed(argvs), reversed(results)):
         assert _run_captured(argv) == expected, argv
+
+
+def test_leaf_dispatch_matches_the_full_parser(monkeypatch):
+    # main parses a request on the leaf its command words name; the reference
+    # route parses every argv on the full parser and runs the same handler
+    transcript = json.loads((FIXTURES / "cli_transcript.json").read_text(encoding="utf-8"))
+    argvs = [argv for argv, _, _ in transcript] + _edge_argvs()
+    argvs += [argv for seed in (4, 3201, 3202) for argv in _fuzz_argvs(seed=seed, count=300)]
+    full, leafy = (cli.build_parser(), {}), cli._parser_and_leaves()
+    # an argv holding "--" takes the full parser, whatever the Python version: it touches no leaf
+    blind = cli.build_parser(), dict.fromkeys(leafy[1])
+    assert sum("--" in argv for argv in argvs) > 40
+    for argv in argvs:
+        monkeypatch.setattr(cli, "_parsers", full)
+        expected = _run_captured(argv)
+        for route in (leafy, blind) if "--" in argv else (leafy,):
+            monkeypatch.setattr(cli, "_parsers", route)
+            assert _run_captured(argv) == expected, argv
 
 
 def test_module_entry_point():

@@ -10,12 +10,15 @@ name: ``fractions``, as every value is an exact integer, and ``dataclasses``,
 other than an exception subclasses a ``namedtuple(...)`` call and sets
 ``__slots__ = ()``; a record that validates does so in ``__new__``, with
 ``_make`` rebound to it, and ``tuple.__new__``, which skips it, builds only
-records that define no ``__new__``.  A fresh interpreter importing
+records that define no ``__new__``.  No module names a private argparse
+attribute, so that the CLI's leaf dispatch rests on argparse's public
+surface across Python versions.  A fresh interpreter importing
 ``flagcalc.cli`` loads none of ``dataclasses``, the introspection modules it
 pulls in and ``typing``.
 """
 from __future__ import annotations
 
+import argparse
 import ast
 import builtins
 import subprocess
@@ -139,6 +142,39 @@ def test_no_module_uses_a_banned_module_or_name():
         if banned in {module.partition(".")[0] for module in _absolute_imports(tree)} | set(_names(tree))
     ]
     assert not used, used
+
+
+def _argparse_privates() -> set[str]:
+    """The private names of argparse's module, and of a parser with a subcommand, a group and an option."""
+    parser = argparse.ArgumentParser()
+    sub = parser.add_subparsers()
+    objects = (
+        argparse,
+        parser,
+        sub,
+        sub.add_parser("leaf"),
+        parser.add_argument_group("group"),
+        parser.add_mutually_exclusive_group(),
+        parser.add_argument("--option"),
+        argparse.HelpFormatter("prog"),
+    )
+    # ``_`` is argparse's gettext alias, and the package's throwaway name
+    return {name for obj in objects for name in dir(obj) if name.startswith("_") and not name.endswith("__")} - {"_"}
+
+
+def test_no_module_names_a_private_argparse_attribute():
+    # ``cli.main`` dispatches on argparse's public surface only (``choices``,
+    # ``prog``, ``get_default``, ``parse_known_args``); a private name, also as
+    # a string for ``getattr``, may change with any Python release
+    privates = _argparse_privates()
+    assert {"_actions", "_subparsers", "_SubParsersAction", "_name_parser_map"} <= privates
+    named = sorted(
+        (name, used)
+        for name, tree in _trees()
+        for used in {*_names(tree), *(n.value for n in ast.walk(tree) if isinstance(n, ast.Constant))}
+        if used in privates
+    )
+    assert not named, named
 
 
 def _decorator_name(node: ast.expr) -> str | None:
