@@ -252,10 +252,6 @@ def _cmd_drum_ledger(args) -> tuple[dict, Callable[[], list[str]]]:
     return payload, lambda: [f"{div} . {cur} = {n}" for div, row in table.items() for cur, n in row.items()]
 
 
-def build_parser() -> argparse.ArgumentParser:
-    return _parser_and_leaves()[0]
-
-
 def _parser_and_leaves() -> tuple[argparse.ArgumentParser, dict[tuple[str, ...], argparse.ArgumentParser]]:
     """A fresh full parser and its leaves, each keyed by the command words of its ``prog``."""
     parser = argparse.ArgumentParser(
@@ -312,9 +308,8 @@ _parsers: tuple[argparse.ArgumentParser, dict[tuple[str, ...], argparse.Argument
 def main(argv: list[str] | None = None, out=None) -> int:
     """Run one request, printing its output to ``out`` (stdout by default); return its exit code.
 
-    The parsers are built once per process, on the first call, and reused:
-    parsing does not change them, so every request is independent of the
-    ones before it.  ``build_parser()`` still returns a fresh parser.
+    The parsers are built once, on the first call, and reused; parsing does
+    not change them, so every request is independent of the ones before it.
 
     A request whose first one or two words name a leaf ("roots", "gp dim")
     is parsed on that leaf, to which the full parser would pass the same

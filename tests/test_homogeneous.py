@@ -37,6 +37,7 @@ from oracles import (
     fiber_ranks_by_positions,
     is_two_bundle_pair_by_fibers,
     side_tag_by_roots,
+    split_by_walk,
 )
 
 EXCEPTIONAL = (("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2))
@@ -231,31 +232,31 @@ def test_fiber_table_ranks_match_every_position_oracle():
     assert bases == 894
 
 
-def test_end_map_matches_split_records_at_every_base():
-    # the closed-form records must give the split's families, ranks, ends,
-    # joined nodes and their positions exactly, at every base of every
-    # connected diagram up to the ceiling, and on unions, where the fiber
-    # table shifts the end map of the component holding base
-    bases = 0
-    for fam, lowest in (("A", 1), ("B", 2), ("C", 2), ("D", 4), *EXCEPTIONAL):
-        for n in range(lowest, (lowest if fam in "EFG" else MAX_RANK) + 1):
-            d = dynkin.DynkinDiagram(((fam, n),))
-            for base in d.nodes:
-                assert homogeneous._end_map(fam, n, base) == end_records_by_split(d, base), (d, base)
-                bases += 1
-    assert bases == 20219
-    for text in ("A1+A1", "D4+C2", "B3+A2", "G2+E6+C3", "E8+F4", "A3+E7+D5"):
-        d = parse_diagram(text)
-        for base in d.nodes:
-            assert homogeneous._fiber_table(d, base)[2] == end_records_by_split(d, base), (d, base)
-
-
 # every component of the normalized table up to the rank ceiling
 TABLE_COMPONENTS = [
     (fam, k)
     for fam, (lowest, highest) in dynkin._NORMALIZED_RANKS.items()
     for k in range(lowest, (highest or MAX_RANK) + 1)
 ]
+
+
+def test_end_map_matches_split_records_at_every_base():
+    # the closed-form records must give the families, ranks, ends, joined
+    # nodes and their positions of the components walked on the bonds
+    # exactly, at every base of every connected diagram up to the ceiling,
+    # and on unions, where the fiber table shifts the end map of the
+    # component holding base
+    bases = 0
+    for fam, n in TABLE_COMPONENTS:
+        d = dynkin.DynkinDiagram(((fam, n),))
+        for base in d.nodes:
+            assert homogeneous._end_map(fam, n, base) == end_records_by_split(d, base), (d, base)
+            bases += 1
+    assert bases == 20219
+    for text in ("A1+A1", "D4+C2", "B3+A2", "G2+E6+C3", "E8+F4", "A3+E7+D5"):
+        d = parse_diagram(text)
+        for base in d.nodes:
+            assert homogeneous._fiber_table(d, base)[2] == end_records_by_split(d, base), (d, base)
 
 
 def _random_union(rng, cap):
@@ -304,8 +305,10 @@ def test_random_unions_match_oracles():
 def test_components_match_walk_oracle_on_every_node_subset():
     # the arithmetic split must give the walk's families, node orders and
     # component order exactly: on every node subset, the empty one included,
-    # of every connected diagram of rank <= 9 and of E6-E8, F4 and G2, and on
-    # seeded node subsets, in shuffled order, of unions up to the ceiling
+    # of every connected diagram of rank <= 9 and of E6-E8, F4 and G2, on the
+    # nodes other than base at every base of every connected diagram up to
+    # the ceiling and of two unions (the walks the end map test reads), and
+    # on seeded node subsets, in shuffled order, of unions up to the ceiling
     subsets = 0
     for fam, lowest in (("A", 1), ("B", 2), ("C", 2), ("D", 4), *EXCEPTIONAL):
         for n in range(lowest, (lowest if fam in "EFG" else 9) + 1):
@@ -315,6 +318,13 @@ def test_components_match_walk_oracle_on_every_node_subset():
                 assert dynkin._components(d, nodes) == components_by_walk(d, nodes), (d, nodes)
                 subsets += 1
     assert subsets == 4538
+    bases = 0
+    unions = [parse_diagram("D4+C2"), parse_diagram("B3+A2")]
+    for d in [dynkin.DynkinDiagram((comp,)) for comp in TABLE_COMPONENTS] + unions:
+        for base in d.nodes:
+            assert dynkin._components(d, [a for a in d.nodes if a != base]) == split_by_walk(d, base), (d, base)
+            bases += 1
+    assert bases == 20230
     rng = random.Random(31)
     for _ in range(2000):
         d = _random_union(rng, MAX_RANK)

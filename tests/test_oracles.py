@@ -42,9 +42,11 @@ def test_oracle_module_loads_by_path_without_flagcalc(tmp_path):
 
 # Each reference, and the flagcalc names that it and the oracles it calls may
 # import.  A reference that imports the rule it checks passes that rule's
-# mutants, so: the split references check ``homogeneous._end_map`` (every
-# connected diagram, and shifted on unions) and ``dynkin._split`` (every node
-# set) with only the bond table of ``dynkin``, on which they walk;
+# mutants, and one that restates the rule's case analysis passes the mutants
+# it shares, so: the split references read one breadth-first walk on the
+# bond table of ``dynkin``, the only name they import, and check
+# ``homogeneous._end_map`` (every base of every connected diagram, and
+# shifted on unions) and ``dynkin._split`` (every node set) against it;
 # ``side_tag_by_roots`` checks
 # ``homogeneous._side_tag`` with the public root machinery; the fiber-read
 # catalogue checks ``_classical_pairs`` and the E-G scan with the split
@@ -60,7 +62,7 @@ def test_oracle_module_loads_by_path_without_flagcalc(tmp_path):
 SPLIT_IMPORTS = {("flagcalc.dynkin", "_bonds")}
 REFERENCE_IMPORTS = {
     "components_by_walk": SPLIT_IMPORTS,
-    "split_at": SPLIT_IMPORTS,
+    "split_by_walk": SPLIT_IMPORTS,
     "end_records_by_split": SPLIT_IMPORTS,
     "side_tag_by_roots": {
         ("flagcalc.dynkin", "pairing"),
@@ -100,8 +102,8 @@ REFERENCE_IMPORTS = {
 # that); the end map test checks
 # ``_end_map`` at every base of every connected diagram, and the records of
 # ``_fiber_table`` on unions; the walk test checks ``_split`` on every node
-# subset of every connected diagram of rank <= 9 and on seeded subsets of
-# unions up to the ceiling;
+# subset of every connected diagram of rank <= 9, at every base up to the
+# ceiling and on seeded subsets of unions up to the ceiling;
 # the drum test reads dim D{i} and the ranks off the two ``_fiber_table``s of
 # ``_pair_tables``, and so through ``_rank_ends`` and ``_projective_rank`` on
 # every family, and needs ``_pair_tables`` to accept every catalogue pair
