@@ -6,9 +6,9 @@ enumerate.  ``dynkin.parse_ints`` reads every integer, ``dynkin.typed_nodes``
 every typed node.  Each ``_cmd_*`` handler returns its JSON payload and a
 callable giving its text lines; ``main`` prints the one asked for.  ``main``
 parses a request on the leaf its command words name; the full parser takes
-every other argv, and any holding ``--``, with unchanged messages.  Identical
-inputs give byte-identical output.  Exit codes: 0 success, 1 domain error,
-2 usage error.
+an argv naming no leaf, or with arguments the leaf does not recognize, and
+reports it with unchanged messages.  Identical inputs give byte-identical
+output.  Exit codes: 0 success, 1 domain error, 2 usage error.
 """
 from __future__ import annotations
 
@@ -121,10 +121,8 @@ def _cmd_enumerate(args) -> tuple[dict, Callable[[], list[str]]]:
     ] + [f"total: {len(entries)}"]
 
 
-def _zero_payload(t: tags_mod.Tag, args) -> dict:
-    """The zeros and support of ``t``, printed by JSON only: empty, and not computed, for text."""
-    if args.format != "json":
-        return {}
+def _zero_payload(t: tags_mod.Tag) -> dict:
+    """The zeros and support of ``t``, which JSON prints and text does not."""
     zero = tags_mod.zero_data(t)
     return {"zeros": list(zero.zeros), "support": list(zero.support)}
 
@@ -132,7 +130,7 @@ def _zero_payload(t: tags_mod.Tag, args) -> dict:
 def _cmd_tag_reduce(args) -> tuple[dict, Callable[[], list[str]]]:
     t = tags_mod.parse_tag(args.tag)
     reduced = tags_mod.symplectic_reduce(t)
-    payload = {"input": t.render(), "reduction": reduced.render() if reduced else None, **_zero_payload(t, args)}
+    payload = {"input": t.render(), "reduction": reduced.render() if reduced else None, **_zero_payload(t)}
     reason = "rank even" if t.diagram.rank % 2 == 0 else "tag is not palindromic"
     return payload, lambda: [payload["reduction"] or f"no reduction: {reason}"]
 
@@ -145,7 +143,7 @@ def _cmd_tag_restrict(args) -> tuple[dict, Callable[[], list[str]]]:
         "input": t.render(),
         "restricted": restricted.tag.render(),
         "node_map": {str(a): b for a, b in restricted.node_map},
-        **_zero_payload(restricted.tag, args),
+        **_zero_payload(restricted.tag),
     }
     return payload, lambda: [
         f"{payload['restricted']} (node map: {', '.join(f'{a}->{b}' for a, b in restricted.node_map)})"
@@ -313,17 +311,16 @@ def main(argv: list[str] | None = None, out=None) -> int:
 
     A request whose first one or two words name a leaf ("roots", "gp dim")
     is parsed on that leaf, to which the full parser would pass the same
-    arguments.  The full parser reports every other argv, with unchanged
-    messages: one naming no leaf, one with arguments the leaf does not know,
-    and any holding ``--``, whose path through nested subparsers has changed
-    between Python versions.
+    arguments.  The full parser takes every other argv, one naming no leaf
+    or one with arguments the leaf does not recognize, and reports it with
+    unchanged messages.
     """
     global _parsers
     if _parsers is None:
         _parsers = _parser_and_leaves()
     parser, leaves = _parsers
     argv = sys.argv[1:] if argv is None else list(argv)
-    words = 0 if "--" in argv else next((n for n in (1, 2) if tuple(argv[:n]) in leaves), 0)
+    words = next((n for n in (1, 2) if tuple(argv[:n]) in leaves), 0)
     try:
         args, extras = leaves[tuple(argv[:words])].parse_known_args(argv[words:]) if words else (None, None)
         if args is None or extras:

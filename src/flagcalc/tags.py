@@ -108,9 +108,10 @@ def tag_from_splitting(degrees: Sequence[int]) -> Tag:
 
 
 def zero_data(t: Tag) -> ZeroData:
-    zeros = tuple(i for i in t.diagram.nodes if t.values[i - 1] == 0)
-    support = tuple(i for i in t.diagram.nodes if t.values[i - 1] != 0)
-    return ZeroData(zeros=zeros, support=support)
+    zeros, support = [], []
+    for i, v in enumerate(t.values, 1):
+        (support if v else zeros).append(i)
+    return ZeroData(zeros=tuple(zeros), support=tuple(support))
 
 
 def restrict_tag(t: Tag, marks) -> RestrictedTag:

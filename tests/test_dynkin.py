@@ -189,7 +189,7 @@ def test_cartan_matrix_matches_dense_block_oracle():
         assert cartan_matrix(d) == cartan_matrix_by_blocks(d), d
 
 
-@pytest.mark.parametrize("component", [("D", 2), ("B", 1), ("E", 9), ("F", 5)])
+@pytest.mark.parametrize("component", [("D", 2), ("B", 1), ("E", 9), ("F", 5), ("X", 3)])
 def test_cartan_matrix_rejects_components_outside_normalized_table(component):
     with pytest.raises(DomainError):
         cartan_matrix(DynkinDiagram((component,)))

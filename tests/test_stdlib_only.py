@@ -177,6 +177,17 @@ def test_no_module_names_a_private_argparse_attribute():
     assert not named, named
 
 
+def test_only_cli_main_reads_the_output_format():
+    # one payload per request: each handler builds it whatever the format, and
+    # ``main`` alone reads ``args.format`` to print JSON or text
+    readers = [
+        getattr(node, "name", type(node).__name__)
+        for node in dict(_trees())["cli.py"].body
+        if any(isinstance(n, ast.Attribute) and n.attr == "format" for n in ast.walk(node))
+    ]
+    assert readers == ["main"], readers
+
+
 def _decorator_name(node: ast.expr) -> str | None:
     """``dataclass`` for ``@dataclass``, ``@dataclasses.dataclass`` and ``@dataclass(...)``."""
     if isinstance(node, ast.Call):

@@ -35,7 +35,7 @@ def a_tag(*values) -> Tag:
 def test_parse_and_render():
     t = parse_tag("A5:1,0,0,0,1")
     assert t.values == (1, 0, 0, 0, 1)
-    assert t.render() == "A5:1,0,0,0,1"
+    assert t.render() == str(t) == "A5:1,0,0,0,1"
     t2 = parse_tag("A1+A1:1,2")
     assert t2.values == (1, 2)
 
