@@ -78,6 +78,14 @@ def _in_table(family: str, rank: int) -> bool:
     return lowest <= rank <= (highest or rank)
 
 
+def _check_table(d: DynkinDiagram) -> tuple[tuple[str, int], ...]:
+    """``d.components``; ``DomainError`` unless each is a component of the normalized table."""
+    for family, rank in d.components:
+        if not _in_table(family, rank):
+            raise DomainError(f"component {family}{rank} is not in the normalized table")
+    return d.components
+
+
 class DynkinDiagram(namedtuple("DynkinDiagram", "components")):
     """A normalized diagram: an ordered tuple of (family, rank) components."""
 
@@ -85,7 +93,8 @@ class DynkinDiagram(namedtuple("DynkinDiagram", "components")):
 
     @property
     def rank(self) -> int:
-        return sum(r for _, r in self.components)
+        comps = self.components
+        return comps[0][1] if len(comps) == 1 else sum(r for _, r in comps)
 
     @property
     def nodes(self) -> range:
@@ -97,9 +106,9 @@ class DynkinDiagram(namedtuple("DynkinDiagram", "components")):
         for a in nodes:
             if type(a) is not int:
                 raise DomainError(f"nodes must be integers, got {quote(nodes)}")
-        own = self.nodes
+        rank = self.rank
         for a in nodes:
-            if a not in own:
+            if not 0 < a <= rank:
                 raise DomainError(f"nodes {quote(sorted(set(nodes)))} not all in diagram {self}")
         return nodes
 
@@ -197,9 +206,7 @@ def _bonds(d: DynkinDiagram) -> Bonds:
         columns[offset + b - 1][offset + a] = ab
         columns[offset + a - 1][offset + b] = ba
 
-    for family, rank in d.components:
-        if not _in_table(family, rank):
-            raise DomainError(f"component {family}{rank} is not in the normalized table")
+    for family, rank in _check_table(d):
         offset = len(columns)
         columns.extend({} for _ in range(rank))
         if family in "ABC":
@@ -278,7 +285,7 @@ def positive_roots(d: DynkinDiagram) -> RootSystem:
 def weyl_order(d: DynkinDiagram) -> int:
     """Order of the Weyl group, as a product of per-component closed forms."""
     total = 1
-    for fam, rank in d.components:
+    for fam, rank in _check_table(d):
         if fam == "A":
             total *= factorial(rank + 1)
         elif fam in ("B", "C"):
@@ -334,7 +341,7 @@ def _components(d: DynkinDiagram, nodes) -> list[tuple[str, list[int]]]:
     """
     members = set(nodes)
     comps, offset = [], 0
-    for family, n in d.components:
+    for family, n in _check_table(d):
         kept = {a - offset for a in range(offset + 1, offset + n + 1) if a in members}
         comps += [(name, [offset + a for a in order]) for name, order in _split(family, n, kept)]
         offset += n

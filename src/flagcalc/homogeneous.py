@@ -36,6 +36,7 @@ from .dynkin import (
     DynkinDiagram,
     _NORMALIZED_RANKS,
     _bonds,
+    _check_table,
     _component_root_count,
     _components,
     _renumber,
@@ -276,7 +277,7 @@ def _fiber_table(d: DynkinDiagram, base: int) -> tuple[int, dict[int, int], list
     mutated.
     """
     ends, offset = [], 0
-    for family, n in d.components:
+    for family, n in _check_table(d):
         if not offset < base <= offset + n:
             (name, order), = _split(family, n, range(1, n + 1))
             ends.append((name, n, offset + order[0], offset + order[-1], 0, 0))
@@ -311,7 +312,9 @@ def _side_tag(d: DynkinDiagram, base: int, other: int, table: tuple) -> tuple[in
     """
     _, ranks, ends = table
     r = ranks[other]
-    family, k, first, _, b, p = next(end for end in ends if other in (end[2], end[3]))
+    for family, k, first, last, b, p in ends:
+        if other in (first, last):
+            break
     values = [0] * r
     if p:
         if other != first:

@@ -127,6 +127,7 @@ def test_build_drum_rejects_non_models():
     for text, i, j, message in [
         ("A4", True, 2, "nodes must be integers, got (True, 2)"),
         ("A4", 1.0, 2, "nodes must be integers, got (1.0, 2)"),
+        ("A4", 5, True, "nodes must be integers, got (5, True)"),
         ("A4", 1, 5, "nodes [1, 5] not all in diagram A4"),
         ("A4", 2, 2, "(2, 2) is not a pair of distinct nodes of A4"),
         ("A4", 1, 3, "A4{1,3} is not a two-bundle model"),

@@ -5,6 +5,8 @@ import re
 
 import pytest
 
+from flagcalc.classifier import homogeneous_tags
+from flagcalc.drum import build_drum
 from flagcalc.dynkin import (
     _NORMALIZED_RANKS,
     MAX_RANK,
@@ -19,7 +21,7 @@ from flagcalc.dynkin import (
     weyl_order,
 )
 from flagcalc.errors import DomainError, ParseError
-from flagcalc.homogeneous import MarkedDiagram, parse_marked
+from flagcalc.homogeneous import MarkedDiagram, contraction_fiber, dimension, is_two_bundle_pair, parse_marked
 from flagcalc.tags import Tag, parse_tag
 
 from oracles import (
@@ -193,6 +195,52 @@ def test_cartan_matrix_matches_dense_block_oracle():
 def test_cartan_matrix_rejects_components_outside_normalized_table(component):
     with pytest.raises(DomainError):
         cartan_matrix(DynkinDiagram((component,)))
+
+
+# every function that reads a component's closed form or split checks the table first: weyl_order and
+# the _components splits (subdiagram, contraction_fiber, dimension) once per call, the pair test, the tags
+# and the drum once per _fiber_table miss
+OUTSIDE_TABLE_CALLS = {
+    "weyl_order": weyl_order,
+    "subdiagram": lambda d: subdiagram(d, [1, 2]),
+    "contraction_fiber": lambda d: contraction_fiber(d, (1, 2), (1,)),
+    "dimension": lambda d: dimension(MarkedDiagram(d, (1,))),
+    "is_two_bundle_pair": lambda d: is_two_bundle_pair(d, 1, 2),
+    "homogeneous_tags": lambda d: homogeneous_tags(d, 1, 2),
+    "build_drum": lambda d: build_drum(d, 1, 2),
+}
+
+
+OUTSIDE_TABLE_CASES = [
+    (name, component) for name in OUTSIDE_TABLE_CALLS for component in (("E", 5), ("F", 3), ("X", 3))
+] + [("weyl_order", ("A", 0))]
+
+
+@pytest.mark.parametrize(
+    "name,component", OUTSIDE_TABLE_CASES, ids=[f"{name}-{f}{r}" for name, (f, r) in OUTSIDE_TABLE_CASES]
+)
+def test_functions_reject_components_outside_normalized_table(name, component):
+    family, rank = component
+    with pytest.raises(DomainError, match=f"^component {family}{rank} is not in the normalized table$"):
+        OUTSIDE_TABLE_CALLS[name](DynkinDiagram((component,)))
+
+
+def test_rank_and_node_range_match_the_components():
+    # rank reads a connected diagram's one component and sums a union's; check_nodes accepts exactly 1..rank
+    rng = random.Random(35)
+    small = [d.components[0] for d in EVERY_CONNECTED if d.rank <= 30]
+    unions = []
+    while len(unions) < 500:
+        components = tuple(rng.choice(small) for _ in range(rng.randint(2, 5)))
+        if sum(rank for _, rank in components) <= MAX_RANK:
+            unions.append(DynkinDiagram(components))
+    for d in EVERY_CONNECTED + unions:
+        rank = sum(rank for _, rank in d.components)
+        assert d.rank == rank, d
+        assert d.check_nodes(range(1, rank + 1)) == tuple(range(1, rank + 1)), d
+        for a in (0, -1, rank + 1):
+            with pytest.raises(DomainError, match="not all in diagram"):
+                d.check_nodes((1, a))
 
 
 def test_positive_roots_a2():
