@@ -32,6 +32,7 @@ def weyl_dim(d: DynkinDiagram, node: int) -> int:
     diagram, whose Cartan matrix is the transpose: B_n and C_n swap, F4 and G2
     are self-dual with the node order reversed, and A, D and E are self-dual.
     The product is divided once, exactly; a remainder raises ``ArithmeticError``.
+    ``check_nodes`` checks the normalized table before the family is read.
     """
     d.check_nodes((node,))
     if not d.is_connected():

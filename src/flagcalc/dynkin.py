@@ -71,19 +71,24 @@ _COINCIDENCES = {
 
 
 def _in_table(family: str, rank: int) -> bool:
-    """Whether ``family``/``rank`` is a component of the normalized table."""
-    if family not in _NORMALIZED_RANKS:
+    """Whether ``family``/``rank`` is a component of the normalized table: a ``str`` and an ``int``, not a ``bool``.
+
+    A rank equal to an ``int`` hashes like it: ``A3.0`` would share A3's caches.
+    """
+    if type(family) is not str or type(rank) is not int or family not in _NORMALIZED_RANKS:
         return False
     lowest, highest = _NORMALIZED_RANKS[family]
     return lowest <= rank <= (highest or rank)
 
 
-def _check_table(d: DynkinDiagram) -> tuple[tuple[str, int], ...]:
-    """``d.components``; ``DomainError`` unless each is a component of the normalized table."""
+def _check_table(d: DynkinDiagram) -> int:
+    """The rank of ``d``; ``DomainError`` unless every component is in the normalized table."""
+    total = 0
     for family, rank in d.components:
         if not _in_table(family, rank):
             raise DomainError(f"component {family}{rank} is not in the normalized table")
-    return d.components
+        total += rank
+    return total
 
 
 class DynkinDiagram(namedtuple("DynkinDiagram", "components")):
@@ -101,12 +106,12 @@ class DynkinDiagram(namedtuple("DynkinDiagram", "components")):
         return range(1, self.rank + 1)
 
     def check_nodes(self, nodes) -> tuple[int, ...]:
-        """``nodes`` as a tuple; ``DomainError`` unless each is an ``int`` node of this diagram."""
+        """``nodes`` as a tuple; ``DomainError`` unless ``_check_table`` passes and each is an ``int`` node."""
+        rank = _check_table(self)
         nodes = tuple(nodes)
         for a in nodes:
             if type(a) is not int:
                 raise DomainError(f"nodes must be integers, got {quote(nodes)}")
-        rank = self.rank
         for a in nodes:
             if not 0 < a <= rank:
                 raise DomainError(f"nodes {quote(sorted(set(nodes)))} not all in diagram {self}")
@@ -206,7 +211,8 @@ def _bonds(d: DynkinDiagram) -> Bonds:
         columns[offset + b - 1][offset + a] = ab
         columns[offset + a - 1][offset + b] = ba
 
-    for family, rank in _check_table(d):
+    _check_table(d)
+    for family, rank in d.components:
         offset = len(columns)
         columns.extend({} for _ in range(rank))
         if family in "ABC":
@@ -243,7 +249,10 @@ def cartan_matrix(d: DynkinDiagram) -> Matrix:
 
 
 def pairing(d: DynkinDiagram, beta: Root, i: int) -> int:
-    """Pairing <beta, alpha_i^v> = (C^T beta)_i."""
+    """Pairing <beta, alpha_i^v> = (C^T beta)_i; ``DomainError`` unless i is a node and beta has rank entries."""
+    d.check_nodes((i,))
+    if len(beta) != d.rank:
+        raise DomainError(f"root {quote(beta)} has {len(beta)} entries, not the {d.rank} nodes of {d}")
     return 2 * beta[i - 1] + sum(beta[b - 1] * entry for b, entry in _bonds(d)[i - 1].items())
 
 
@@ -285,7 +294,8 @@ def positive_roots(d: DynkinDiagram) -> RootSystem:
 def weyl_order(d: DynkinDiagram) -> int:
     """Order of the Weyl group, as a product of per-component closed forms."""
     total = 1
-    for fam, rank in _check_table(d):
+    _check_table(d)
+    for fam, rank in d.components:
         if fam == "A":
             total *= factorial(rank + 1)
         elif fam in ("B", "C"):
@@ -338,10 +348,11 @@ def _components(d: DynkinDiagram, nodes) -> list[tuple[str, list[int]]]:
 
     Components are ordered by their smallest node.  Each component of ``d``
     is split by ``_split`` on its own numbering, shifted by its node offset.
+    Every caller has checked the table, in ``check_nodes``.
     """
     members = set(nodes)
     comps, offset = [], 0
-    for family, n in _check_table(d):
+    for family, n in d.components:
         kept = {a - offset for a in range(offset + 1, offset + n + 1) if a in members}
         comps += [(name, [offset + a for a in order]) for name, order in _split(family, n, kept)]
         offset += n

@@ -18,11 +18,11 @@ a projective fiber can have, from the records.  One ``_pair_tables`` read of
 the cached ``_fiber_table`` over i and over j serves the pair test, the
 tags and the drum of D{i,j}: the pair test and the drum take ranks and
 dimensions, dim D{i,j} = dim D{i} + r_plus, and ``_side_tag`` reads the
-tags' values off b and p.  The catalogue builds each record once, A-D
-straight from the closed forms of ``_classical_pairs`` (Humphreys §11.4,
-the Bourbaki plates), E6-8, F4 and G2 from a scan of uncached ``_end_map``
-tables with no per-pair test, so it leaves no table behind, splits no
-node set and reads no bond.
+tags' values off b and p.  The catalogue builds each diagram and each
+record once, A-D one family per ``_classical_pairs`` call, straight from
+its closed forms (Humphreys §11.4, the Bourbaki plates), E6-8, F4 and G2
+from a scan of uncached ``_end_map`` tables with no per-pair test, so it
+leaves no table behind, splits no node set and reads no bond.
 """
 from __future__ import annotations
 
@@ -36,7 +36,6 @@ from .dynkin import (
     DynkinDiagram,
     _NORMALIZED_RANKS,
     _bonds,
-    _check_table,
     _component_root_count,
     _components,
     _renumber,
@@ -274,10 +273,10 @@ def _fiber_table(d: DynkinDiagram, base: int) -> tuple[int, dict[int, int], list
     node (b = p = 0), with the ends of its ``dynkin._split`` order; so a
     union's records are ordered by smallest node too.  ``_rank_ends`` reads
     them.  The ranks and records are shared by every caller and must not be
-    mutated.
+    mutated.  ``check_nodes`` in ``_pair_tables`` checks the table first.
     """
     ends, offset = [], 0
-    for family, n in _check_table(d):
+    for family, n in d.components:
         if not offset < base <= offset + n:
             (name, order), = _split(family, n, range(1, n + 1))
             ends.append((name, n, offset + order[0], offset + order[-1], 0, 0))
@@ -351,41 +350,46 @@ def _check_max_rank(max_rank) -> None:
         raise DomainError(f"max_rank must be at most {MAX_RANK}")
 
 
-def _classical_pairs(d: DynkinDiagram) -> list[TwoBundleEntry]:
-    """The ``TwoBundleEntry`` records of the connected A_n, B_n, C_n (n >= 3) or D_n ``d``, in (i, j) order.
+def _classical_pairs(family: str, ranks: range) -> list[TwoBundleEntry]:
+    """The ``TwoBundleEntry`` records of A_n, B_n, C_n or D_n, ``family``, for n in ``ranks``, in (n, i, j) order.
 
-    Each is built once, by ``tuple.__new__`` on the fields its closed form
-    computes.  On the standard numbering (Humphreys §11.4, the Bourbaki
-    plates) the fiber over D{i} is the component of D - {i} holding j,
-    projective when it is A_r marked at an end (P^r) or C_k at its first
-    node (P^(2k-1)), and the fiber over D{j} likewise.  So (r_minus, r_plus)
-    is (i, n - i) for A_n{i,i+1}, (n - 1, n - 1) for A_n{1,n},
-    (i, 2(n - i) - 1) for C_n{i,i+1}, (n - 1, 1) for B_n{n-1,n}, (2, 3) for
-    B3{1,3}, whose fiber over D{1} is B2 = C2, and (n - 1, n - 1) for
-    D_n{n-1,n}.  dim D{i,j} is dim D{i} + r_plus, or dim D{j} + r_minus,
-    with the dimension i(n + 1 - i) of the Grassmannian A_n{i},
-    2i(n - i) + i(i + 1)/2 of the isotropic Grassmannian C_n{i}, n(n + 1)/2
-    and n(n - 1)/2 of the spinor varieties B_n{n} and D_n{n}, and 5 of the
-    quadric B3{1}.  Up to the automorphisms of D_n these are all the pairs,
-    the list that ``tests/oracles.expected_two_bundle_keys`` writes out;
-    type A keeps both pairs of each flip orbit.
+    Each diagram is built once per rank and each record once, by
+    ``tuple.__new__`` on the fields its closed form computes.  On the
+    standard numbering (Humphreys §11.4, the Bourbaki plates) the fiber over
+    D{i} is the component of D - {i} holding j, projective when it is A_r
+    marked at an end (P^r) or C_k at its first node (P^(2k-1)), and the fiber
+    over D{j} likewise.  So (r_minus, r_plus) is (i, n - i) for A_n{i,i+1},
+    (n - 1, n - 1) for A_n{1,n}, (i, 2(n - i) - 1) for C_n{i,i+1},
+    (n - 1, 1) for B_n{n-1,n}, (2, 3) for B3{1,3}, whose fiber over D{1} is
+    B2 = C2, and (n - 1, n - 1) for D_n{n-1,n}.  dim D{i,j} is
+    dim D{i} + r_plus, with the dimension i(n + 1 - i) of the Grassmannian
+    A_n{i}, 2i(n - i) + i(i + 1)/2 of the isotropic Grassmannian C_n{i},
+    n(n + 1)/2 and n(n - 1)/2 of the spinor varieties B_n{n} and D_n{n}, and
+    5 of the quadric B3{1}; summed, i(n - i) + n for A_n{i,i+1}, 2n - 1 for
+    A_n{1,n} and (i + 1)(4n - 3i)/2 - 1 for C_n{i,i+1}.  Up to the
+    automorphisms of D_n these are all the pairs, the list that
+    ``tests/oracles.expected_two_bundle_keys`` writes out; type A keeps both
+    pairs of each flip orbit.
     """
-    (family, n), = d.components
-    if family == "D":
-        return [tuple.__new__(TwoBundleEntry, (d, n - 1, n, n - 1, n - 1, (n - 1) * (n + 2) // 2))]
-    if family == "B":
-        pair = tuple.__new__(TwoBundleEntry, (d, n - 1, n, n - 1, 1, n * (n + 1) // 2 + n - 1))
-        return [tuple.__new__(TwoBundleEntry, (d, 1, 3, 2, 3, 8)), pair] if n == 3 else [pair]
-    if family == "C":
-        return [
-            tuple.__new__(
-                TwoBundleEntry, (d, i, i + 1, i, (r := 2 * (n - i) - 1), 2 * i * (n - i) + i * (i + 1) // 2 + r)
-            )
-            for i in range(1, n)
-        ]
-    pairs = [tuple.__new__(TwoBundleEntry, (d, i, i + 1, i, n - i, i * (n + 1 - i) + n - i)) for i in range(1, n)]
-    if n > 2:
-        pairs.insert(1, tuple.__new__(TwoBundleEntry, (d, 1, n, n - 1, n - 1, 2 * n - 1)))
+    pairs = []
+    for n in ranks:
+        d = tuple.__new__(DynkinDiagram, (((family, n),),))
+        if family == "A":
+            pairs.append(tuple.__new__(TwoBundleEntry, (d, 1, 2, 1, n - 1, 2 * n - 1)))
+            if n > 2:
+                pairs.append(tuple.__new__(TwoBundleEntry, (d, 1, n, n - 1, n - 1, 2 * n - 1)))
+            pairs += [tuple.__new__(TwoBundleEntry, (d, i, i + 1, i, n - i, i * (n - i) + n)) for i in range(2, n)]
+        elif family == "C":
+            pairs += [
+                tuple.__new__(TwoBundleEntry, (d, i, i + 1, i, 2 * (n - i) - 1, (i + 1) * (4 * n - 3 * i) // 2 - 1))
+                for i in range(1, n)
+            ]
+        elif family == "B":
+            if n == 3:
+                pairs.append(tuple.__new__(TwoBundleEntry, (d, 1, 3, 2, 3, 8)))
+            pairs.append(tuple.__new__(TwoBundleEntry, (d, n - 1, n, n - 1, 1, n * (n + 3) // 2 - 1)))
+        else:
+            pairs.append(tuple.__new__(TwoBundleEntry, (d, n - 1, n, n - 1, n - 1, (n - 1) * (n + 2) // 2)))
     return pairs
 
 
@@ -393,10 +397,11 @@ def _classical_pairs(d: DynkinDiagram) -> list[TwoBundleEntry]:
 def enumerate_two_bundles(max_rank: int) -> tuple[TwoBundleEntry, ...]:
     """All connected diagrams of rank <= max_rank carrying two bundle structures.
 
-    Built in (family, rank, marks) order, each record once, by
-    ``tuple.__new__`` on its fields.  A, B, C and D take theirs, dimensions
-    included, from the closed forms of ``_classical_pairs`` (Humphreys
-    §11.4, the Bourbaki plates), with no fiber table.  E6-8, F4 and G2 are
+    Built in (family, rank, marks) order, each diagram and each record
+    once, by ``tuple.__new__`` on its fields.  A, B, C and D take theirs,
+    dimensions included, from the closed forms of ``_classical_pairs``
+    (Humphreys §11.4, the Bourbaki plates), one call per family, with no
+    fiber table.  E6-8, F4 and G2 are
     scanned: the uncached ``_rank_ends`` of ``_end_map`` at every node, with
     |Φ⁺(D)| computed once per diagram, so ``_components`` splits no node set.
     For each end j > i in the table over i, in ascending order, r_plus is
@@ -412,12 +417,11 @@ def enumerate_two_bundles(max_rank: int) -> tuple[TwoBundleEntry, ...]:
     """
     _check_max_rank(max_rank)
     entries = []
-    for family in "ABCDEFG":
+    for family in "ABCD":
+        entries += _classical_pairs(family, _scan_ranks(family, max_rank))
+    for family in "EFG":
         for rank in _scan_ranks(family, max_rank):
-            d = DynkinDiagram(((family, rank),))
-            if family in "ABCD":
-                entries += _classical_pairs(d)
-                continue
+            d = tuple.__new__(DynkinDiagram, (((family, rank),),))
             autos = automorphisms(d)[1:]  # the identity comes first
             total = _component_root_count(family, rank)
             tables = [_rank_ends(total, _end_map(family, rank, base)) for base in range(1, rank + 1)]

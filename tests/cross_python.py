@@ -3,13 +3,16 @@
 Usage: python tests/cross_python.py PYTHON [PYTHON ...]
 
 Each interpreter runs, in one fresh process, every test function of
-``tests/test_*.py`` that takes no arguments, in file and definition order.
-It also runs ``test_cli``'s comparison of main's leaf route with the full
-parser, on every argv that test lists, those holding "--" included.  Where
-pytest is not installed, a stand-in gives the three names the test modules
-use: ``mark.parametrize``, ``param`` and ``raises``.  The script prints one
-line per interpreter and exits 1 if any test fails on any of them.  Standard
-library only; the name lacks the ``test_`` prefix, so pytest does not collect it.
+``tests/test_*.py`` that takes no arguments, in file and definition order,
+and every case of each test whose arguments its ``pytest.mark.parametrize``
+marks all name, one call per case.  It also runs ``test_cli``'s comparison
+of main's leaf route with the full parser, on every argv that test lists,
+those holding "--" included.  Where pytest is not installed, a stand-in
+gives the three names the test modules use: ``mark.parametrize``, which
+records the arg names and values on the function as pytest does, in
+``pytestmark``; ``param``; and ``raises``.  The script prints one line per
+interpreter and exits 1 if any test fails on any of them.  Standard library
+only; the name lacks the ``test_`` prefix, so pytest does not collect it.
 """
 from __future__ import annotations
 
@@ -49,12 +52,46 @@ class _Raises:
         return True
 
 
+class _ParameterSet:
+    """``pytest.param(*values, id=...)``: the values of one case, as ``values``."""
+
+    def __init__(self, *values, **kwargs):
+        self.values = values
+
+
+def _parametrize(*args, **kwargs):
+    """``pytest.mark.parametrize``: append a mark holding the arg names and values to ``pytestmark``."""
+
+    def mark(func):
+        func.pytestmark = [*getattr(func, "pytestmark", []), types.SimpleNamespace(name="parametrize", args=args)]
+        return func
+
+    return mark
+
+
 def _install_pytest_stand_in() -> None:
     stand_in = types.ModuleType("pytest")
-    stand_in.mark = types.SimpleNamespace(parametrize=lambda *args, **kwargs: lambda func: func)
-    stand_in.param = lambda *values, **kwargs: values
+    stand_in.mark = types.SimpleNamespace(parametrize=_parametrize)
+    stand_in.param = _ParameterSet
     stand_in.raises = _Raises
     sys.modules["pytest"] = stand_in
+
+
+def _cases(func) -> list[dict]:
+    """The arguments of each case of ``func``'s ``parametrize`` marks, stacked marks multiplied; [{}] if none."""
+    parameter_set = type(importlib.import_module("pytest").param(None))
+    cases = [{}]
+    for mark in getattr(func, "pytestmark", []):
+        if mark.name != "parametrize":
+            continue
+        names, values = mark.args[:2]
+        names = [name.strip() for name in names.split(",")] if isinstance(names, str) else list(names)
+        rows = [
+            value.values if isinstance(value, parameter_set) else (value,) if len(names) == 1 else tuple(value)
+            for value in values
+        ]
+        cases = [{**case, **dict(zip(names, row))} for case in cases for row in rows]
+    return cases
 
 
 class _Patch:
@@ -82,20 +119,24 @@ def _run_here() -> dict:
     if importlib.util.find_spec("pytest") is None:
         _install_pytest_stand_in()
     sys.path[:0] = [str(ROOT / "src"), str(TESTS)]
-    ran, failures = 0, []
+    ran, calls, failures = 0, 0, []
     for path in sorted(TESTS.glob("test_*.py")):
         module = importlib.import_module(path.stem)
         tests = [
             func for name, func in vars(module).items()
             if name.startswith("test_") and inspect.isfunction(func) and func.__module__ == module.__name__
-            and not inspect.signature(func).parameters
         ]
         for func in sorted(tests, key=lambda func: func.__code__.co_firstlineno):
+            cases = _cases(func)
+            if set(cases[0]) != set(inspect.signature(func).parameters):
+                continue  # a fixture pytest would supply
             ran += 1
-            try:
-                func()
-            except Exception:
-                failures.append(_failure(f"{path.stem}::{func.__name__}"))
+            for k, case in enumerate(cases):
+                calls += 1
+                try:
+                    func(**case)
+                except Exception:
+                    failures.append(_failure(f"{path.stem}::{func.__name__}" + (f"[{k}]" if case else "")))
     test_cli = sys.modules["test_cli"]
     patch = _Patch()
     try:
@@ -105,7 +146,7 @@ def _run_here() -> dict:
     finally:
         patch.undo()
     dashed = sum("--" in argv for argv in test_cli._dispatch_argvs())
-    return {"version": sys.version.split()[0], "ran": ran, "dashed": dashed, "failures": failures}
+    return {"version": sys.version.split()[0], "ran": ran, "calls": calls, "dashed": dashed, "failures": failures}
 
 
 def _run_on(python: str) -> tuple[bool, str]:
@@ -121,7 +162,7 @@ def _run_on(python: str) -> tuple[bool, str]:
         tail = (done.stderr.strip().splitlines() or ["no output"])[-1]
         return False, f"{python}: exit {done.returncode}, no result ({tail})"
     head = (
-        f"{result['version']} {python}: {result['ran']} tests and the leaf route on "
+        f"{result['version']} {python}: {result['ran']} tests in {result['calls']} calls and the leaf route on "
         f"{result['dashed']} argvs holding \"--\""
     )
     if result["failures"]:

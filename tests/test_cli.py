@@ -8,13 +8,13 @@ import random
 import re
 import subprocess
 import sys
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout, suppress
 from pathlib import Path
 
-from flagcalc import cli
+from flagcalc import cli, homogeneous
 from flagcalc.cli import main
 from flagcalc.dynkin import DynkinDiagram
-from flagcalc.errors import QUOTE_LIMIT, quote
+from flagcalc.errors import QUOTE_LIMIT, DomainError, quote
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SRC = Path(__file__).parent.parent / "src"
@@ -611,6 +611,18 @@ def test_cli_transcript_matches_golden_fixture():
     # subcommand and the text branches that no other fixture pins down
     transcript = json.loads((FIXTURES / "cli_transcript.json").read_text(encoding="utf-8"))
     assert len(transcript) >= 40
+    for argv, code, stdout in transcript:
+        assert run_cli(*argv) == (code, stdout), argv
+
+
+def test_components_outside_the_table_leave_the_transcript_unchanged():
+    # A3.0 and C3.0 equal and hash like A3 and C3: a pair test on them, cold, must
+    # not fill the cached fiber tables that later requests on A3 and C3 read
+    homogeneous._fiber_table.cache_clear()
+    for family, i, j in (("A", 1, 2), ("C", 2, 3)):
+        with suppress(DomainError):
+            homogeneous.is_two_bundle_pair(DynkinDiagram(((family, 3.0),)), i, j)
+    transcript = json.loads((FIXTURES / "cli_transcript.json").read_text(encoding="utf-8"))
     for argv, code, stdout in transcript:
         assert run_cli(*argv) == (code, stdout), argv
 

@@ -6,7 +6,7 @@ import re
 import pytest
 
 from flagcalc.classifier import homogeneous_tags
-from flagcalc.drum import build_drum
+from flagcalc.drum import build_drum, weyl_dim
 from flagcalc.dynkin import (
     _NORMALIZED_RANKS,
     MAX_RANK,
@@ -197,11 +197,12 @@ def test_cartan_matrix_rejects_components_outside_normalized_table(component):
         cartan_matrix(DynkinDiagram((component,)))
 
 
-# every function that reads a component's closed form or split checks the table first: weyl_order and
-# the _components splits (subdiagram, contraction_fiber, dimension) once per call, the pair test, the tags
-# and the drum once per _fiber_table miss
+# every function that reads a component's closed form or split checks the table first: weyl_order once
+# per call, and every function given nodes in check_nodes, before any cache is read (A3.0 and ATrue equal
+# and hash like A3 and A1, so a later check would answer them from the genuine diagram's tables)
 OUTSIDE_TABLE_CALLS = {
     "weyl_order": weyl_order,
+    "weyl_dim": lambda d: weyl_dim(d, 1),
     "subdiagram": lambda d: subdiagram(d, [1, 2]),
     "contraction_fiber": lambda d: contraction_fiber(d, (1, 2), (1,)),
     "dimension": lambda d: dimension(MarkedDiagram(d, (1,))),
@@ -212,7 +213,9 @@ OUTSIDE_TABLE_CALLS = {
 
 
 OUTSIDE_TABLE_CASES = [
-    (name, component) for name in OUTSIDE_TABLE_CALLS for component in (("E", 5), ("F", 3), ("X", 3))
+    (name, component)
+    for name in OUTSIDE_TABLE_CALLS
+    for component in (("E", 5), ("F", 3), ("X", 3), ("A", 3.0), ("A", 2.5), ("A", True), (1, 2))
 ] + [("weyl_order", ("A", 0))]
 
 
@@ -298,6 +301,17 @@ def test_reflections_send_roots_to_signed_roots():
                 image = list(beta)
                 image[i - 1] -= pairing(d, beta, i)
                 assert tuple(image) in signed
+
+
+def test_pairing_rejects_a_node_outside_the_diagram_and_a_root_of_another_length():
+    d = parse_diagram("B3")
+    assert pairing(d, (0, 1, 1), 3) == 0
+    for node in (0, 4, 1.0, True):
+        with pytest.raises(DomainError, match="^nodes must be integers|not all in diagram B3$"):
+            pairing(d, (0, 1, 1), node)
+    for beta in ((0, 1), (0, 1, 1, 0)):
+        with pytest.raises(DomainError, match=f"^root {re.escape(str(beta))} has {len(beta)} entries, not the 3"):
+            pairing(d, beta, 1)
 
 
 def test_reflection_closure_rule_holds_inside_list():

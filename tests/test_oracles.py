@@ -155,8 +155,8 @@ RULE_EXEMPT = {
     "entry by the ledger tests of test_drum and the golden ledger fixture",
     ("dynkin", "_in_table"): "a domain check of the normalized table, shared by the parser and _check_table, "
     "pinned by test_parse_errors and test_cartan_matrix_rejects_components_outside_normalized_table",
-    ("dynkin", "_check_table"): "_in_table over a diagram's components, shared by _bonds, weyl_order, _components "
-    "(so dimension) and _fiber_table, pinned by test_functions_reject_components_outside_normalized_table",
+    ("dynkin", "_check_table"): "_in_table over a diagram's components, shared by check_nodes, _bonds and weyl_order, "
+    "pinned by test_functions_reject_components_outside_normalized_table",
     ("tags", "_require_connected_a"): "a domain check shared by the type A operations, pinned by "
     "test_symplectic_reduce_requires_connected_type_a and test_classify_tag_shape_requires_type_a",
     ("tags", "_is_palindrome"): "values == values[::-1], which test_symplectic_reduce_exactly_on_odd_palindromes "

@@ -34,10 +34,10 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "flagcalc"
 SPLIT_RULES = {"_split": ("dynkin.py", {"homogeneous.py"}), "_end_map": ("homogeneous.py", set())}
 # The ``dynkin`` privates that other modules name: only ``homogeneous``, which
 # splits, renumbers, counts roots, reads the ends of whole components and the
-# Cartan entries of the tags, and checks the normalized table.
+# Cartan entries of the tags.
 DYNKIN_PRIVATES_NAMED = {
     "homogeneous.py": {
-        "_NORMALIZED_RANKS", "_bonds", "_check_table", "_component_root_count", "_components", "_renumber", "_split"
+        "_NORMALIZED_RANKS", "_bonds", "_component_root_count", "_components", "_renumber", "_split"
     },
 }
 # Banned standard modules and names, each with the reason (``fractions`` has its own test).
